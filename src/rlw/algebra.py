@@ -7,8 +7,9 @@ multiplication table on load, never stored in files.
 """
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 FILE_FORMAT = "rlw-algebra/1"
 SPAN_FORMAT = "rlw-span/1"
@@ -176,17 +177,21 @@ class FiniteAlgebra:
 
     # -- derived views ------------------------------------------------------
 
+    def with_constants(self, name, constants):
+        """The same (already validated) tables under a new name and constants.
+
+        Only the constants are checked; nothing is derived again.
+        """
+        return replace(self, name=str(name),
+                       constants=_constant_tuple(self.size, self.leq, constants))
+
     def renamed(self, name):
-        return FiniteAlgebra(name, self.size, self.unit, self.mult, self.chain,
-                             self.leq, self.constants, self.meet, self.join,
-                             self.lres, self.rres, self.labels)
+        return self.with_constants(name, self.constants)
 
     def reduct(self, keep=()):
         """Drop designated constants not listed in `keep` (the unit stays)."""
-        consts = tuple((k, v) for k, v in self.constants if k in keep)
-        return FiniteAlgebra(self.name, self.size, self.unit, self.mult, self.chain,
-                             self.leq, consts, self.meet, self.join,
-                             self.lres, self.rres, self.labels)
+        return self.with_constants(self.name,
+                                   [(k, v) for k, v in self.constants if k in keep])
 
     def as_chain(self):
         """Re-code a totally ordered algebra so index order = algebra order."""
@@ -215,8 +220,17 @@ class FiniteAlgebra:
         return f"<FiniteAlgebra {self.name} n={self.size}>"
 
 
+@functools.lru_cache(maxsize=32)
 def chain_leq(n):
     return tuple(tuple(i <= j for j in range(n)) for i in range(n))
+
+
+@functools.lru_cache(maxsize=32)
+def _chain_lattice_tables(n):
+    """Meet and join of the chain 0 < 1 < ... < n-1: min and max."""
+    meet = tuple(tuple(min(x, y) for y in range(n)) for x in range(n))
+    join = tuple(tuple(max(x, y) for y in range(n)) for x in range(n))
+    return meet, join
 
 
 def _lattice_tables(n, leq):
@@ -234,7 +248,7 @@ def _lattice_tables(n, leq):
             if len(lub) != 1:
                 raise NotALattice(f"no join for ({x},{y})")
             join[x][y] = lub[0]
-    return meet, join
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
 def _residual_tables(n, leq, mult, join):
@@ -270,7 +284,27 @@ def _residual_tables(n, leq, mult, join):
                     raise NotResiduated(f"residuation law fails at x={x}, y={y}, z={z} (left)")
                 if prod_le != leq[x][rres[z][y]]:
                     raise NotResiduated(f"residuation law fails at x={x}, y={y}, z={z} (right)")
-    return lres, rres
+    return tuple(map(tuple, lres)), tuple(map(tuple, rres))
+
+
+def _constant_tuple(n, le, constants):
+    """Check designated constants against the order; return them as
+    ((name, index), ...) in f, bot, top order."""
+    consts = dict(constants or {})
+    for k in consts:
+        if k not in CONSTANT_NAMES:
+            raise ParseError(f"unknown constant name {k!r}")
+        if not isinstance(consts[k], int) or not 0 <= consts[k] < n:
+            raise ParseError(f"constant {k}={consts[k]!r} out of range")
+    if "bot" in consts:
+        b = consts["bot"]
+        if not all(le[b][x] for x in range(n)):
+            raise BadConstant(f"bot={b} is not the least element")
+    if "top" in consts:
+        t = consts["top"]
+        if not all(le[x][t] for x in range(n)):
+            raise BadConstant(f"top={t} is not the greatest element")
+    return tuple((k, consts[k]) for k in CONSTANT_NAMES if k in consts)
 
 
 def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
@@ -308,7 +342,8 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
     if not isinstance(unit, int) or not 0 <= unit < n:
         raise ParseError(f"unit {unit!r} out of range")
 
-    meet, join = _lattice_tables(n, le)
+    # a chain is always a lattice: its meet and join are min and max
+    meet, join = _chain_lattice_tables(n) if chain else _lattice_tables(n, le)
 
     for x in range(n):
         if mt[unit][x] != x or mt[x][unit] != x:
@@ -321,31 +356,14 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
 
     lres, rres = _residual_tables(n, le, mt, join)
 
-    consts = dict(constants or {})
-    for k in consts:
-        if k not in CONSTANT_NAMES:
-            raise ParseError(f"unknown constant name {k!r}")
-        if not isinstance(consts[k], int) or not 0 <= consts[k] < n:
-            raise ParseError(f"constant {k}={consts[k]!r} out of range")
-    if "bot" in consts:
-        b = consts["bot"]
-        if not all(le[b][x] for x in range(n)):
-            raise BadConstant(f"bot={b} is not the least element")
-    if "top" in consts:
-        t = consts["top"]
-        if not all(le[x][t] for x in range(n)):
-            raise BadConstant(f"top={t} is not the greatest element")
-    const_tuple = tuple((k, consts[k]) for k in CONSTANT_NAMES if k in consts)
+    const_tuple = _constant_tuple(n, le, constants)
     if labels is not None:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
             raise ParseError("labels have wrong length")
 
-    return FiniteAlgebra(str(name), n, unit,
-                         tuple(tuple(row) for row in mt), chain, le, const_tuple,
-                         tuple(tuple(row) for row in meet), tuple(tuple(row) for row in join),
-                         tuple(tuple(row) for row in lres), tuple(tuple(row) for row in rres),
-                         labels)
+    return FiniteAlgebra(str(name), n, unit, mt, chain, le, const_tuple,
+                         meet, join, lres, rres, labels)
 
 
 def load_algebra(text):

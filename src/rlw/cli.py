@@ -439,7 +439,6 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code else 0
     args._command_line = argv
-    os.environ.setdefault("RLW_WORKERS", "1")
     run = Run(args)
     try:
         return args.fn(args, run)

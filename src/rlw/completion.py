@@ -329,8 +329,9 @@ def enumerate_chains(n, require=None, constants=(), name_prefix=None):
                 consts_options = [dict(c, f=fpos) for c in consts_options
                                   for fpos in range(n)]
             for consts in consts_options:
-                out = finite_algebra(base if not consts else
-                                     base + "".join(f"{k2}{v2}" for k2, v2 in sorted(consts.items())),
-                                     n, "chain", e, [list(r) for r in A.mult], consts)
+                # A passed full validation in _Search._finish; only the
+                # constants are new
+                suffix = "".join(f"{k2}{v2}" for k2, v2 in sorted(consts.items()))
+                out = A.with_constants(base + suffix, consts)
                 if properties.satisfies_flags(out, post):
                     yield out

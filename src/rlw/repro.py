@@ -1,9 +1,9 @@
 """Reproduction driver: each target runs one of the desk-scale headline checks
 end to end and reports pass/fail with certificates.
 
-Bounded searches read their bound from RLW_BOUND (default 6, the recorded
-fallback; set RLW_BOUND=7 for the full bound).  Refuter certificates are
-unbounded claims; bounded search results always carry their bound.
+Bounded searches read their bound from RLW_BOUND (default 7, the full
+bound).  Refuter certificates are unbounded claims; bounded search results
+always carry their bound.
 """
 from __future__ import annotations
 

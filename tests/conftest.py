@@ -3,9 +3,9 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-# bounded searches run at the recorded fallback bound by default; export
-# RLW_BOUND=7 for the full bound (see acceptance criteria 7 and 8)
-os.environ.setdefault("RLW_BOUND", "6")
+# bounded searches run at the full bound, 7, unless RLW_BOUND says otherwise
+# (see acceptance criteria 7 and 8)
+os.environ.setdefault("RLW_BOUND", "7")
 
 from hypothesis import settings
 

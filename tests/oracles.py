@@ -127,3 +127,27 @@ def brute_homs(B, D, injective=False):
         if ok:
             out.append(mapping)
     return out
+
+
+def chain_members_from_scratch(bases, constants):
+    """The members enumerate_chains(n, constants=...) should yield, rebuilt
+    from its constant-free members `bases`: every (table, constants) pair is
+    validated from scratch by finite_algebra.  Order and names follow the
+    documented rule: bases in order, bot/top pinned to the endpoints, then f
+    at each position, with the sorted constants appended to the base name."""
+    from rlw.algebra import finite_algebra
+    out = []
+    for B in bases:
+        n = B.size
+        pinned = {}
+        if "bot" in constants:
+            pinned["bot"] = 0
+        if "top" in constants:
+            pinned["top"] = n - 1
+        options = ([dict(pinned, f=pos) for pos in range(n)] if "f" in constants
+                   else [pinned])
+        for consts in options:
+            suffix = "".join(f"{k}{v}" for k, v in sorted(consts.items()))
+            out.append(finite_algebra(B.name + suffix, n, "chain", B.unit,
+                                      [list(row) for row in B.mult], consts))
+    return out

@@ -1,9 +1,9 @@
 """Acceptance criteria, one test (and one printed pass/fail line) each.
 
-Bounded searches honour RLW_BOUND (default 6, the recorded fallback; export
-RLW_BOUND=7 for the full bound).  Criterion 8's literal one-sided reading is
-asserted under strict xfail: the collapse homomorphism makes it unattainable
-(see the decisions ledger); its sound two-sided variant is criterion 8s.
+Bounded searches honour RLW_BOUND (default 7, the full bound).  Criterion 8's
+literal one-sided reading is asserted under strict xfail: the collapse
+homomorphism makes it unattainable (see the decisions ledger); its sound
+two-sided variant is criterion 8s.
 """
 import time
 
@@ -13,6 +13,9 @@ from rlw import (congruences, congruences_bruteforce, decide_ap, has_cep,
                  principal_congruence, variety)
 from rlw import amalgam, catalog, properties, repro, structure
 from rlw.catalog import catalog_all, make_dmm, make_goedel, make_rsa, make_sugihara
+
+# time limit, in seconds, for each bounded amalgam search at any bound
+BOUNDED_SEARCH_LIMIT_S = 120
 
 
 def report(criterion, ok, seconds, limit, detail=""):
@@ -76,9 +79,8 @@ def test_criterion_07_knotted_refutations():
         full, detail = run_target(target)
         assert full.ok, detail
     bound = repro.search_bound()
-    limit = 1800 if bound >= 7 else 120
-    report("07 knotted refutations", True, time.perf_counter() - t0, 2 * limit,
-           f"bound {bound}")
+    report("07 knotted refutations", True, time.perf_counter() - t0,
+           2 * BOUNDED_SEARCH_LIMIT_S, f"bound {bound}")
 
 
 @pytest.mark.xfail(strict=True,
@@ -104,10 +106,9 @@ def test_criterion_08s_idempotent_counterexample_two_sided():
     s = repro.fig3_span()
     K = amalgam.ClassSpec.bounded(bound, require={"idempotent": True})
     rep = amalgam.find_amalgam(s, K, one_sided=False)
-    limit = 1800 if bound >= 7 else 120
     report("08s fig3 two-sided (supplementary)",
            rep.verdict == "NotFoundExhaustive", time.perf_counter() - t0,
-           limit, f"bound {bound}")
+           BOUNDED_SEARCH_LIMIT_S, f"bound {bound}")
 
 
 def test_criterion_09_nested_sum():

@@ -2,6 +2,7 @@ import pytest
 
 from rlw import (BadConstant, MissingConstant, NotAMonoid, NotALattice,
                  NotResiduated, ParseError, finite_algebra, load_algebra)
+from rlw.algebra import _chain_lattice_tables, _lattice_tables, chain_leq
 from rlw.catalog import make_goedel, make_sugihara
 
 import oracles
@@ -134,3 +135,21 @@ def test_reduct_drops_constants():
     A = make_sugihara(4)
     assert A.reduct().constants == ()
     assert A.reduct(keep=("f",)).constants == A.constants
+
+
+def test_chain_lattice_tables_match_general_search():
+    # the min/max fast path for chains against the general meet/join search
+    for n in range(1, 9):
+        assert _chain_lattice_tables(n) == _lattice_tables(n, chain_leq(n))
+
+
+def test_with_constants_checks_only_constants():
+    G = make_goedel(3)
+    A = G.with_constants("G3f", {"bot": 0, "f": 1})
+    assert (A.name, A.constants) == ("G3f", (("f", 1), ("bot", 0)))
+    assert (A.mult, A.meet, A.join, A.lres, A.rres) == (G.mult, G.meet, G.join,
+                                                        G.lres, G.rres)
+    with pytest.raises(BadConstant):
+        G.with_constants("bad", {"bot": 1})
+    with pytest.raises(ParseError):
+        G.with_constants("bad", {"f": 3})

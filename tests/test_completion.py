@@ -16,6 +16,20 @@ def test_enumerate_counts_match_bruteforce():
     assert len(list(enumerate_chains(2))) == 1
 
 
+def test_enumerate_matches_from_scratch_validation():
+    # members are derived from tables validated once; each must equal a
+    # from-scratch validation of the same table and constants, in order
+    def fields(A):
+        return (A.name, A.unit, A.constants, A.mult, A.meet, A.join, A.lres, A.rres)
+
+    for n in range(1, 6):
+        bases = list(enumerate_chains(n))
+        for sig in ((), ("f",), ("bot", "top", "f")):
+            got = [fields(A) for A in enumerate_chains(n, constants=sig)]
+            want = [fields(A) for A in oracles.chain_members_from_scratch(bases, sig)]
+            assert got == want
+
+
 def test_every_yield_validates():
     # enumerate_chains output passes the independent law checker
     for n in (4, 5):
