@@ -1,9 +1,14 @@
 """Finite residuated lattices as explicit tables, plus the canonical file format.
 
-Elements of an algebra of size n are the indices 0..n-1.  For a chain the index
-order is the algebra order; a general lattice order is given as a boolean
-matrix.  Residual tables are always derived from the order and the
-multiplication table on load, never stored in files.
+Elements of an algebra of size n are the indices 0..n-1.  The order is either
+the tag "chain" (index order is the algebra order) or a boolean matrix.  Index
+order is read as the algebra order only under the "chain" tag: everything else
+compares through `leq`, so a totally ordered algebra given as a matrix may
+number its elements in any order.  Algebras derived from others (subalgebras,
+quotients, `as_chain`) number their elements by `induced_order`: in the
+algebra order when that is total (and are then tagged "chain"), otherwise in
+ascending index order.  Residual tables are always derived from the order and
+the multiplication table on load, never stored in files.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ from dataclasses import dataclass, field, replace
 FILE_FORMAT = "rlw-algebra/1"
 SPAN_FORMAT = "rlw-span/1"
 CONSTANT_NAMES = ("f", "bot", "top")
+OPS = ("mult", "meet", "join", "lres", "rres")  # the five operation tables
 
 
 class AlgebraError(Exception):
@@ -130,10 +136,6 @@ class FiniteAlgebra:
         """z/y = max{x : x*y <= z}."""
         return self.rres[z][y]
 
-    @property
-    def constants_map(self):
-        return dict(self.constants)
-
     def has_constant(self, nm):
         return any(k == nm for k, _ in self.constants)
 
@@ -163,6 +165,8 @@ class FiniteAlgebra:
 
     @property
     def is_totally_ordered(self):
+        if self.chain:
+            return True
         n = self.size
         return all(self.leq[x][y] or self.leq[y][x] for x in range(n) for y in range(n))
 
@@ -185,9 +189,6 @@ class FiniteAlgebra:
         return replace(self, name=str(name),
                        constants=_constant_tuple(self.size, self.leq, constants))
 
-    def renamed(self, name):
-        return self.with_constants(name, self.constants)
-
     def reduct(self, keep=()):
         """Drop designated constants not listed in `keep` (the unit stays)."""
         return self.with_constants(self.name,
@@ -197,9 +198,9 @@ class FiniteAlgebra:
         """Re-code a totally ordered algebra so index order = algebra order."""
         if self.chain:
             return self
-        if not self.is_totally_ordered:
+        order, total = induced_order(self.leq, self.elements)
+        if not total:
             raise NotAChain(f"{self.name} is not totally ordered")
-        order = sorted(self.elements, key=lambda x: sum(self.leq[y][x] for y in self.elements))
         pos = {x: i for i, x in enumerate(order)}
         n = self.size
         mult = [[pos[self.mult[order[i]][order[j]]] for j in range(n)] for i in range(n)]
@@ -218,6 +219,16 @@ class FiniteAlgebra:
 
     def __repr__(self):
         return f"<FiniteAlgebra {self.name} n={self.size}>"
+
+
+def induced_order(leq, items):
+    """The items in the order `leq` induces on them when that order is total,
+    else in ascending index order; returns (order, total)."""
+    items = sorted(items)
+    total = all(leq[x][y] or leq[y][x] for x in items for y in items)
+    if total:
+        items = sorted(items, key=lambda x: sum(leq[y][x] for y in items))
+    return items, total
 
 
 @functools.lru_cache(maxsize=32)
@@ -366,17 +377,46 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
                          meet, join, lres, rres, labels)
 
 
-def load_algebra(text):
-    """Parse and fully validate an algebra file (UTF-8 JSON, rlw-algebra/1)."""
+def read_document(text, fmt, holes=False):
+    """Parse an algebra document, or with `holes` a partial one whose `mult`
+    may hold nulls, and check the JSON shape of its tables; the algebra laws
+    are left to `finite_algebra`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != FILE_FORMAT:
-        raise ParseError(f"missing or wrong format tag (want {FILE_FORMAT!r})")
-    for key in ("name", "size", "leq", "unit", "mult"):
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ParseError(f"missing or wrong format tag (want {fmt!r})")
+    for key in ("size", "leq", "unit", "mult"):
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
+    n, unit = doc["size"], doc["unit"]
+    if type(n) is not int or n < 1:
+        raise ParseError(f"bad size {n!r}")
+    if type(unit) is not int or not 0 <= unit < n:
+        raise ParseError(f"unit {unit!r} out of range")
+
+    def table(key, cell_ok, what):
+        rows = doc[key]
+        if not (isinstance(rows, list) and len(rows) == n
+                and all(isinstance(r, list) and len(r) == n and all(map(cell_ok, r))
+                        for r in rows)):
+            raise ParseError(f"{key} must be a {n} x {n} table of {what}")
+
+    table("mult", lambda v: (holes and v is None) or (type(v) is int and 0 <= v < n),
+          f"indices 0..{n - 1}" + (" or null" if holes else ""))
+    if doc["leq"] != "chain":
+        table("leq", lambda v: v in (0, 1), "0/1 entries")
+    if not isinstance(doc.get("constants") or {}, dict):
+        raise ParseError("constants must be an object mapping names to indices")
+    return doc
+
+
+def load_algebra(text):
+    """Parse and fully validate an algebra file (UTF-8 JSON, rlw-algebra/1)."""
+    doc = read_document(text, FILE_FORMAT)
+    if "name" not in doc:
+        raise ParseError("missing field 'name'")
     return finite_algebra(doc["name"], doc["size"], doc["leq"], doc["unit"],
                           doc["mult"], doc.get("constants") or {})
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import (FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
-                      NotSubalgebraClosed, SignatureMismatch)
+from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
+                      NotSubalgebraClosed, SignatureMismatch, induced_order)
 from .completion import enumerate_chains
 from .morphisms import (Morphism, are_isomorphic, compose, embeddings, homs,
                         is_essential, is_hom, morphism)
@@ -142,8 +142,9 @@ class _Merge:
         self.b2c[b] = c
         self.c2b[c] = b
         # C2: order flip between the two sides
+        ble, cle = self.B.leq, self.C.leq
         for b2, c2 in self.b2c.items():
-            if (b < b2 and not c <= c2) or (b2 < b and not c2 <= c):
+            if (ble[b][b2] and not cle[c][c2]) or (ble[b2][b] and not cle[c2][c]):
                 return ("C2", "-", (b, c), (b2, c2),
                         f"{self.B.label(b)} < {self.B.label(b2)} in B but "
                         f"{self.C.label(c2)} < {self.C.label(c)} in C")
@@ -164,10 +165,9 @@ def refute_chain_amalgam(s, mirror_rule=False):
     """
     B, C = s.B, s.C
     for X in (B, C):
-        if not (X.chain or X.is_totally_ordered):
+        if not X.is_totally_ordered:
             raise NotAChain(f"{X.name} is not a chain")
     merge = _Merge(B, C)
-    ops = ("mult", "meet", "join", "lres", "rres")
 
     def push(pairs):
         for (b, c, rule, note) in pairs:
@@ -198,7 +198,7 @@ def refute_chain_amalgam(s, mirror_rule=False):
         # R1: closure under the basic binary operations (mult scanned first so
         # the multiplicative identifications surface first in traces)
         items = list(merge.b2c.items())
-        for op in ops:
+        for op in OPS:
             for (u, v) in items:
                 for (u2, v2) in items:
                     bb = getattr(B, op)[u][u2]
@@ -219,7 +219,6 @@ def replay_refutation(s, report):
     if report.verdict != "Refuted" or not report.trace:
         return False
     B, C = s.B, s.C
-    ops = ("mult", "meet", "join", "lres", "rres")
     init_pairs = {(s.phi1.mapping[a], s.phi2.mapping[a]) for a in s.A.elements}
     init_pairs.add((B.unit, C.unit))
     for nm, v in B.constants:
@@ -232,7 +231,7 @@ def replay_refutation(s, report):
             justified = (b, c) in init_pairs
         elif rule == "R1":
             justified = any(getattr(B, op)[u][u2] == b and getattr(C, op)[v][v2] == c
-                            for op in ops
+                            for op in OPS
                             for (u, v) in matched for (u2, v2) in matched)
         elif rule in ("R2", "R2'"):
             fixed = handy_fixed_points if rule == "R2" else mirror_fixed_points
@@ -250,18 +249,26 @@ def replay_refutation(s, report):
 
 # -- class-level checks -------------------------------------------------------
 
+def _iso_key(A):
+    """The tables of A, of its `as_chain` coding when A is totally ordered: for
+    chains this is an isomorphism invariant (the only order isomorphism
+    between two codings in the algebra order is the identity)."""
+    return (A.as_chain() if A.is_totally_ordered else A).key()
+
+
 def _dedup_by_iso(chains):
     seen = {}
     for A in chains:
-        seen.setdefault(A.key(), A)
-    return sorted(seen.values(), key=lambda A: (A.size, A.mult, A.constants))
+        seen.setdefault(_iso_key(A), A)
+    # key = (size, unit, mult, leq, constants)
+    return [seen[k] for k in sorted(seen, key=lambda k: (k[0], k[2], k[4]))]
 
 
 def _check_subalgebra_closed(K):
-    keys = {A.key() for A in K}
+    keys = {_iso_key(A) for A in K}
     for A in K:
         for sub in subuniverses(A):
-            if subalgebra(A, sub).key() not in keys:
+            if _iso_key(subalgebra(A, sub)) not in keys:
                 raise NotSubalgebraClosed(
                     f"{A.name} has a subalgebra on {sub} outside the class")
 
@@ -274,7 +281,7 @@ def _spans_of(K):
     for (_, _, _, bi, ci, B, C) in keyed:
         for sub in subuniverses(B):
             A = subalgebra(B, sub, name=f"{B.name}|{','.join(map(str, sub))}")
-            phi1 = morphism(A, B, sub)
+            phi1 = morphism(A, B, induced_order(B.leq, sub)[0])
             for phi2 in embeddings(A, C):
                 yield Span(A, B, C, phi1, phi2)
 
@@ -329,8 +336,8 @@ def fsi_chains(V):
             B = subalgebra(g, sub)
             for theta in congruences(B):
                 Q, _ = natural_projection(B, theta)
-                if Q.is_totally_ordered:
-                    out.append(Q.as_chain())
+                if Q.is_totally_ordered:   # and so numbered in its order
+                    out.append(Q)
     return _dedup_by_iso(out)
 
 
@@ -380,7 +387,7 @@ def decide_ap(V, cross_check=False):
 def simple_chain_ap(A):
     """AP for V(A), A a finite simple chain: CEP plus no two distinct
     isomorphic subalgebras."""
-    if not (A.chain or A.is_totally_ordered):
+    if not A.is_totally_ordered:
         raise NotAChain(f"{A.name} is not a chain")
     if A.is_trivial:
         return ApVerdict(True, None, (A,))   # the trivial variety has the AP
@@ -391,7 +398,7 @@ def simple_chain_ap(A):
     if not cep.holds:
         return ApVerdict(False, "cep_failure", (A,),
                          cep_witness=(A, cep.witness[0], cep.witness[1].blocks))
-    subs = subuniverses(A)
+    subs = [induced_order(A.leq, s)[0] for s in subuniverses(A)]
     algebras = [subalgebra(A, s) for s in subs]
     for i, S in enumerate(algebras):
         for j in range(i + 1, len(algebras)):

@@ -117,22 +117,26 @@ def make_dmm(p):
                           [str(v) for v in vals])
 
 
+_MAKERS = {"goedel": make_goedel, "rsa": make_rsa, "sugihara": make_sugihara,
+           "com": make_com, "luk": make_luk, "dmm": make_dmm}
+
+
 def make_family(family, *params):
-    if family == "goedel":
-        return make_goedel(*map(int, params))
-    if family == "rsa":
-        return make_rsa(*map(int, params))
-    if family == "sugihara":
-        return make_sugihara(*map(int, params))
-    if family == "com":
-        return make_com(*map(int, params))
-    if family == "luk":
-        n = int(params[0])
-        variant = params[1] if len(params) > 1 else "mv"
-        return make_luk(n, variant)
-    if family == "dmm":
-        return make_dmm(*map(int, params))
-    raise BadParameter(f"unknown family {family!r} (one of {FAMILIES})")
+    """A family member from its parameters as written in catalog addresses
+    and on the command line: integers, then luk's optional variant."""
+    if family not in FAMILIES:
+        raise BadParameter(f"unknown family {family!r} (one of {FAMILIES})")
+    arity = 2 if family == "com" else 1
+    numbers, variant = params[:arity], params[arity:]
+    if len(numbers) != arity or len(variant) > (family == "luk"):
+        raise BadParameter(f"{family} takes {arity} integer parameter(s)"
+                           + (" and an optional variant" if family == "luk" else "")
+                           + f", got {list(params)}")
+    try:
+        numbers = [int(p) for p in numbers]
+    except ValueError:
+        raise BadParameter(f"{family} parameters must be integers, got {list(params)}") from None
+    return _MAKERS[family](*numbers, *variant)
 
 
 # -- figure transcriptions ----------------------------------------------------

@@ -64,6 +64,20 @@ def _finish(run, args, human_lines):
     return 0 if run.affirmative else 1
 
 
+def _read_map(values, A, B, what):
+    """The homomorphism A -> B given by a comma list or a JSON list of indices."""
+    if isinstance(values, str):
+        try:
+            values = [int(v) for v in values.split(",")]
+        except ValueError:
+            raise ParseError(f"{what}: {values!r} is not a comma list of integers") from None
+    if not (isinstance(values, list) and len(values) == A.size
+            and all(type(v) is int and 0 <= v < B.size for v in values)):
+        raise ParseError(f"{what} must list {A.size} indices 0..{B.size - 1}, "
+                         f"got {values!r}")
+    return morphisms.morphism(A, B, values)
+
+
 def _morphism_cert(m):
     return {"source": m.source.name, "target": m.target.name,
             "mapping": list(m.mapping)}
@@ -154,9 +168,8 @@ def cmd_hom(args, run):
     commute = None
     if args.commute:
         A = run.load(args.commute[0])
-        phi = morphisms.morphism(A, B, [int(v) for v in args.commute[1].split(",")])
-        chi = morphisms.morphism(A, D, [int(v) for v in args.commute[2].split(",")])
-        commute = (phi, chi)
+        commute = (_read_map(args.commute[1], A, B, "PHI"),
+                   _read_map(args.commute[2], A, D, "CHI"))
     out = morphisms.homs(B, D, injective=args.injective, commute_with=commute)
     run.parameters = {"injective": args.injective}
     run.verdict = f"{len(out)} homomorphisms"
@@ -222,10 +235,15 @@ def cmd_factor(args, run):
 
 def _load_span(run, path):
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not valid JSON: {exc}") from None
     run.inputs.append({"path": path, "sha256": _sha256(json.dumps(doc, sort_keys=True))})
-    if doc.get("format") != SPAN_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != SPAN_FORMAT:
         raise ParseError(f"missing or wrong span format tag (want {SPAN_FORMAT!r})")
+    if not all(isinstance(doc.get(k), str) for k in ("A", "B", "C")):
+        raise ParseError("a span names its algebras A, B and C as strings")
     base = os.path.dirname(os.path.abspath(path))
     def load_ref(spec):
         if spec.startswith(("catalog:", "figure:")):
@@ -234,7 +252,8 @@ def _load_span(run, path):
         with open(p, encoding="utf-8") as fh:
             return load_algebra(fh.read())
     A, B, C = (load_ref(doc[k]) for k in ("A", "B", "C"))
-    return amalgam.span(A, B, C, doc["phi1"], doc["phi2"])
+    return amalgam.Span(A, B, C, _read_map(doc.get("phi1"), A, B, "phi1"),
+                        _read_map(doc.get("phi2"), A, C, "phi2"))
 
 
 def _class_spec(args):
@@ -251,6 +270,8 @@ def _class_spec(args):
                     algebras.append(load_algebra(fh.read()))
         return amalgam.ClassSpec.explicit(algebras)
     if kind == "bounded":
+        if len(args.klass) != 2 or not args.klass[1].isdigit():
+            raise ParseError("--class bounded takes one integer bound")
         bound = int(args.klass[1])
         require = {flag: True for flag in args.prop}
         sig = tuple(s for s in (args.sig or "").split(",") if s)

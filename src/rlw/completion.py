@@ -18,11 +18,10 @@ and every completed table passes full validation before it is returned.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
-from .algebra import ParseError, chain_leq, finite_algebra
+from .algebra import ParseError, chain_leq, finite_algebra, read_document
 from . import properties, terms
 
 PARTIAL_FORMAT = "rlw-partial/1"
@@ -59,21 +58,30 @@ class CompletionResult:
 
 
 def load_partial(text):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from None
-    if doc.get("format") != PARTIAL_FORMAT:
-        raise ParseError(f"missing or wrong format tag (want {PARTIAL_FORMAT!r})")
+    doc = read_document(text, PARTIAL_FORMAT, holes=True)
+    n = doc["size"]
     cs = doc.get("constraints") or {}
+    labels = doc.get("labels")
+    if not isinstance(cs, dict):
+        raise ParseError("constraints must be an object")
+    for key in ("idempotent", "non_idempotent", "central", "non_central"):
+        xs = cs.get(key, [])
+        if not (isinstance(xs, list) and all(type(x) is int and 0 <= x < n for x in xs)):
+            raise ParseError(f"constraint {key} must be a list of indices 0..{n - 1}")
+    eqs = cs.get("equations", [])
+    if not (isinstance(eqs, list)
+            and all(isinstance(eq, str) and eq.count("=") == 1 for eq in eqs)):
+        raise ParseError("constraint equations must be a list of 'lhs=rhs' strings")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == n):
+        raise ParseError(f"labels must be a list of {n} names")
     return PartialAlgebra(
         name=doc.get("name", "partial"),
-        size=doc["size"],
+        size=n,
         leq=doc["leq"],
         unit=doc["unit"],
         mult=[[v for v in row] for row in doc["mult"]],
         constants=doc.get("constants") or {},
-        labels=tuple(doc["labels"]) if doc.get("labels") else None,
+        labels=tuple(labels) if labels else None,
         idempotent=frozenset(cs.get("idempotent", ())),
         non_idempotent=frozenset(cs.get("non_idempotent", ())),
         central=frozenset(cs.get("central", ())),

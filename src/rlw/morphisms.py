@@ -8,10 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import FiniteAlgebra, NotAHomomorphism, NotAnEmbedding, SignatureMismatch
-from .structure import congruences, natural_projection
-
-_OPS = ("mult", "meet", "join", "lres", "rres")
+from .algebra import OPS, FiniteAlgebra, NotAHomomorphism, NotAnEmbedding, SignatureMismatch
+from .structure import congruence_leq, congruences, natural_projection
 
 
 @dataclass(frozen=True)
@@ -23,14 +21,6 @@ class Morphism:
     @property
     def injective(self):
         return len(set(self.mapping)) == len(self.mapping)
-
-    @property
-    def is_embedding(self):
-        return self.injective
-
-    @property
-    def is_iso(self):
-        return self.injective and self.source.size == self.target.size
 
     def __call__(self, x):
         return self.mapping[x]
@@ -60,7 +50,7 @@ def is_hom(B, D, mapping):
         if mapping[v] != D.constant(nm):
             return False
     n = B.size
-    for op in _OPS:
+    for op in OPS:
         tb, td = getattr(B, op), getattr(D, op)
         for x in range(n):
             mx = mapping[x]
@@ -79,11 +69,6 @@ def morphism(B, D, mapping):
 
 def identity(A):
     return Morphism(A, A, tuple(A.elements))
-
-
-def inclusion(A, B, subset):
-    """The inclusion of subalgebra(B, subset) into B (subset given ascending)."""
-    return morphism(A, B, tuple(sorted(subset)))
 
 
 def homs(B, D, injective=False, commute_with=None, limit=None):
@@ -113,8 +98,8 @@ def homs(B, D, injective=False, commute_with=None, limit=None):
     if injective and len(set(pinned.values())) != len(pinned):
         return []
 
-    b_tables = [getattr(B, op) for op in _OPS]
-    d_tables = [getattr(D, op) for op in _OPS]
+    b_tables = [getattr(B, op) for op in OPS]
+    d_tables = [getattr(D, op) for op in OPS]
     bleq, dleq = B.leq, D.leq
     out = []
 
@@ -241,12 +226,9 @@ def essentialize(phi):
     ok = [th for th in congruences(C)
           if all(not th.same(x, y) for i, x in enumerate(img) for y in img[i + 1:])]
     maximal = [th for th in ok
-               if not any(other is not th and _con_le(th, other) for other in ok)]
+               if not any(other is not th and congruence_leq(th, other) for other in ok)]
     theta = maximal[0]
     Q, proj = natural_projection(C, theta)
     psi = morphism(phi.source, Q, tuple(proj[v] for v in phi.mapping))
     return theta, psi
 
-
-def _con_le(c1, c2):
-    return all(len({c2.block_of(x) for x in block}) == 1 for block in c1.blocks)

@@ -15,8 +15,6 @@ from .morphisms import are_isomorphic
 
 
 def _check_component(i, A, last):
-    if not (A.chain or A.is_totally_ordered):
-        raise NotAChain(f"component {i} ({A.name}) is not a chain")
     if A.constants:
         raise NotAChain(f"component {i} ({A.name}) must be constant-free")
     if not last and not A.is_trivial and not is_admissible(A) and not is_integral(A):

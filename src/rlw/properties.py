@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import NotAChain
+from .algebra import BadParameter, NotAChain
 
 
 def is_commutative(A):
@@ -225,7 +225,7 @@ def satisfies_flags(A, require):
                     return False
             continue
         if key not in FLAG_PREDICATES:
-            raise KeyError(f"unknown property flag {key!r}")
+            raise BadParameter(f"unknown property flag {key!r}")
         if FLAG_PREDICATES[key](A) != bool(want):
             return False
     return True

@@ -1,9 +1,10 @@
 """Congruence lattices, convex normal subalgebras, quotients, subalgebras,
 simplicity classification, and the congruence extension property.
 
-Congruences are computed by principal-congruence closure followed by join
-closure.  The partition brute-force oracle (congruences_bruteforce) is kept as
-an independent cross-check for small algebras.
+Congruences are computed by principal-congruence closure of the covering
+pairs followed by join closure.  The partition brute-force oracle
+(congruences_bruteforce) is kept as an independent cross-check for small
+algebras.
 """
 from __future__ import annotations
 
@@ -11,9 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import FiniteAlgebra, NotASubuniverse, finite_algebra
-
-_OPS = ("mult", "meet", "join", "lres", "rres")
+from .algebra import OPS, FiniteAlgebra, NotASubuniverse, finite_algebra, induced_order
 
 
 def _canon_blocks(rep, n):
@@ -93,7 +92,7 @@ def _close_pairs(A, pairs):
     """Least congruence containing the given pairs (translation closure)."""
     n = A.size
     uf = _UF(n)
-    tables = [getattr(A, op) for op in _OPS]
+    tables = [getattr(A, op) for op in OPS]
     work = [p for p in pairs if uf.union(*p)]
     while work:
         x, y = work.pop()
@@ -120,16 +119,6 @@ def congruence_join(c1, c2):
             uf.union(block[0], x)
     # transitive closure of a union of congruences is already a congruence
     return Congruence(_canon_blocks(uf.find, A.size), A)
-
-
-def congruence_meet(c1, c2):
-    A = c1.algebra
-    rep = lambda x: (c1.block_of(x), c2.block_of(x))
-    pairs = {}
-    for x in range(A.size):
-        pairs.setdefault(rep(x), []).append(x)
-    blocks = tuple(tuple(sorted(b)) for b in sorted(pairs.values(), key=min))
-    return Congruence(blocks, A)
 
 
 def congruence_leq(c1, c2):
@@ -173,16 +162,28 @@ def _con_key(c):
     return (c.algebra.size - c.nblocks, c.blocks)
 
 
+def _covers(A):
+    """Pairs (a, b) with a < b and nothing strictly between them."""
+    le, n = A.leq, A.size
+    return [(a, b) for a in range(n) for b in range(n)
+            if a != b and le[a][b]
+            and not any(le[a][c] and le[c][b] for c in range(n) if c != a and c != b)]
+
+
 @lru_cache(maxsize=512)
 def congruences(A):
-    """The full congruence lattice, via principal congruences + join closure."""
+    """The full congruence lattice, via principal congruences + join closure.
+
+    Lattice congruence classes are convex and Theta(x,y) = Theta(x/\\y, x\\/y),
+    so every principal congruence is a join of those of covering pairs: these
+    are the only ones computed.
+    """
     n = A.size
     delta = Congruence(tuple((x,) for x in range(n)), A)
     found = {delta.blocks: delta}
-    for a in range(n):
-        for b in range(a + 1, n):
-            c = principal_congruence(A, a, b)
-            found.setdefault(c.blocks, c)
+    for a, b in _covers(A):
+        c = principal_congruence(A, a, b)
+        found.setdefault(c.blocks, c)
     frontier = list(found.values())
     while frontier:
         fresh = []
@@ -203,7 +204,7 @@ def _is_congruence_partition(A, blocks):
         for x in block:
             index[x] = i
     n = A.size
-    for op in _OPS:
+    for op in OPS:
         t = getattr(A, op)
         for block in blocks:
             x = block[0]
@@ -253,8 +254,8 @@ def cns_generated(A, seed):
 def natural_projection(A, theta, name=None):
     """Quotient algebra plus the projection map A -> A/theta.
 
-    Blocks are ordered by the induced order when it is total, else by least
-    element; the projection is returned as an index mapping.
+    Blocks are numbered by `induced_order` of their least elements; the
+    projection is returned as an index mapping.
     """
     blocks = theta.blocks
     k = len(blocks)
@@ -262,11 +263,7 @@ def natural_projection(A, theta, name=None):
     bl = theta.block_of
     # [x] <= [y] iff x /\ y ~ x
     leq = [[bl(A.meet[reps[i]][reps[j]]) == i for j in range(k)] for i in range(k)]
-    chainlike = all(leq[i][j] or leq[j][i] for i in range(k) for j in range(k))
-    if chainlike:
-        order = sorted(range(k), key=lambda i: sum(leq[j][i] for j in range(k)))
-    else:
-        order = list(range(k))
+    order, chainlike = induced_order(leq, range(k))
     pos = {b: i for i, b in enumerate(order)}
     mult = [[pos[bl(A.mult[reps[order[i]]][reps[order[j]]])] for j in range(k)]
             for i in range(k)]
@@ -290,7 +287,7 @@ def quotient(A, theta, name=None):
 def subuniverse_closure(A, seed):
     """Closure of seed + designated constants + unit under all five operations."""
     current = set(seed) | {A.unit} | {v for _, v in A.constants}
-    tables = [getattr(A, op) for op in _OPS]
+    tables = [getattr(A, op) for op in OPS]
     changed = True
     while changed:
         changed = False
@@ -330,30 +327,28 @@ def is_subuniverse(A, subset):
 
 
 def subalgebra(A, subset, name=None):
-    """The subalgebra on a subuniverse, re-coded with ascending indices."""
-    sub = sorted(set(subset))
+    """The subalgebra on a subuniverse.  Element i of the result is
+    `induced_order(A.leq, subset)[0][i]` of A: the subset in the algebra order
+    when that is total (tagged "chain"), else in ascending index order."""
+    members = sorted(set(subset))
+    sub, chainlike = induced_order(A.leq, members)
     s = set(sub)
     if A.unit not in s or not all(v in s for _, v in A.constants):
-        raise NotASubuniverse(f"{sub} misses a designated constant of {A.name}")
+        raise NotASubuniverse(f"{members} misses a designated constant of {A.name}")
     pos = {x: i for i, x in enumerate(sub)}
-    for op in _OPS:
+    for op in OPS:
         t = getattr(A, op)
         for x in sub:
             for y in sub:
                 if t[x][y] not in s:
-                    raise NotASubuniverse(f"{sub} not closed under {op} at ({x},{y})")
+                    raise NotASubuniverse(f"{members} not closed under {op} at ({x},{y})")
     k = len(sub)
     mult = [[pos[A.mult[x][y]] for y in sub] for x in sub]
-    chainlike = all(A.leq[sub[i]][sub[j]] or A.leq[sub[j]][sub[i]]
-                    for i in range(k) for j in range(k))
-    if chainlike:
-        leq_arg = "chain"  # ascending re-coding keeps the induced order
-    else:
-        leq_arg = [[A.leq[x][y] for y in sub] for x in sub]
+    leq_arg = "chain" if chainlike else [[A.leq[x][y] for y in sub] for x in sub]
     consts = {nm: pos[v] for nm, v in A.constants}
     labels = tuple(A.label(x) for x in sub) if A.labels is not None else None
     if name is None:
-        name = A.name if k == A.size else f"{A.name}|{''.join(map(str, sub))}"
+        name = A.name if k == A.size else f"{A.name}|{''.join(map(str, members))}"
     return finite_algebra(name, k, leq_arg, pos[A.unit], mult, consts, labels)
 
 
@@ -393,11 +388,10 @@ class CepResult:
 
 
 def extends(A, sub, theta_blocks):
-    """Is there Phi in Con(A) with Phi restricted to sub equal to theta?"""
-    for phi in congruences(A):
-        if phi.restrict(sub) == theta_blocks:
-            return True
-    return False
+    """Is there Phi in Con(A) with Phi restricted to sub equal to theta (blocks
+    of elements of A, in any order)?"""
+    want = tuple(sorted(tuple(sorted(b)) for b in theta_blocks))
+    return any(phi.restrict(sub) == want for phi in congruences(A))
 
 
 def has_cep(A):
@@ -406,7 +400,7 @@ def has_cep(A):
         if len(sub) == A.size:
             continue
         B = subalgebra(A, sub)
-        back = dict(enumerate(sub))
+        back = induced_order(A.leq, sub)[0]
         for theta in congruences(B):
             lifted = tuple(tuple(back[x] for x in block) for block in theta.blocks)
             if not extends(A, sub, lifted):

@@ -151,3 +151,21 @@ def chain_members_from_scratch(bases, constants):
             out.append(finite_algebra(B.name + suffix, n, "chain", B.unit,
                                       [list(row) for row in B.mult], consts))
     return out
+
+
+def relabelled(A, perm):
+    """A with element x renamed perm[x] and its order written as a matrix
+    (never the "chain" tag), validated from scratch."""
+    from rlw.algebra import finite_algebra
+    n = A.size
+    mult = [[0] * n for _ in range(n)]
+    leq = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            mult[perm[x]][perm[y]] = perm[A.mult[x][y]]
+            leq[perm[x]][perm[y]] = int(A.leq[x][y])
+    labels = [None] * n
+    for x in range(n):
+        labels[perm[x]] = A.label(x)
+    return finite_algebra(A.name + "'", n, leq, perm[A.unit], mult,
+                          {k: perm[v] for k, v in A.constants}, labels)

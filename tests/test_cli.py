@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rlw.catalog import make_goedel, make_sugihara
 from rlw.cli import main
 from rlw.algebra import save_algebra_file
@@ -189,3 +191,65 @@ def test_repro_cli(capsys):
 
 def test_repro_unknown_target_usage_error(capsys):
     assert main(["repro", "nope"]) == 2
+
+
+def _bad_files(tmp_path):
+    """Malformed input files, by name."""
+    g3 = json.loads(make_goedel(3).save())
+    null_mult = dict(g3, mult=[[0, None, 0], [0, 1, 1], [0, 1, 2]])
+    partial = {"format": "rlw-partial/1", "size": 2, "leq": "chain", "unit": 1,
+               "mult": [[None, None], [None, None]]}
+    span = {"format": "rlw-span/1", "A": "catalog:goedel:2",
+            "B": "catalog:goedel:3", "C": "catalog:goedel:3"}
+    docs = {"list.json": [1, 2], "null-mult.json": null_mult,
+            "constants-list.json": dict(g3, constants=[0]),
+            "leq-ragged.json": dict(g3, leq=[[1, 1], [0, 1]]),
+            "bad-constraints.json": dict(partial, constraints={"idempotent": "0"}),
+            "span-short-phi.json": dict(span, phi1=[0], phi2=[0, 2]),
+            "span-no-phi.json": span, "not-json.json": "{",
+            "span.json": dict(span, phi1=[0, 2], phi2=[0, 2])}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "goedel", "x"],
+    ["catalog", "goedel"],
+    ["catalog", "com", "1"],
+    ["complete", "{tmp}/list.json"],
+    ["complete", "{tmp}/bad-constraints.json"],
+    ["con", "{tmp}/null-mult.json"],
+    ["con", "{tmp}/constants-list.json"],
+    ["con", "{tmp}/leq-ragged.json"],
+    ["con", "{tmp}/not-json.json"],
+    ["con", "catalog:luk:x"],
+    ["hom", "catalog:goedel:4", "catalog:goedel:4", "--commute",
+     "catalog:goedel:3", "0,x", "0,1"],
+    ["hom", "catalog:goedel:4", "catalog:goedel:4", "--commute",
+     "catalog:goedel:3", "0,1", "0,2,3"],
+    ["refute", "--span", "{tmp}/span-short-phi.json"],
+    ["refute", "--span", "{tmp}/span-no-phi.json"],
+    ["refute", "--span", "{tmp}/not-json.json"],
+    ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded", "x"],
+    ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded"],
+    ["enumerate", "--size", "3", "--prop", "no-such-flag"],
+])
+def test_malformed_input_exit_2(tmp_path, capsys, argv):
+    _bad_files(tmp_path)
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_repro_manifest_byte_identical(capsys, monkeypatch):
+    # only wall_time_s may differ between two runs of the same command
+    monkeypatch.setenv("RLW_BOUND", "4")
+    outs = []
+    for _ in range(2):
+        code, out = run(capsys, "repro", "fig5", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["parameters"]["bound"] == 4
+        doc["wall_time_s"] = None
+        outs.append(json.dumps(doc, sort_keys=True))
+    assert outs[0] == outs[1]

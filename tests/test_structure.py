@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 from rlw import (NotASubuniverse, classify, cns_generated, congruences,
-                 congruences_bruteforce, convex_normal_subalgebras, has_cep,
-                 natural_projection, principal_congruence, quotient,
-                 subalgebra, subuniverses)
+                 congruences_bruteforce, convex_normal_subalgebras,
+                 finite_algebra, has_cep, natural_projection,
+                 principal_congruence, quotient, subalgebra, subuniverses)
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_sugihara)
 from rlw.morphisms import is_hom
 from rlw.structure import congruence_join, congruence_leq
+
+import oracles
 
 
 def test_principal_congruence_examples():
@@ -29,9 +33,20 @@ def test_congruence_counts():
 
 
 def test_congruences_match_bruteforce_small():
-    for A in catalog_all(max_size=5):
-        if A.size > 5:
-            continue
+    # congruences() closes only the covering pairs; the oracle tries every
+    # partition.  Relabelled codings and a non-chain lattice exercise covers
+    # that are not index neighbours.
+    leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
+    B22 = finite_algebra("2x2", 4, leq, 3, meet)
+    small = [A for A in catalog_all(max_size=5) if A.size <= 5]
+    rng = random.Random(0)
+    recoded = []
+    for A in small + [B22]:
+        perm = list(A.elements)
+        rng.shuffle(perm)
+        recoded.append(oracles.relabelled(A, perm))
+    for A in small + [B22, oracles.square_nonsemilinear()] + recoded:
         fast = {c.blocks for c in congruences(A)}
         slow = {c.blocks for c in congruences_bruteforce(A)}
         assert fast == slow, A.name
