@@ -144,10 +144,11 @@ class _Merge:
         # C2: order flip between the two sides
         ble, cle = self.B.leq, self.C.leq
         for b2, c2 in self.b2c.items():
-            if (ble[b][b2] and not cle[c][c2]) or (ble[b2][b] and not cle[c2][c]):
-                return ("C2", "-", (b, c), (b2, c2),
-                        f"{self.B.label(b)} < {self.B.label(b2)} in B but "
-                        f"{self.C.label(c2)} < {self.C.label(c)} in C")
+            for lo, hi, c_lo, c_hi in ((b, b2, c, c2), (b2, b, c2, c)):
+                if ble[lo][hi] and not cle[c_lo][c_hi]:
+                    return ("C2", "-", (b, c), (b2, c2),
+                            f"{self.B.label(lo)} < {self.B.label(hi)} in B but "
+                            f"{self.C.label(c_hi)} < {self.C.label(c_lo)} in C")
         return None
 
 
@@ -274,14 +275,21 @@ def _check_subalgebra_closed(K):
 
 
 def _spans_of(K):
-    """All spans up to equivalence, ordered by (|B|+|C|, |C|, |B|, ...)."""
+    """All spans up to equivalence, ordered by (|B|+|C|, |C|, |B|, ...).
+
+    Each B's first legs (A, phi1), one per subuniverse, are built when B is
+    first reached and reused for every C."""
     idx = list(enumerate(K))
     keyed = sorted(((b.size + c.size, c.size, b.size, bi, ci, b, c)
                     for bi, b in idx for ci, c in idx))
+    legs = {}
     for (_, _, _, bi, ci, B, C) in keyed:
-        for sub in subuniverses(B):
-            A = subalgebra(B, sub, name=f"{B.name}|{','.join(map(str, sub))}")
-            phi1 = morphism(A, B, induced_order(B.leq, sub)[0])
+        if bi not in legs:
+            legs[bi] = []
+            for sub in subuniverses(B):
+                A = subalgebra(B, sub, name=f"{B.name}|{','.join(map(str, sub))}")
+                legs[bi].append((A, morphism(A, B, induced_order(B.leq, sub)[0])))
+        for A, phi1 in legs[bi]:
             for phi2 in embeddings(A, C):
                 yield Span(A, B, C, phi1, phi2)
 
@@ -327,13 +335,22 @@ def variety(*generators):
 
 def fsi_chains(V):
     """Totally ordered members of HS(generators), deduplicated up to iso and
-    sorted by (size, table).  Jonsson: these are the FSI members of V."""
+    sorted by (size, table).  Jonsson: these are the FSI members of V.
+
+    A subalgebra isomorphic to one met before is skipped before its quotients
+    are taken: those are isomorphic to quotients already listed, which come
+    first and so are the ones the deduplication keeps."""
     out = []
+    seen = set()
     for g in V.generators:
         if not is_semilinear(g):
             raise NotSemilinear(f"generator {g.name} is not semilinear")
         for sub in subuniverses(g):
             B = subalgebra(g, sub)
+            key = _iso_key(B)
+            if key in seen:
+                continue
+            seen.add(key)
             for theta in congruences(B):
                 Q, _ = natural_projection(B, theta)
                 if Q.is_totally_ordered:   # and so numbered in its order

@@ -3,6 +3,13 @@
 Maps are arrays of target indices.  Enumeration is backtracking with forced
 propagation: once two images are fixed, the image of any product/residual of
 the two arguments is forced, which prunes almost everything at these sizes.
+Homomorphisms are listed in lexicographic order of their maps.
+
+An injective search into a smaller target returns at once (pigeonhole).  When
+both algebras are chain-coded (index order = algebra order) a homomorphism is
+a monotone map, strictly increasing if injective: each element's image is
+tried only between the images of its assigned neighbours, and meet and join
+(min and max) are not propagated, since the order checks already force them.
 """
 from __future__ import annotations
 
@@ -81,6 +88,8 @@ def homs(B, D, injective=False, commute_with=None, limit=None):
         raise SignatureMismatch(
             f"{B.name} and {D.name} designate different constants")
     n, m = B.size, D.size
+    if injective and n > m:
+        return []
     mapping = [-1] * n
     pinned = {B.unit: D.unit}
     for nm, v in B.constants:
@@ -98,8 +107,11 @@ def homs(B, D, injective=False, commute_with=None, limit=None):
     if injective and len(set(pinned.values())) != len(pinned):
         return []
 
-    b_tables = [getattr(B, op) for op in OPS]
-    d_tables = [getattr(D, op) for op in OPS]
+    chains = B.chain and D.chain
+    # on chains meet and join are min and max, fixed by the order checks
+    ops = [op for op in OPS if not (chains and op in ("meet", "join"))]
+    b_tables = [getattr(B, op) for op in ops]
+    d_tables = [getattr(D, op) for op in ops]
     bleq, dleq = B.leq, D.leq
     out = []
 
@@ -161,7 +173,15 @@ def homs(B, D, injective=False, commute_with=None, limit=None):
             if is_hom(B, D, mp):
                 out.append(Morphism(B, D, mp))
             return
-        for v in range(m):
+        lo, hi = 0, m
+        if chains:
+            # every index below idx is assigned; images are monotone in index
+            if idx:
+                lo = mapping[idx - 1] + injective
+            nxt = next((w for w in mapping[idx + 1:] if w >= 0), None)
+            if nxt is not None:
+                hi = nxt + 1 - injective
+        for v in range(lo, hi):
             trail = assign(idx, v)
             if trail is not None:
                 search(idx + 1)

@@ -169,3 +169,19 @@ def relabelled(A, perm):
         labels[perm[x]] = A.label(x)
     return finite_algebra(A.name + "'", n, leq, perm[A.unit], mult,
                           {k: perm[v] for k, v in A.constants}, labels)
+
+
+def fsi_chains_all_subalgebras(V):
+    """`fsi_chains` without its skip of isomorphic subalgebras: the totally
+    ordered quotients of every subalgebra of every generator, deduplicated."""
+    from rlw.amalgam import _dedup_by_iso
+    from rlw.structure import congruences, natural_projection, subalgebra, subuniverses
+    out = []
+    for g in V.generators:
+        for sub in subuniverses(g):
+            B = subalgebra(g, sub)
+            for theta in congruences(B):
+                Q, _ = natural_projection(B, theta)
+                if Q.is_totally_ordered:
+                    out.append(Q)
+    return _dedup_by_iso(out)

@@ -4,10 +4,13 @@ from rlw import (ClassSpec, NotAChain, NotSemilinear, NotSimple, class_has_1ap,
                  class_has_eap, decide_ap, find_amalgam, fsi_chains,
                  is_essential_span, refute_chain_amalgam, replay_refutation,
                  simple_chain_ap, span, strictly_simple_ap, variety)
-from rlw.amalgam import _spans_of
-from rlw.catalog import (make_dmm, make_figure, make_goedel, make_rsa,
-                         make_sugihara)
+from rlw.amalgam import _Merge, _spans_of
+from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
+                         make_luk, make_rsa, make_sugihara)
+from rlw.properties import is_semilinear
 from rlw.structure import subalgebra
+
+import oracles
 
 
 def by_labels(A, B):
@@ -81,6 +84,29 @@ def test_refuter_mirror_rule_toggle():
     rep = refute_chain_amalgam(s, mirror_rule=True)
     assert rep.verdict == "Refuted"
     assert replay_refutation(s, rep)
+
+
+def test_merge_c2_note_states_the_flip():
+    # each flip direction is reported as found: the B-side pair in B's order,
+    # then their partners in the opposite order in C
+    G3 = make_goedel(3)
+    m = _Merge(G3, G3)
+    assert m.add(0, 2, "init", "") is None
+    assert m.add(2, 0, "init", "") == \
+        ("C2", "-", (2, 0), (0, 2), "-2 < 0 in B but -2 < 0 in C")
+    B, C = make_goedel(3), make_goedel(4)
+    for first, second in (((0, 3), (2, 1)), ((2, 1), (0, 3)),
+                          ((0, 1), (2, 0)), ((2, 0), (0, 1))):
+        m = _Merge(B, C)
+        assert m.add(*first, "init", "") is None
+        rule, _, p, q, note = m.add(*second, "init", "")
+        assert rule == "C2"
+        b_side, c_side = note.removesuffix(" in C").split(" in B but ")
+        b_lo, b_hi = (B.labels.index(x) for x in b_side.split(" < "))
+        c_hi, c_lo = (C.labels.index(x) for x in c_side.split(" < "))
+        assert B.leq[b_lo][b_hi] and b_lo != b_hi
+        assert C.leq[c_hi][c_lo] and c_lo != c_hi
+        assert {p, q} == {(b_lo, c_lo), (b_hi, c_hi)}
 
 
 def test_refuter_requires_chains():
@@ -169,8 +195,21 @@ def test_fsi_chains_on_semilinear_product():
     assert [c.size for c in chains] == [1, 2]   # chains of HS(2x2)
 
 
+def test_fsi_chains_match_all_subalgebras_oracle():
+    # skipping isomorphic subalgebras changes no name, table or position
+    presentations = [(A,) for A in catalog_all(6) if is_semilinear(A)]
+    presentations += [(make_goedel(m),) for m in range(2, 9)]
+    presentations += [(make_sugihara(n),) for n in range(2, 11)]
+    presentations += [(make_luk(n, "mv"),) for n in range(2, 11)]
+    presentations.append((make_sugihara(2), make_sugihara(3)))
+    for gens in presentations:
+        V = variety(*gens)
+        got = [(c.name, c.key()) for c in fsi_chains(V)]
+        want = [(c.name, c.key()) for c in oracles.fsi_chains_all_subalgebras(V)]
+        assert got == want, V
+
+
 def test_fsi_chains_rejects_nonsemilinear():
-    import oracles
     with pytest.raises(NotSemilinear):
         fsi_chains(variety(oracles.square_nonsemilinear()))
     with pytest.raises(NotSemilinear):
@@ -194,6 +233,66 @@ def test_decide_ap_presentation_independent():
                        (make_sugihara(4), make_sugihara(3))):
         assert decide_ap(variety(gen)).has_ap == \
             decide_ap(variety(gen, extra)).has_ap
+
+
+# decide_ap(V(A)) as first computed, before hom search used the chain order:
+# verdict, reason, chain names and span witness
+DECIDE_AP_GOLDEN = {
+    "G_2": ("AP", None, ["G_2/~1", "G_2"], None),
+    "G_3": ("AP", None, ["G_3|02/~1", "G_3|02", "G_3"], None),
+    "G_4": ("NotAP", "span_failure", ["G_4|03/~1", "G_4|03", "G_4|013", "G_4"],
+            "<Span G_4|0,1,3 -> G_4 [0, 1, 3], G_4|0,1,3 -> G_4 [0, 2, 3]>"),
+    "G_5": ("NotAP", "span_failure",
+            ["G_5|04/~1", "G_5|04", "G_5|014", "G_5|0124", "G_5"],
+            "<Span G_5|0,1,4 -> G_5 [0, 1, 4], G_5|0,1,4 -> G_5|0124 [0, 2, 3]>"),
+    "G_6": ("NotAP", "span_failure",
+            ["G_6|05/~1", "G_6|05", "G_6|015", "G_6|0125", "G_6|01235", "G_6"],
+            "<Span G_6|0,1,5 -> G_6 [0, 1, 5], G_6|0,1,5 -> G_6|0125 [0, 2, 3]>"),
+    "G_7": ("NotAP", "span_failure",
+            ["G_7|06/~1", "G_7|06", "G_7|016", "G_7|0126", "G_7|01236",
+             "G_7|012346", "G_7"],
+            "<Span G_7|0,1,6 -> G_7 [0, 1, 6], G_7|0,1,6 -> G_7|0126 [0, 2, 3]>"),
+    "G_8": ("NotAP", "span_failure",
+            ["G_8|07/~1", "G_8|07", "G_8|017", "G_8|0127", "G_8|01237",
+             "G_8|012347", "G_8|0123457", "G_8"],
+            "<Span G_8|0,1,7 -> G_8 [0, 1, 7], G_8|0,1,7 -> G_8|0127 [0, 2, 3]>"),
+    "S_2": ("AP", None, ["S_2/~1", "S_2"], None),
+    "S_3": ("AP", None, ["S_3|1", "S_3"], None),
+    "S_4": ("AP", None, ["S_4|12/~1", "S_4|12", "S_4/~3", "S_4"], None),
+    "S_5": ("NotAP", "span_failure", ["S_5|2", "S_5|024", "S_5"],
+            "<Span S_5|0,2,4 -> S_5 [0, 2, 4], S_5|0,2,4 -> S_5 [1, 2, 3]>"),
+    "S_6": ("NotAP", "span_failure",
+            ["S_6|23/~1", "S_6|23", "S_6|0235/~3", "S_6|0235", "S_6/~5", "S_6"],
+            "<Span S_6/~5|0,2,4 -> S_6/~5 [0, 2, 4], "
+            "S_6/~5|0,2,4 -> S_6/~5 [1, 2, 3]>"),
+    "S_7": ("NotAP", "span_failure", ["S_7|3", "S_7|036", "S_7|01356", "S_7"],
+            "<Span S_7|0,3,6 -> S_7 [0, 3, 6], S_7|0,3,6 -> S_7|01356 [1, 2, 3]>"),
+    "S_8": ("NotAP", "span_failure",
+            ["S_8|34/~1", "S_8|34", "S_8|0347/~3", "S_8|0347", "S_8|013467/~5",
+             "S_8|013467", "S_8/~7", "S_8"],
+            "<Span S_8/~7|0,3,6 -> S_8/~7 [0, 3, 6], "
+            "S_8/~7|0,3,6 -> S_8|013467/~5 [1, 2, 3]>"),
+    "S_9": ("NotAP", "span_failure",
+            ["S_9|4", "S_9|048", "S_9|01478", "S_9|0124678", "S_9"],
+            "<Span S_9|0,4,8 -> S_9 [0, 4, 8], S_9|0,4,8 -> S_9|01478 [1, 2, 3]>"),
+    "S_10": ("NotAP", "span_failure",
+             ["S_10|45/~1", "S_10|45", "S_10|0459/~3", "S_10|0459",
+              "S_10|014589/~5", "S_10|014589", "S_10|01245789/~7",
+              "S_10|01245789", "S_10/~9", "S_10"],
+             "<Span S_10/~9|0,4,8 -> S_10/~9 [0, 4, 8], "
+             "S_10/~9|0,4,8 -> S_10|014589/~5 [1, 2, 3]>"),
+}
+
+
+def test_decide_ap_golden():
+    gens = [make_goedel(m) for m in range(2, 9)]
+    gens += [make_sugihara(n) for n in range(2, 11)]
+    for g in gens:
+        r = decide_ap(variety(g))
+        got = (r.verdict, r.reason, [c.name for c in r.chains],
+               repr(r.span_witness) if r.span_witness else None)
+        assert got == DECIDE_AP_GOLDEN[g.name], g.name
+        assert r.cep_witness is None
 
 
 def test_decide_ap_cross_check():

@@ -3,24 +3,60 @@ import pytest
 from rlw import (NotAnEmbedding, SignatureMismatch, are_isomorphic, embeddings,
                  essentialize, homs, identity, is_essential, morphism,
                  subalgebra)
-from rlw.catalog import make_figure, make_goedel, make_rsa, make_sugihara
+from rlw.algebra import induced_order
+from rlw.catalog import (catalog_all, make_figure, make_goedel, make_rsa,
+                         make_sugihara)
 from rlw.morphisms import compose
+from rlw.structure import subuniverses
 
 import oracles
 
 
+def _codings(X):
+    """X as coded, and X relabelled by a reversal into a matrix order."""
+    return (X, oracles.relabelled(X, list(reversed(X.elements))))
+
+
 def test_homs_against_bruteforce():
-    pairs = [(make_goedel(2), make_goedel(3)),
-             (make_rsa(3), make_rsa(2)),
-             (make_sugihara(3), make_sugihara(5)),
-             (make_rsa(2), make_rsa(4))]
-    for B, D in pairs:
-        got = sorted(m.mapping for m in homs(B, D))
-        want = sorted(oracles.brute_homs(B, D))
-        assert got == want, (B.name, D.name)
-        got_inj = sorted(m.mapping for m in homs(B, D, injective=True))
-        want_inj = sorted(oracles.brute_homs(B, D, injective=True))
-        assert got_inj == want_inj
+    # homs lists maps in the oracle's (lexicographic) order, because
+    # find_amalgam takes the first hit; chain-coded pairs take the interval
+    # search, pairs with a relabelled side the general one
+    chains = [A for A in catalog_all(4, include_figures=False)
+              if A.is_totally_ordered]
+    pairs = [(B, D) for B in chains for D in chains
+             if dict(B.constants).keys() == dict(D.constants).keys()]
+    pairs.append((make_sugihara(3), make_sugihara(5)))
+    for B0, D0 in pairs:
+        for B in _codings(B0):
+            for D in _codings(D0):
+                for inj in (False, True):
+                    got = [m.mapping for m in homs(B, D, injective=inj)]
+                    assert got == oracles.brute_homs(B, D, inj), (B.name, D.name, inj)
+
+
+def test_homs_commute_with_match_bruteforce_in_order():
+    # pins from every subalgebra inclusion A -> B and every hom A -> D
+    chains = [A for A in catalog_all(3, include_figures=False)
+              if A.is_totally_ordered]
+    checked = 0
+    for B0 in chains:
+        for D0 in chains:
+            if dict(B0.constants).keys() != dict(D0.constants).keys():
+                continue
+            for B in _codings(B0):
+                for D in _codings(D0):
+                    for sub in subuniverses(B):
+                        A = subalgebra(B, sub)
+                        phi = morphism(A, B, induced_order(B.leq, sub)[0])
+                        for chi in homs(A, D):
+                            for inj in (False, True):
+                                got = [m.mapping for m in homs(
+                                    B, D, injective=inj, commute_with=(phi, chi))]
+                                want = [f for f in oracles.brute_homs(B, D, inj)
+                                        if tuple(f[v] for v in phi.mapping) == chi.mapping]
+                                assert got == want, (B.name, D.name, sub, chi, inj)
+                                checked += 1
+    assert checked > 100
 
 
 def test_goedel_embedding_unique():
@@ -41,6 +77,8 @@ def test_rsa_collapse_hom():
 def test_signature_mismatch():
     with pytest.raises(SignatureMismatch):
         homs(make_goedel(2), make_rsa(2))
+    with pytest.raises(SignatureMismatch):   # before the pigeonhole answer []
+        homs(make_goedel(3), make_rsa(2), injective=True)
 
 
 def test_commute_with_pins():
