@@ -4,11 +4,13 @@ Elements of an algebra of size n are the indices 0..n-1.  The order is either
 the tag "chain" (index order is the algebra order) or a boolean matrix.  Index
 order is read as the algebra order only under the "chain" tag: everything else
 compares through `leq`, so a totally ordered algebra given as a matrix may
-number its elements in any order.  Algebras derived from others (subalgebras,
-quotients, `as_chain`) number their elements by `induced_order`: in the
-algebra order when that is total (and are then tagged "chain"), otherwise in
-ascending index order.  Residual tables are always derived from the order and
-the multiplication table on load, never stored in files.
+number its elements in any order.  Outside input (files, partial completions,
+catalog tables, nested sums) is validated by `finite_algebra`, which derives
+the lattice and residual tables (never stored in files).  Algebras derived
+from a valid one (subalgebras, quotients, `as_chain`) read all five tables
+from it through `derived`, and number their elements by `induced_order`: in
+the algebra order when that is total (tagged "chain"), else in ascending
+index order.
 """
 from __future__ import annotations
 
@@ -147,10 +149,10 @@ class FiniteAlgebra:
 
     @property
     def bottom(self):
-        for x in self.elements:
-            if all(self.leq[x][y] for y in self.elements):
-                return x
-        raise NotALattice(f"{self.name}: no least element")
+        x = least_element(self.leq, self.size)
+        if x is None:
+            raise NotALattice(f"{self.name}: no least element")
+        return x
 
     @property
     def top(self):
@@ -202,11 +204,8 @@ class FiniteAlgebra:
         if not total:
             raise NotAChain(f"{self.name} is not totally ordered")
         pos = {x: i for i, x in enumerate(order)}
-        n = self.size
-        mult = [[pos[self.mult[order[i]][order[j]]] for j in range(n)] for i in range(n)]
-        consts = {k: pos[v] for k, v in self.constants}
         labels = tuple(self.label(x) for x in order) if self.labels else None
-        return finite_algebra(self.name, n, "chain", pos[self.unit], mult, consts, labels)
+        return derived(self, self.name, order, pos, True, labels)
 
     def save(self):
         """Canonical one-line JSON (fixed key order, no whitespace variation)."""
@@ -219,6 +218,31 @@ class FiniteAlgebra:
 
     def __repr__(self):
         return f"<FiniteAlgebra {self.name} n={self.size}>"
+
+
+def derived(A, name, elements, index, chain, labels=None):
+    """The algebra whose element i is `elements[i]` of the valid algebra A: a
+    subuniverse, or one representative per congruence block.  Its tables, unit
+    and constants are A's, read through `index` (element of A -> new
+    position); nothing is checked again.  With `chain` set the order is index
+    order and meet/join are the shared min/max tables; otherwise the order is
+    read off the derived meet."""
+    def read(t):   # from lists, so that each tuple is allocated at its exact size
+        return tuple([tuple([index[t[x][y]] for y in elements]) for x in elements])
+    k = len(elements)
+    if chain:
+        leq, (meet, join) = chain_leq(k), _chain_lattice_tables(k)
+    else:
+        meet, join = read(A.meet), read(A.join)
+        leq = tuple(tuple(meet[i][j] == i for j in range(k)) for i in range(k))
+    constants = tuple((nm, index[v]) for nm, v in A.constants)
+    return FiniteAlgebra(str(name), k, index[A.unit], read(A.mult), chain, leq, constants,
+                         meet, join, read(A.lres), read(A.rres), labels)
+
+
+def least_element(leq, n):
+    """The least of 0..n-1 under the 0/1 matrix `leq`, or None."""
+    return next((x for x in range(n) if all(leq[x][y] for y in range(n))), None)
 
 
 def induced_order(leq, items):
@@ -321,7 +345,10 @@ def _constant_tuple(n, le, constants):
 def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
     """Validate raw tables and return a FiniteAlgebra with derived tables.
 
-    `leq` is either the string "chain" or an n x n 0/1 (or bool) matrix.
+    The constructor for outside input: the order, the monoid laws, the
+    residuals and the constants are all checked.  Algebras derived from one
+    already valid go through `derived` instead.  `leq` is either the string
+    "chain" or an n x n 0/1 (or bool) matrix.
     Raises ParseError / NotALattice / NotAMonoid / NotResiduated / BadConstant.
     """
     if not isinstance(size, int) or size < 1:

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
-                      NotSubalgebraClosed, SignatureMismatch, induced_order)
+                      NotSubalgebraClosed, SignatureMismatch)
 from .completion import enumerate_chains
 from .morphisms import (Morphism, are_isomorphic, compose, embeddings, homs,
                         is_essential, is_hom, morphism)
 from .properties import handy_fixed_points, is_semilinear, mirror_fixed_points
-from .structure import classify, congruences, has_cep, natural_projection, subalgebra, subuniverses
+from .structure import (classify, congruences, has_cep, natural_projection, subalgebra,
+                        subalgebra_with_map, subuniverses)
 
 
 @dataclass(frozen=True)
@@ -287,8 +288,8 @@ def _spans_of(K):
         if bi not in legs:
             legs[bi] = []
             for sub in subuniverses(B):
-                A = subalgebra(B, sub, name=f"{B.name}|{','.join(map(str, sub))}")
-                legs[bi].append((A, morphism(A, B, induced_order(B.leq, sub)[0])))
+                A, incl = subalgebra_with_map(B, sub, f"{B.name}|{','.join(map(str, sub))}")
+                legs[bi].append((A, morphism(A, B, incl)))
         for A, phi1 in legs[bi]:
             for phi2 in embeddings(A, C):
                 yield Span(A, B, C, phi1, phi2)
@@ -415,8 +416,7 @@ def simple_chain_ap(A):
     if not cep.holds:
         return ApVerdict(False, "cep_failure", (A,),
                          cep_witness=(A, cep.witness[0], cep.witness[1].blocks))
-    subs = [induced_order(A.leq, s)[0] for s in subuniverses(A)]
-    algebras = [subalgebra(A, s) for s in subs]
+    algebras, subs = zip(*(subalgebra_with_map(A, s) for s in subuniverses(A)))
     for i, S in enumerate(algebras):
         for j in range(i + 1, len(algebras)):
             iso = are_isomorphic(S, algebras[j])

@@ -26,6 +26,17 @@ def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _load_ref(spec, base=""):
+    """The algebra at a catalog:/figure: address or a file path (relative
+    paths taken from `base`), with the text its manifest hash is taken of."""
+    if spec.startswith(("catalog:", "figure:")):
+        A = catalog.resolve_catalog_name(spec)
+        return A, A.save()
+    with open(os.path.join(base, spec), encoding="utf-8") as fh:
+        text = fh.read()
+    return load_algebra(text), text
+
+
 class Run:
     """Collects inputs, parameters, verdicts, and certificates for a command."""
 
@@ -39,14 +50,9 @@ class Run:
         self.t0 = time.perf_counter()
 
     def load(self, spec):
-        if spec.startswith(("catalog:", "figure:")):
-            A = catalog.resolve_catalog_name(spec)
-            self.inputs.append({"path": spec, "sha256": _sha256(A.save())})
-            return A
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
+        A, text = _load_ref(spec)
         self.inputs.append({"path": spec, "sha256": _sha256(text)})
-        return load_algebra(text)
+        return A
 
     def manifest(self):
         return {"format": MANIFEST_FORMAT, "command": self.command,
@@ -245,13 +251,7 @@ def _load_span(run, path):
     if not all(isinstance(doc.get(k), str) for k in ("A", "B", "C")):
         raise ParseError("a span names its algebras A, B and C as strings")
     base = os.path.dirname(os.path.abspath(path))
-    def load_ref(spec):
-        if spec.startswith(("catalog:", "figure:")):
-            return catalog.resolve_catalog_name(spec)
-        p = spec if os.path.isabs(spec) else os.path.join(base, spec)
-        with open(p, encoding="utf-8") as fh:
-            return load_algebra(fh.read())
-    A, B, C = (load_ref(doc[k]) for k in ("A", "B", "C"))
+    A, B, C = (_load_ref(doc[k], base)[0] for k in ("A", "B", "C"))
     return amalgam.Span(A, B, C, _read_map(doc.get("phi1"), A, B, "phi1"),
                         _read_map(doc.get("phi2"), A, C, "phi2"))
 
@@ -261,14 +261,7 @@ def _class_spec(args):
         raise ParseError("--class is required")
     kind = args.klass[0]
     if kind == "list":
-        algebras = []
-        for spec in args.klass[1:]:
-            if spec.startswith(("catalog:", "figure:")):
-                algebras.append(catalog.resolve_catalog_name(spec))
-            else:
-                with open(spec, encoding="utf-8") as fh:
-                    algebras.append(load_algebra(fh.read()))
-        return amalgam.ClassSpec.explicit(algebras)
+        return amalgam.ClassSpec.explicit([_load_ref(spec)[0] for spec in args.klass[1:]])
     if kind == "bounded":
         if len(args.klass) != 2 or not args.klass[1].isdigit():
             raise ParseError("--class bounded takes one integer bound")

@@ -21,7 +21,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .algebra import ParseError, chain_leq, finite_algebra, read_document
+from .algebra import (AlgebraError, ParseError, chain_leq, finite_algebra,
+                      least_element, read_document)
 from . import properties, terms
 
 PARTIAL_FORMAT = "rlw-partial/1"
@@ -98,13 +99,6 @@ def _leq_matrix(P):
     return tuple(tuple(bool(v) for v in row) for row in P.leq)
 
 
-def _bottom_of(leq, n):
-    for x in range(n):
-        if all(leq[x][y] for y in range(n)):
-            return x
-    return None
-
-
 class _Search:
     def __init__(self, P: PartialAlgebra, limit=None, on_found=None):
         self.P = P
@@ -121,28 +115,16 @@ class _Search:
         # ties: mirror cell forced equal (commutative globally, or central element)
         self.tied = P.commutative is True
         self.central = set(P.central)
-        for i, row in enumerate(P.mult):
-            for j, v in enumerate(row):
-                if v is not None and not self._set(i, j, v):
-                    self.failed_setup = True
-                    return
-        e = P.unit
-        for x in range(n):
-            for (i, j, v) in ((e, x, x), (x, e, x)):
-                if not self._set(i, j, v):
-                    self.failed_setup = True
-                    return
-        bot = _bottom_of(self.leq, n)
-        if bot is not None:
-            for x in range(n):
-                for (i, j) in ((bot, x), (x, bot)):
-                    if not self._set(i, j, bot):
-                        self.failed_setup = True
-                        return
-        for x in P.idempotent:
-            if not self._set(x, x, x):
-                self.failed_setup = True
-                return
+        e, bot = P.unit, least_element(self.leq, n)
+        forced = [(i, j, v) for i, row in enumerate(P.mult)
+                  for j, v in enumerate(row) if v is not None]
+        forced += [c for x in range(n) for c in ((e, x, x), (x, e, x))]
+        if bot is not None:   # the least element absorbs
+            forced += [c for x in range(n) for c in ((bot, x, bot), (x, bot, bot))]
+        forced += [(x, x, x) for x in P.idempotent]
+        if not all(self._set(i, j, v) for i, j, v in forced):
+            self.failed_setup = True
+            return
         order = sorted(((i, j) for i in range(n) for j in range(n)),
                        key=lambda c: (max(c), c[0], c[1]))
         self.cells = [c for c in order if self.m[c[0]][c[1]] is None]
@@ -233,7 +215,7 @@ class _Search:
         try:
             A = finite_algebra(P.name, self.n, P.leq, P.unit,
                                [list(row) for row in self.m], P.constants, P.labels)
-        except Exception:
+        except AlgebraError:
             return
         for c in P.central:
             if not properties.is_central(A, c):

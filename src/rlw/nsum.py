@@ -9,7 +9,7 @@ factorizer's split policy depends on it).
 """
 from __future__ import annotations
 
-from .algebra import NotAChain, NotAdmissible, finite_algebra
+from .algebra import AlgebraError, NotAChain, NotAdmissible, finite_algebra
 from .properties import admissibility_witness, is_admissible, is_integral
 from .morphisms import are_isomorphic
 
@@ -89,7 +89,7 @@ def _restrict(A, subset, name):
     try:
         return finite_algebra(name, len(sub), "chain", posn[A.unit], mult, {},
                               [A.label(x) for x in sub])
-    except Exception:
+    except AlgebraError:
         return None
 
 

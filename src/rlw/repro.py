@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import amalgam, catalog, nsum, properties, structure
-from .algebra import BadParameter, induced_order
+from .algebra import BadParameter
 from .completion import enumerate_chains
 from .morphisms import are_isomorphic
 
@@ -60,8 +60,7 @@ def repro_fig1(report):
         sub = (lbl["b"], lbl["a"], lbl["e"])
         report.check("witness subalgebra is {e,a,b}",
                      structure.is_subuniverse(X, sub))
-        B = structure.subalgebra(X, sub)
-        in_X = induced_order(X.leq, sub)[0]
+        B, in_X = structure.subalgebra_with_map(X, sub)
         a_in_B, e_in_B = B.labels.index("a"), B.labels.index("e")
         theta = structure.principal_congruence(B, a_in_B, e_in_B)
         lifted = tuple(tuple(in_X[i] for i in block) for block in theta.blocks)

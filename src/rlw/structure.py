@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import OPS, FiniteAlgebra, NotASubuniverse, finite_algebra, induced_order
+from .algebra import OPS, FiniteAlgebra, NotASubuniverse, derived, induced_order
 
 
 def _canon_blocks(rep, n):
@@ -255,7 +255,8 @@ def natural_projection(A, theta, name=None):
     """Quotient algebra plus the projection map A -> A/theta.
 
     Blocks are numbered by `induced_order` of their least elements; the
-    projection is returned as an index mapping.
+    projection is returned as an index mapping.  The quotient's tables are
+    A's, read on one representative per block (`algebra.derived`).
     """
     blocks = theta.blocks
     k = len(blocks)
@@ -265,19 +266,13 @@ def natural_projection(A, theta, name=None):
     leq = [[bl(A.meet[reps[i]][reps[j]]) == i for j in range(k)] for i in range(k)]
     order, chainlike = induced_order(leq, range(k))
     pos = {b: i for i, b in enumerate(order)}
-    mult = [[pos[bl(A.mult[reps[order[i]]][reps[order[j]]])] for j in range(k)]
-            for i in range(k)]
-    consts = {nm: pos[bl(v)] for nm, v in A.constants}
-    leq_arg = "chain" if chainlike else [[leq[order[i]][order[j]] for j in range(k)]
-                                         for i in range(k)]
+    mapping = tuple(pos[bl(x)] for x in A.elements)
     labels = None
     if A.labels is not None:
-        labels = tuple("".join(A.label(x) for x in blocks[order[i]]) for i in range(k))
+        labels = tuple("".join(A.label(x) for x in blocks[b]) for b in order)
     if name is None:
         name = A.name if k == A.size else f"{A.name}/~{k}"
-    Q = finite_algebra(name, k, leq_arg, pos[bl(A.unit)], mult, consts, labels)
-    mapping = tuple(pos[bl(x)] for x in A.elements)
-    return Q, mapping
+    return derived(A, name, [reps[b] for b in order], mapping, chainlike, labels), mapping
 
 
 def quotient(A, theta, name=None):
@@ -326,10 +321,11 @@ def is_subuniverse(A, subset):
     return subuniverse_closure(A, s) == s and {v for _, v in A.constants} <= s
 
 
-def subalgebra(A, subset, name=None):
-    """The subalgebra on a subuniverse.  Element i of the result is
-    `induced_order(A.leq, subset)[0][i]` of A: the subset in the algebra order
-    when that is total (tagged "chain"), else in ascending index order."""
+def subalgebra_with_map(A, subset, name=None):
+    """The subalgebra on a subuniverse, with its tables read from A
+    (`algebra.derived`), plus the inclusion map: element i of the result is
+    `inclusion[i] = induced_order(A.leq, subset)[0][i]` of A.  Raises
+    NotASubuniverse unless the subset is one."""
     members = sorted(set(subset))
     sub, chainlike = induced_order(A.leq, members)
     s = set(sub)
@@ -342,14 +338,15 @@ def subalgebra(A, subset, name=None):
             for y in sub:
                 if t[x][y] not in s:
                     raise NotASubuniverse(f"{members} not closed under {op} at ({x},{y})")
-    k = len(sub)
-    mult = [[pos[A.mult[x][y]] for y in sub] for x in sub]
-    leq_arg = "chain" if chainlike else [[A.leq[x][y] for y in sub] for x in sub]
-    consts = {nm: pos[v] for nm, v in A.constants}
     labels = tuple(A.label(x) for x in sub) if A.labels is not None else None
     if name is None:
-        name = A.name if k == A.size else f"{A.name}|{''.join(map(str, members))}"
-    return finite_algebra(name, k, leq_arg, pos[A.unit], mult, consts, labels)
+        name = A.name if len(sub) == A.size else f"{A.name}|{''.join(map(str, members))}"
+    return derived(A, name, sub, pos, chainlike, labels), tuple(sub)
+
+
+def subalgebra(A, subset, name=None):
+    """The subalgebra on a subuniverse, as numbered by `subalgebra_with_map`."""
+    return subalgebra_with_map(A, subset, name)[0]
 
 
 # -- classification and CEP ---------------------------------------------------
@@ -399,8 +396,7 @@ def has_cep(A):
     for sub in subuniverses(A):
         if len(sub) == A.size:
             continue
-        B = subalgebra(A, sub)
-        back = induced_order(A.leq, sub)[0]
+        B, back = subalgebra_with_map(A, sub)
         for theta in congruences(B):
             lifted = tuple(tuple(back[x] for x in block) for block in theta.blocks)
             if not extends(A, sub, lifted):

@@ -171,6 +171,15 @@ def relabelled(A, perm):
                           {k: perm[v] for k, v in A.constants}, labels)
 
 
+def rebuilt(A):
+    """A built again from scratch by finite_algebra, from its multiplication
+    table, order, unit, constants and labels."""
+    from rlw.algebra import finite_algebra
+    leq = "chain" if A.chain else [[int(b) for b in row] for row in A.leq]
+    return finite_algebra(A.name, A.size, leq, A.unit, [list(row) for row in A.mult],
+                          dict(A.constants), A.labels)
+
+
 def fsi_chains_all_subalgebras(V):
     """`fsi_chains` without its skip of isomorphic subalgebras: the totally
     ordered quotients of every subalgebra of every generator, deduplicated."""

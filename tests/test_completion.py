@@ -1,3 +1,5 @@
+import pytest
+
 from rlw import complete_partial, enumerate_chains, load_partial
 from rlw.catalog import figure_completions, make_goedel, make_rsa
 from rlw.completion import PartialAlgebra
@@ -151,3 +153,15 @@ def test_limit_stops_early():
                        mult=[[None] * 4 for _ in range(4)])
     res = complete_partial(P, limit=2)
     assert res.multiplicity == 2
+
+
+def test_finish_lets_programming_errors_through(monkeypatch):
+    # only AlgebraError drops a candidate completion; anything else is a
+    # fault and must not be read as "not a completion"
+    import rlw.completion
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken")
+    monkeypatch.setattr(rlw.completion, "finite_algebra", broken)
+    with pytest.raises(RuntimeError):
+        list(enumerate_chains(3))

@@ -132,3 +132,15 @@ def test_round_trip_property(prefix, last):
     comps = [pool[k] for k in prefix] + [pool[last]]
     glued = nested_sum(comps)
     assert components_isomorphic(factor_nested_sum(glued), comps)
+
+
+def test_restrict_lets_programming_errors_through(monkeypatch):
+    # only AlgebraError marks a candidate split as invalid; anything else is
+    # a fault and must not be read as "no split here"
+    import rlw.nsum
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken")
+    monkeypatch.setattr(rlw.nsum, "finite_algebra", broken)
+    with pytest.raises(RuntimeError):
+        factor_nested_sum(make_sugihara(3))

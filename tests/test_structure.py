@@ -1,15 +1,16 @@
+import dataclasses
 import random
 
 import pytest
 
-from rlw import (NotASubuniverse, classify, cns_generated, congruences,
-                 congruences_bruteforce, convex_normal_subalgebras,
+from rlw import (FiniteAlgebra, NotASubuniverse, classify, cns_generated,
+                 congruences, congruences_bruteforce, convex_normal_subalgebras,
                  finite_algebra, has_cep, natural_projection,
                  principal_congruence, quotient, subalgebra, subuniverses)
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_sugihara)
 from rlw.morphisms import is_hom
-from rlw.structure import congruence_join, congruence_leq
+from rlw.structure import congruence_join, congruence_leq, subalgebra_with_map
 
 import oracles
 
@@ -98,7 +99,7 @@ def test_subuniverses_examples():
         subalgebra(S5, (0, 1))
 
 
-def test_subalgebra_revalidates():
+def test_subalgebra_keeps_constants():
     S5 = make_sugihara(5)
     sub = subalgebra(S5, (0, 2, 4))
     assert sub.size == 3 and sub.constants == (("f", 1),)
@@ -141,3 +142,43 @@ def test_cepfail_witness_detail():
     B = subalgebra(X, sub)
     assert theta.blocks == principal_congruence(
         B, B.labels.index("a"), B.labels.index("e")).blocks
+
+
+def _b22():
+    leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
+    return finite_algebra("2x2", 4, leq, 3, meet)
+
+
+def test_derived_algebras_match_full_validation(monkeypatch):
+    # subalgebras, quotients and as_chain read their tables from a valid
+    # parent without validating again; rebuilding each from scratch must give
+    # the same twelve fields, meet/join/lres/rres included (which == skips)
+    rng = random.Random(0)
+    parents = []
+    for A in catalog_all(max_size=6) + [_b22(), oracles.square_nonsemilinear()]:
+        perm = list(A.elements)
+        rng.shuffle(perm)
+        parents += [A, oracles.relabelled(A, perm)]
+    derived = []
+    with monkeypatch.context() as m:
+        def no_validation(*args, **kwargs):
+            raise AssertionError("finite_algebra called on the derive path")
+        m.setattr("rlw.algebra.finite_algebra", no_validation)
+        for A in parents:
+            for sub in subuniverses(A):
+                B, inclusion = subalgebra_with_map(A, sub)
+                assert is_hom(B, A, inclusion) and sorted(inclusion) == list(sub)
+                derived.append(B)
+            for theta in congruences(A):
+                Q, proj = natural_projection(A, theta)
+                assert is_hom(A, Q, proj)
+                derived.append(Q)
+            if A.is_totally_ordered:
+                derived.append(A.as_chain())
+    names = [f.name for f in dataclasses.fields(FiniteAlgebra)]
+    assert len(names) == 12
+    for B in derived:
+        R = oracles.rebuilt(B)
+        for name in names:
+            assert getattr(B, name) == getattr(R, name), (B.name, name)
