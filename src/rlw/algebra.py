@@ -124,20 +124,6 @@ class FiniteAlgebra:
     def elements(self):
         return range(self.size)
 
-    def le(self, x, y):
-        return self.leq[x][y]
-
-    def mul(self, x, y):
-        return self.mult[x][y]
-
-    def under(self, x, z):
-        """x\\z = max{y : x*y <= z}."""
-        return self.lres[x][z]
-
-    def over(self, z, y):
-        """z/y = max{x : x*y <= z}."""
-        return self.rres[z][y]
-
     def has_constant(self, nm):
         return any(k == nm for k, _ in self.constants)
 

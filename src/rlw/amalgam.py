@@ -9,7 +9,7 @@ order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
                       NotSubalgebraClosed, SignatureMismatch)
@@ -17,8 +17,7 @@ from .completion import enumerate_chains
 from .morphisms import (Morphism, are_isomorphic, compose, embeddings, homs,
                         is_essential, is_hom, morphism)
 from .properties import handy_fixed_points, is_semilinear, mirror_fixed_points
-from .structure import (classify, congruences, has_cep, natural_projection, subalgebra,
-                        subalgebra_with_map, subuniverses)
+from .structure import classify, congruences, has_cep, natural_projection, subalgebras
 
 
 @dataclass(frozen=True)
@@ -266,20 +265,11 @@ def _dedup_by_iso(chains):
     return [seen[k] for k in sorted(seen, key=lambda k: (k[0], k[2], k[4]))]
 
 
-def _check_subalgebra_closed(K):
-    keys = {_iso_key(A) for A in K}
-    for A in K:
-        for sub in subuniverses(A):
-            if _iso_key(subalgebra(A, sub)) not in keys:
-                raise NotSubalgebraClosed(
-                    f"{A.name} has a subalgebra on {sub} outside the class")
-
-
-def _spans_of(K):
+def _spans_of(K, listings):
     """All spans up to equivalence, ordered by (|B|+|C|, |C|, |B|, ...).
 
-    Each B's first legs (A, phi1), one per subuniverse, are built when B is
-    first reached and reused for every C."""
+    `listings[i]` is `subalgebras(K[i])`.  Each B's first legs (A, phi1), one
+    per subuniverse, are named when B is first reached and reused for every C."""
     idx = list(enumerate(K))
     keyed = sorted(((b.size + c.size, c.size, b.size, bi, ci, b, c)
                     for bi, b in idx for ci, c in idx))
@@ -287,37 +277,44 @@ def _spans_of(K):
     for (_, _, _, bi, ci, B, C) in keyed:
         if bi not in legs:
             legs[bi] = []
-            for sub in subuniverses(B):
-                A, incl = subalgebra_with_map(B, sub, f"{B.name}|{','.join(map(str, sub))}")
-                legs[bi].append((A, morphism(A, B, incl)))
+            for sub, A, incl in listings[bi]:
+                A = replace(A, name=f"{B.name}|{','.join(map(str, sub))}")
+                legs[bi].append((A, Morphism(A, B, incl)))
         for A, phi1 in legs[bi]:
             for phi2 in embeddings(A, C):
                 yield Span(A, B, C, phi1, phi2)
 
 
+def _class_check(K, one_sided):
+    """1AP (one_sided) or EAP of an explicit list that must be closed under
+    subalgebras; returns (True, None) or (False, first failing span).  The EAP
+    takes essential spans only and asks for two-sided amalgams."""
+    K = _dedup_by_iso(K)
+    listings = [list(subalgebras(B)) for B in K]
+    keys = {_iso_key(B) for B in K}
+    for B, listing in zip(K, listings):
+        for sub, A, _ in listing:
+            if _iso_key(A) not in keys:
+                raise NotSubalgebraClosed(
+                    f"{B.name} has a subalgebra on {sub} outside the class")
+    spec = ClassSpec.explicit(K)
+    for s in _spans_of(K, listings):
+        if not one_sided and not is_essential(s.phi2):
+            continue
+        if not find_amalgam(s, spec, one_sided=one_sided).found:
+            return False, s
+    return True, None
+
+
 def class_has_1ap(K):
     """One-sided amalgamation property of an explicit, subalgebra-closed list;
     returns (True, None) or (False, witness span)."""
-    K = _dedup_by_iso(K)
-    _check_subalgebra_closed(K)
-    spec = ClassSpec.explicit(K)
-    for s in _spans_of(K):
-        if not find_amalgam(s, spec, one_sided=True).found:
-            return False, s
-    return True, None
+    return _class_check(K, one_sided=True)
 
 
 def class_has_eap(K):
     """Essential amalgamation property: essential spans, two-sided amalgams."""
-    K = _dedup_by_iso(K)
-    _check_subalgebra_closed(K)
-    spec = ClassSpec.explicit(K)
-    for s in _spans_of(K):
-        if not is_essential(s.phi2):
-            continue
-        if not find_amalgam(s, spec, one_sided=False).found:
-            return False, s
-    return True, None
+    return _class_check(K, one_sided=False)
 
 
 # -- varieties ----------------------------------------------------------------
@@ -346,8 +343,7 @@ def fsi_chains(V):
     for g in V.generators:
         if not is_semilinear(g):
             raise NotSemilinear(f"generator {g.name} is not semilinear")
-        for sub in subuniverses(g):
-            B = subalgebra(g, sub)
+        for _, B, _ in subalgebras(g):
             key = _iso_key(B)
             if key in seen:
                 continue
@@ -416,7 +412,7 @@ def simple_chain_ap(A):
     if not cep.holds:
         return ApVerdict(False, "cep_failure", (A,),
                          cep_witness=(A, cep.witness[0], cep.witness[1].blocks))
-    algebras, subs = zip(*(subalgebra_with_map(A, s) for s in subuniverses(A)))
+    _, algebras, subs = zip(*subalgebras(A))
     for i, S in enumerate(algebras):
         for j in range(i + 1, len(algebras)):
             iso = are_isomorphic(S, algebras[j])

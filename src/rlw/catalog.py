@@ -236,7 +236,6 @@ def _figure_mirror(name):
             mult=_blank(3, [(1, 0, 0)]),
             labels=pos_labels, idempotent=frozenset({0, 1, 2}),
             commutative=True, equations=("a*b=b",))
-        eqs = ("a*b=b",)
     elif name == "B2":
         pos_labels = ("b", "x", "a", "e")
         pos = PartialAlgebra(
@@ -245,7 +244,6 @@ def _figure_mirror(name):
             labels=pos_labels, idempotent=frozenset({0, 2, 3}),
             non_idempotent=frozenset({1}),
             commutative=True, equations=("a*x=x", "x*x=b"))
-        eqs = ("a*x=x", "x*x=b")
     else:
         pos_labels = ("b", "z", "y", "a", "e")
         pos = PartialAlgebra(
@@ -254,7 +252,6 @@ def _figure_mirror(name):
             labels=pos_labels, idempotent=frozenset({0, 3, 4}),
             non_idempotent=frozenset({1, 2}),
             commutative=True, equations=("a*z=z", "a*y=z", "y*y=b", "z*z=b"))
-        eqs = ("a*z=z", "a*y=z", "y*y=b", "z*z=b")
     res = complete_partial(pos)
     if res.multiplicity != 1:
         raise NoCompletion(f"positive cone of {name} is not uniquely determined "
@@ -282,7 +279,7 @@ def _figure_mirror(name):
         mult=mult, constants={"f": 0}, labels=labels,
         idempotent=idem, non_idempotent=nonidem,
         commutative=True, involutive_f=True,
-        equations=eqs, require={"integral": True})
+        equations=pos.equations, require={"integral": True})
 
 
 def figure_completions(name, limit=None):

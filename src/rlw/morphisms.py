@@ -208,7 +208,7 @@ def are_isomorphic(A, B):
     if A.size != B.size or dict(A.constants).keys() != dict(B.constants).keys():
         return None
     if A.key() == B.key():
-        return identity(A) if A is B else Morphism(A, B, tuple(A.elements))
+        return Morphism(A, B, tuple(A.elements))
     found = homs(A, B, injective=True, limit=1)
     return found[0] if found else None
 

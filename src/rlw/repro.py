@@ -63,9 +63,9 @@ def repro_fig1(report):
         B, in_X = structure.subalgebra_with_map(X, sub)
         a_in_B, e_in_B = B.labels.index("a"), B.labels.index("e")
         theta = structure.principal_congruence(B, a_in_B, e_in_B)
-        lifted = tuple(tuple(in_X[i] for i in block) for block in theta.blocks)
+        eclass = [in_X[i] for i in theta.unit_class()]
         report.check("Theta_B(a,e) does not extend",
-                     not structure.extends(X, sub, lifted))
+                     not structure.extends(X, sub, eclass))
         cns_A = structure.cns_generated(X, {lbl["a"]})
         cns_B = structure.cns_generated(B, {a_in_B})
         report.check("CNS_A(a) = {e,a,b}",

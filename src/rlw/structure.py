@@ -5,6 +5,11 @@ Congruences are computed by principal-congruence closure of the covering
 pairs followed by join closure.  The partition brute-force oracle
 (congruences_bruteforce) is kept as an independent cross-check for small
 algebras.
+
+The CEP is tested through the congruence-CNS correspondence: a congruence of
+a residuated lattice is determined by its e-class, a convex normal subalgebra
+(Blount-Tsinakis 2003; Galatos-Jipsen-Kowalski-Ono 2007, ch. 3).  So theta in
+Con(S) extends to A exactly when its e-class is M & S for some CNS M of A.
 """
 from __future__ import annotations
 
@@ -54,14 +59,6 @@ class Congruence:
 
     def unit_class(self):
         return self.blocks[self.block_of(self.algebra.unit)]
-
-    def restrict(self, subset):
-        """Blocks of the restriction to a subset (pairs inside subset)."""
-        sub = sorted(subset)
-        by = {}
-        for x in sub:
-            by.setdefault(self.block_of(x), []).append(x)
-        return tuple(tuple(sorted(b)) for b in sorted(by.values(), key=min))
 
     def __repr__(self):
         return "Con" + "|".join("".join(self.algebra.label(x) for x in b) for b in self.blocks)
@@ -349,6 +346,14 @@ def subalgebra(A, subset, name=None):
     return subalgebra_with_map(A, subset, name)[0]
 
 
+def subalgebras(A):
+    """(subuniverse, subalgebra, inclusion) for each subuniverse of A, in
+    `subuniverses` order, built by `subalgebra_with_map` with default names.
+    A generator, not cached: a caller that needs the listing twice keeps it."""
+    for sub in subuniverses(A):
+        yield (sub, *subalgebra_with_map(A, sub))
+
+
 # -- classification and CEP ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -384,21 +389,25 @@ class CepResult:
         return self.holds
 
 
-def extends(A, sub, theta_blocks):
-    """Is there Phi in Con(A) with Phi restricted to sub equal to theta (blocks
-    of elements of A, in any order)?"""
-    want = tuple(sorted(tuple(sorted(b)) for b in theta_blocks))
-    return any(phi.restrict(sub) == want for phi in congruences(A))
+def extends(A, sub, eclass):
+    """Does some congruence of A restrict to the subuniverse sub with the
+    given e-class (elements of A)?  A congruence of a residuated lattice is
+    determined by its e-class, a convex normal subalgebra (Blount-Tsinakis
+    2003; Galatos-Jipsen-Kowalski-Ono 2007, ch. 3), and Phi restricted to sub
+    has e-class M_Phi & sub.  So theta in Con(sub) extends exactly when its
+    e-class is the trace on sub of some CNS of A."""
+    s = frozenset(sub)
+    return frozenset(eclass) in {M & s for M in convex_normal_subalgebras(A)}
 
 
 def has_cep(A):
-    """Exhaustive congruence extension property check with witness."""
-    for sub in subuniverses(A):
+    """Exhaustive congruence extension property check with witness: the
+    first (proper subuniverse, congruence) pair, in `subuniverses` and
+    `congruences` order, whose e-class is not the trace of a CNS of A."""
+    for sub, B, back in subalgebras(A):
         if len(sub) == A.size:
             continue
-        B, back = subalgebra_with_map(A, sub)
         for theta in congruences(B):
-            lifted = tuple(tuple(back[x] for x in block) for block in theta.blocks)
-            if not extends(A, sub, lifted):
+            if not extends(A, sub, [back[x] for x in theta.unit_class()]):
                 return CepResult(False, (sub, theta))
     return CepResult(True)

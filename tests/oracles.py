@@ -194,3 +194,25 @@ def fsi_chains_all_subalgebras(V):
                 if Q.is_totally_ordered:
                     out.append(Q)
     return _dedup_by_iso(out)
+
+
+def cep_by_blocks(A):
+    """The CEP by lifting blocks: theta in Con(S) extends when some Phi in
+    Con(A), restricted to S (its pairs inside S), has theta's lifted blocks.
+    Returns (holds, witness) with has_cep's witness (subuniverse, theta)."""
+    from rlw.structure import congruences, subalgebra_with_map, subuniverses
+    for sub in subuniverses(A):
+        if len(sub) == A.size:
+            continue
+        B, back = subalgebra_with_map(A, sub)
+        for theta in congruences(B):
+            want = sorted(sorted(back[x] for x in block) for block in theta.blocks)
+            for phi in congruences(A):
+                by = {}
+                for x in sub:
+                    by.setdefault(phi.block_of(x), []).append(x)
+                if sorted(sorted(b) for b in by.values()) == want:
+                    break
+            else:
+                return False, (sub, theta)
+    return True, None

@@ -8,7 +8,7 @@ from rlw.amalgam import _Merge, _spans_of
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_luk, make_rsa, make_sugihara)
 from rlw.properties import is_semilinear
-from rlw.structure import subalgebra
+from rlw.structure import subalgebra, subalgebras
 
 import oracles
 
@@ -139,7 +139,8 @@ def test_essential_spans():
 
 def test_span_enumeration_order():
     K = [make_goedel(m) for m in (1, 2, 3)]
-    sizes = [(s.B.size + s.C.size, s.C.size) for s in _spans_of(K)]
+    listings = [list(subalgebras(B)) for B in K]
+    sizes = [(s.B.size + s.C.size, s.C.size) for s in _spans_of(K, listings)]
     assert sizes == sorted(sizes)
 
 
@@ -160,8 +161,9 @@ def test_class_checks_goedel():
 
 def test_class_check_requires_subalgebra_closure():
     from rlw import NotSubalgebraClosed
-    with pytest.raises(NotSubalgebraClosed):
-        class_has_1ap([make_goedel(3)])   # G_2-shaped subalgebra missing
+    for check in (class_has_1ap, class_has_eap):
+        with pytest.raises(NotSubalgebraClosed):
+            check([make_goedel(3)])   # G_2-shaped subalgebra missing
 
 
 def test_fsi_chains_goedel():

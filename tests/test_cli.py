@@ -233,6 +233,7 @@ def _bad_files(tmp_path):
     ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded", "x"],
     ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded"],
     ["enumerate", "--size", "3", "--prop", "no-such-flag"],
+    ["class-check", "--eap", "catalog:goedel:3"],
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv):
     _bad_files(tmp_path)

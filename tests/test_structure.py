@@ -144,6 +144,18 @@ def test_cepfail_witness_detail():
         B, B.labels.index("a"), B.labels.index("e")).blocks
 
 
+def test_has_cep_matches_block_oracle():
+    # has_cep compares e-classes with CNS traces; the oracle lifts every block
+    # and compares it with the restriction of every congruence of A
+    rng = random.Random(0)
+    for A in catalog_all(max_size=7) + [_b22(), oracles.square_nonsemilinear()]:
+        perm = list(A.elements)
+        rng.shuffle(perm)
+        for X in (A, oracles.relabelled(A, perm)):
+            res = has_cep(X)
+            assert (res.holds, res.witness) == oracles.cep_by_blocks(X), X.name
+
+
 def _b22():
     leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
     meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
