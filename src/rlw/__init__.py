@@ -20,8 +20,7 @@ from .properties import (PropertyProfile, handy_fixed_points, is_admissible,
                          is_lower_involutive, is_n_potent, is_semilinear,
                          n_potent_degree, property_profile, satisfies_knotted)
 from .structure import (Congruence, ConLattice, classify, cns_generated,
-                        congruences, congruences_bruteforce,
-                        convex_normal_subalgebras, has_cep,
+                        congruences, convex_normal_subalgebras, has_cep,
                         natural_projection, principal_congruence, quotient,
                         subalgebra, subuniverses)
 from .morphisms import (Morphism, are_isomorphic, embeddings, essentialize,

@@ -11,6 +11,14 @@ from a valid one (subalgebras, quotients, `as_chain`) read all five tables
 from it through `derived`, and number their elements by `induced_order`: in
 the algebra order when that is total (tagged "chain"), else in ascending
 index order.
+
+`finite_algebra` reads each table it derives off principal sets: x meet y is
+the top of the common lower bounds of x and y, x join y the bottom of their
+common upper bounds, x\\z the top of {y : x*y <= z} and z/x the top of
+{w : w*x <= z}.  The order is a lattice, and the multiplication residuated,
+exactly when each of these sets is principal: a principal down-set (an up-set
+for joins).  See Galatos, Jipsen, Kowalski and Ono, Residuated Lattices
+(2007).
 """
 from __future__ import annotations
 
@@ -254,58 +262,77 @@ def _chain_lattice_tables(n):
     return meet, join
 
 
-def _lattice_tables(n, leq):
-    meet = [[None] * n for _ in range(n)]
-    join = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
-            glb = [z for z in lower if all(leq[w][z] for w in lower)]
-            if len(glb) != 1:
-                raise NotALattice(f"no meet for ({x},{y})")
-            meet[x][y] = glb[0]
-            upper = [z for z in range(n) if leq[x][z] and leq[y][z]]
-            lub = [z for z in upper if all(leq[z][w] for w in upper)]
-            if len(lub) != 1:
-                raise NotALattice(f"no join for ({x},{y})")
-            join[x][y] = lub[0]
-    return tuple(map(tuple, meet)), tuple(map(tuple, join))
+def _principal_table(principal, sets, error, what):
+    """Read a table off principal sets: `principal[x]` is the principal set
+    of element x, and cell (a, b) of the result is the element whose
+    principal set is `sets[a][b]` (all as bit sets).  A cell whose set is not
+    principal raises `error(what(a, b))`."""
+    index = {s: x for x, s in enumerate(principal)}
+    # from lists, so that each tuple is allocated at its exact size
+    table = tuple([tuple([index.get(s) for s in row]) for row in sets])
+    for a, row in enumerate(table):
+        if None in row:
+            raise error(what(a, row.index(None)))
+    return table
 
 
-def _residual_tables(n, leq, mult, join):
-    # x\z exists iff {y : x*y <= z} is nonempty and contains its own join;
-    # afterwards the full residuation law is checked for every triple.
-    lres = [[None] * n for _ in range(n)]
-    rres = [[None] * n for _ in range(n)]
+def lattice_order(n, leq):
+    """Check the order of an n-element algebra and return it as a boolean
+    matrix with its meet and join tables.
+
+    `leq` is the string "chain" or an n x n 0/1 (or bool) matrix.  The matrix
+    must be a partial order in which the common lower bounds of any x, y form
+    a principal down-set, whose top is x meet y, and their common upper
+    bounds a principal up-set, whose bottom is x join y.
+    Raises ParseError / NotALattice.
+    """
+    if leq == "chain":   # a chain is always a lattice: meet and join are min and max
+        return (chain_leq(n),) + _chain_lattice_tables(n)
+    if len(leq) != n or any(len(row) != n for row in leq):
+        raise ParseError("leq matrix has wrong shape")
+    le = tuple(tuple(bool(v) for v in row) for row in leq)
     for x in range(n):
-        for z in range(n):
-            ys = [y for y in range(n) if leq[mult[x][y]][z]]
-            if not ys:
-                raise NotResiduated(f"{x}\\{z} does not exist: no y with {x}*y <= {z}")
-            m = ys[0]
-            for y in ys[1:]:
-                m = join[m][y]
-            if not leq[mult[x][m]][z]:
-                raise NotResiduated(f"{x}\\{z} does not exist: witness set has no maximum")
-            lres[x][z] = m
-            xs = [w for w in range(n) if leq[mult[w][x]][z]]
-            if not xs:
-                raise NotResiduated(f"{z}/{x} does not exist: no w with w*{x} <= {z}")
-            m = xs[0]
-            for w in xs[1:]:
-                m = join[m][w]
-            if not leq[mult[m][x]][z]:
-                raise NotResiduated(f"{z}/{x} does not exist: witness set has no maximum")
-            rres[z][x] = m
-    for x in range(n):
+        if not le[x][x]:
+            raise NotALattice(f"leq not reflexive at {x}")
         for y in range(n):
+            if x != y and le[x][y] and le[y][x]:
+                raise NotALattice(f"leq not antisymmetric at ({x},{y})")
             for z in range(n):
-                prod_le = leq[mult[x][y]][z]
-                if prod_le != leq[y][lres[x][z]]:
-                    raise NotResiduated(f"residuation law fails at x={x}, y={y}, z={z} (left)")
-                if prod_le != leq[x][rres[z][y]]:
-                    raise NotResiduated(f"residuation law fails at x={x}, y={y}, z={z} (right)")
-    return tuple(map(tuple, lres)), tuple(map(tuple, rres))
+                if le[x][y] and le[y][z] and not le[x][z]:
+                    raise NotALattice(f"leq not transitive at ({x},{y},{z})")
+    down = [sum(1 << w for w in range(n) if le[w][x]) for x in range(n)]
+    up = [sum(1 << w for w in range(n) if le[x][w]) for x in range(n)]
+    meet = _principal_table(down, [[a & b for b in down] for a in down], NotALattice,
+                            lambda x, y: f"no meet for ({x},{y})")
+    join = _principal_table(up, [[a & b for b in up] for a in up], NotALattice,
+                            lambda x, y: f"no join for ({x},{y})")
+    return le, meet, join
+
+
+def _residual_tables(n, le, mult):
+    """x\\z and z/x as the tops of {y : x*y <= z} and {w : w*x <= z}; `mult` is
+    residuated iff all these sets are principal down-sets.  Raises
+    NotResiduated."""
+    below = [[w for w in range(n) if le[w][z]] for z in range(n)]
+
+    def witnesses(rows):   # [[{i : row[i] <= z} for z] for row in rows] as bit sets
+        out = []
+        for row in rows:
+            preimage = [0] * n   # value -> the positions in row that hold it
+            for i, v in enumerate(row):
+                preimage[v] |= 1 << i
+            # the preimages are disjoint, so their sum is their union
+            out.append([sum(map(preimage.__getitem__, ws)) for ws in below])
+        return out
+
+    down = [sum(1 << w for w in ws) for ws in below]
+    lres = _principal_table(
+        down, witnesses(mult), NotResiduated, lambda x, z:
+        f"{x}\\{z} does not exist: {{y : {x}*y <= {z}}} is not a principal down-set")
+    rres = _principal_table(   # witnesses of the columns give {w : w*x <= z} at [x][z]
+        down, list(zip(*witnesses(zip(*mult)))), NotResiduated, lambda z, x:
+        f"{z}/{x} does not exist: {{w : w*{x} <= {z}}} is not a principal down-set")
+    return lres, rres
 
 
 def _constant_tuple(n, le, constants):
@@ -332,30 +359,18 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
     """Validate raw tables and return a FiniteAlgebra with derived tables.
 
     The constructor for outside input: the order, the monoid laws, the
-    residuals and the constants are all checked.  Algebras derived from one
-    already valid go through `derived` instead.  `leq` is either the string
-    "chain" or an n x n 0/1 (or bool) matrix.
+    residuals and the constants are all checked.  Meet and join come from
+    `lattice_order`; x\\z and z/x are the tops of {y : x*y <= z} and
+    {w : w*x <= z}, and a table where any of these sets is not a principal
+    down-set is not residuated.  Algebras derived from one already valid go
+    through `derived` instead.  `leq` is either the string "chain" or an
+    n x n 0/1 (or bool) matrix.
     Raises ParseError / NotALattice / NotAMonoid / NotResiduated / BadConstant.
     """
     if not isinstance(size, int) or size < 1:
         raise ParseError(f"bad size {size!r}")
     n = size
-    chain = leq == "chain"
-    if chain:
-        le = chain_leq(n)
-    else:
-        if len(leq) != n or any(len(row) != n for row in leq):
-            raise ParseError("leq matrix has wrong shape")
-        le = tuple(tuple(bool(v) for v in row) for row in leq)
-        for x in range(n):
-            if not le[x][x]:
-                raise NotALattice(f"leq not reflexive at {x}")
-            for y in range(n):
-                if x != y and le[x][y] and le[y][x]:
-                    raise NotALattice(f"leq not antisymmetric at ({x},{y})")
-                for z in range(n):
-                    if le[x][y] and le[y][z] and not le[x][z]:
-                        raise NotALattice(f"leq not transitive at ({x},{y},{z})")
+    le, meet, join = lattice_order(n, leq)
     if len(mult) != n or any(len(row) != n for row in mult):
         raise ParseError("mult table has wrong shape")
     mt = tuple(tuple(int(v) for v in row) for row in mult)
@@ -366,9 +381,6 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
     if not isinstance(unit, int) or not 0 <= unit < n:
         raise ParseError(f"unit {unit!r} out of range")
 
-    # a chain is always a lattice: its meet and join are min and max
-    meet, join = _chain_lattice_tables(n) if chain else _lattice_tables(n, le)
-
     for x in range(n):
         if mt[unit][x] != x or mt[x][unit] != x:
             raise NotAMonoid(f"unit law fails: e*{x}={mt[unit][x]}, {x}*e={mt[x][unit]}")
@@ -378,7 +390,7 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
                 if mt[mt[x][y]][z] != mt[x][mt[y][z]]:
                     raise NotAMonoid(f"associativity fails at ({x},{y},{z})")
 
-    lres, rres = _residual_tables(n, le, mt, join)
+    lres, rres = _residual_tables(n, le, mt)
 
     const_tuple = _constant_tuple(n, le, constants)
     if labels is not None:
@@ -386,7 +398,7 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
         if len(labels) != n:
             raise ParseError("labels have wrong length")
 
-    return FiniteAlgebra(str(name), n, unit, mt, chain, le, const_tuple,
+    return FiniteAlgebra(str(name), n, unit, mt, leq == "chain", le, const_tuple,
                          meet, join, lres, rres, labels)
 
 

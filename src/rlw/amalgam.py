@@ -427,8 +427,9 @@ def simple_chain_ap(A):
 
 
 def strictly_simple_ap(A):
-    """AP when A is strictly simple (congruence-distributive variety generated
-    by a finite strictly simple algebra has the AP); else NotApplicable."""
+    """The AP verdict for V(A) when A is strictly simple (a
+    congruence-distributive variety generated by a finite strictly simple
+    algebra has the AP); None when that theorem does not apply."""
     if classify(A).strictly_simple:
-        return "AP"
-    return "NotApplicable"
+        return ApVerdict(True, None, (A,))
+    return None

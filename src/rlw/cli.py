@@ -310,7 +310,7 @@ def cmd_decide_ap(args, run):
     V = amalgam.variety(*gens)
     if args.fast_path == "auto" and len(gens) == 1:
         A = gens[0]
-        if amalgam.strictly_simple_ap(A) == "AP":
+        if amalgam.strictly_simple_ap(A) is not None:
             run.verdict = "AP"
             run.affirmative = True
             run.certificates["fast_path"] = "strictly_simple"
@@ -456,10 +456,7 @@ def main(argv=None):
     run = Run(args)
     try:
         return args.fn(args, run)
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

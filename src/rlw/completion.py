@@ -21,8 +21,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .algebra import (AlgebraError, ParseError, chain_leq, finite_algebra,
-                      least_element, read_document)
+from .algebra import (AlgebraError, ParseError, _constant_tuple, finite_algebra,
+                      lattice_order, least_element, read_document)
 from . import properties, terms
 
 PARTIAL_FORMAT = "rlw-partial/1"
@@ -59,12 +59,19 @@ class CompletionResult:
 
 
 def load_partial(text):
+    """Parse a partial algebra file, checking its order and constants as
+    `finite_algebra` does; the laws of the completed tables are checked on
+    each completion."""
     doc = read_document(text, PARTIAL_FORMAT, holes=True)
     n = doc["size"]
+    _constant_tuple(n, lattice_order(n, doc["leq"])[0], doc.get("constants"))
     cs = doc.get("constraints") or {}
     labels = doc.get("labels")
     if not isinstance(cs, dict):
         raise ParseError("constraints must be an object")
+    for key in ("commutative", "involutive_f"):
+        if not isinstance(cs.get(key), (bool, type(None))):
+            raise ParseError(f"constraint {key} must be true or false")
     for key in ("idempotent", "non_idempotent", "central", "non_central"):
         xs = cs.get(key, [])
         if not (isinstance(xs, list) and all(type(x) is int and 0 <= x < n for x in xs)):
@@ -93,22 +100,16 @@ def load_partial(text):
     )
 
 
-def _leq_matrix(P):
-    if P.leq == "chain":
-        return chain_leq(P.size)
-    return tuple(tuple(bool(v) for v in row) for row in P.leq)
-
-
 class _Search:
-    def __init__(self, P: PartialAlgebra, limit=None, on_found=None):
+    """The completions of P, up to `limit`, found on construction in `out`."""
+
+    def __init__(self, P: PartialAlgebra, limit=None):
         self.P = P
         self.n = P.size
-        self.leq = _leq_matrix(P)
+        self.leq = lattice_order(P.size, P.leq)[0]
         self.limit = limit
-        self.on_found = on_found
         self.nodes = 0
         self.out = []
-        self.failed_setup = False
         n = self.n
         self.m = [[None] * n for _ in range(n)]
         self.pairs_for = [[] for _ in range(n)]   # value -> [(i, j)] with m[i][j] = value
@@ -122,12 +123,11 @@ class _Search:
         if bot is not None:   # the least element absorbs
             forced += [c for x in range(n) for c in ((bot, x, bot), (x, bot, bot))]
         forced += [(x, x, x) for x in P.idempotent]
-        if not all(self._set(i, j, v) for i, j, v in forced):
-            self.failed_setup = True
-            return
-        order = sorted(((i, j) for i in range(n) for j in range(n)),
-                       key=lambda c: (max(c), c[0], c[1]))
-        self.cells = [c for c in order if self.m[c[0]][c[1]] is None]
+        if all(self._set(i, j, v) for i, j, v in forced):
+            order = sorted(((i, j) for i in range(n) for j in range(n)),
+                           key=lambda c: (max(c), c[0], c[1]))
+            self.cells = [c for c in order if self.m[c[0]][c[1]] is None]
+            self._dfs(0)
 
     # -- incremental constraint checks --------------------------------------
 
@@ -236,15 +236,7 @@ class _Search:
                     return
         if P.require and not properties.satisfies_flags(A, P.require):
             return
-        if self.on_found is not None:
-            self.on_found(A)
-        else:
-            self.out.append(A)
-
-    def run(self):
-        if self.failed_setup:
-            return
-        self._dfs(0)
+        self.out.append(A)
 
     def _dfs(self, idx):
         if self.limit is not None and len(self.out) >= self.limit:
@@ -270,17 +262,16 @@ def complete_partial(P, limit=None):
     sorted by multiplication table."""
     t0 = time.perf_counter()
     s = _Search(P, limit=limit)
-    s.run()
     algebras = tuple(sorted(s.out, key=lambda A: (A.mult, A.constants)))
     return CompletionResult(algebras, s.nodes, time.perf_counter() - t0)
 
 
-def enumerate_chains(n, require=None, constants=(), name_prefix=None):
+def enumerate_chains(n, require=None, constants=()):
     """Every residuated chain of size n over the given constant set satisfying
     the property filter, exactly once per (table, constants) assignment.
 
-    Yields in deterministic order: unit position ascending, table lex order in
-    search-cell order, then f placement.  bot/top, when in the signature, are
+    Yields in deterministic order: unit position ascending, multiplication
+    tables in row-major lexicographic order, then f placement.  bot/top, when in the signature, are
     pinned to the endpoints.
     """
     require = dict(require or {})
@@ -294,6 +285,8 @@ def enumerate_chains(n, require=None, constants=(), name_prefix=None):
         else:
             post[key] = want
     units = range(n - 1, n) if pre.get("integral") or n == 1 else range(1, n)
+    pinned = {nm: v for nm, v in (("bot", 0), ("top", n - 1)) if nm in sig}
+    options = [dict(pinned, f=pos) for pos in range(n)] if "f" in sig else [pinned]
     for e in units:
         P = PartialAlgebra(
             name="tmp", size=n, leq="chain", unit=e,
@@ -301,27 +294,11 @@ def enumerate_chains(n, require=None, constants=(), name_prefix=None):
             idempotent=frozenset(range(n)) if pre.get("idempotent") else frozenset(),
             commutative=True if pre.get("commutative") else None,
         )
-        found = []
-        s = _Search(P, on_found=found.append)
-        s.run()
-        found.sort(key=lambda A: A.mult)
-        for k, A in enumerate(found):
-            base = f"{name_prefix or 'chain'}{n}u{e}n{k}"
-            consts_options = [{}]
-            if "bot" in sig or "top" in sig:
-                base_consts = {}
-                if "bot" in sig:
-                    base_consts["bot"] = 0
-                if "top" in sig:
-                    base_consts["top"] = n - 1
-                consts_options = [base_consts]
-            if "f" in sig:
-                consts_options = [dict(c, f=fpos) for c in consts_options
-                                  for fpos in range(n)]
-            for consts in consts_options:
+        for k, A in enumerate(complete_partial(P).algebras):
+            for consts in options:
                 # A passed full validation in _Search._finish; only the
                 # constants are new
                 suffix = "".join(f"{k2}{v2}" for k2, v2 in sorted(consts.items()))
-                out = A.with_constants(base + suffix, consts)
+                out = A.with_constants(f"chain{n}u{e}n{k}{suffix}", consts)
                 if properties.satisfies_flags(out, post):
                     yield out

@@ -2,9 +2,8 @@
 simplicity classification, and the congruence extension property.
 
 Congruences are computed by principal-congruence closure of the covering
-pairs followed by join closure.  The partition brute-force oracle
-(congruences_bruteforce) is kept as an independent cross-check for small
-algebras.
+pairs followed by join closure.  The partition brute-force oracle they are
+cross-checked against lives in the tests (oracles.congruences_bruteforce).
 
 The CEP is tested through the congruence-CNS correspondence: a congruence of
 a residuated lattice is determined by its e-class, a convex normal subalgebra
@@ -193,44 +192,6 @@ def congruences(A):
         frontier = fresh
     ordered = tuple(sorted(found.values(), key=_con_key))
     return ConLattice(A, ordered)
-
-
-def _is_congruence_partition(A, blocks):
-    index = {}
-    for i, block in enumerate(blocks):
-        for x in block:
-            index[x] = i
-    n = A.size
-    for op in OPS:
-        t = getattr(A, op)
-        for block in blocks:
-            x = block[0]
-            for y in block[1:]:
-                for c in range(n):
-                    if index[t[x][c]] != index[t[y][c]] or index[t[c][x]] != index[t[c][y]]:
-                        return False
-    return True
-
-
-def _partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
-def congruences_bruteforce(A):
-    """Independent oracle: test every partition of the carrier (small n only)."""
-    out = []
-    for part in _partitions(list(A.elements)):
-        blocks = tuple(tuple(sorted(b)) for b in sorted(part, key=min))
-        if _is_congruence_partition(A, blocks):
-            out.append(Congruence(blocks, A))
-    return ConLattice(A, tuple(sorted(out, key=_con_key)))
 
 
 # -- convex normal subalgebras ----------------------------------------------

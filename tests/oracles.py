@@ -90,6 +90,65 @@ def chain_residuals(n, mult):
     return lres, rres
 
 
+def lattice_tables(n, leq):
+    """Meet and join of a partial order by searching every candidate bound."""
+    from rlw.algebra import NotALattice
+    meet = [[None] * n for _ in range(n)]
+    join = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
+            glb = [z for z in lower if all(leq[w][z] for w in lower)]
+            if len(glb) != 1:
+                raise NotALattice(f"no meet for ({x},{y})")
+            meet[x][y] = glb[0]
+            upper = [z for z in range(n) if leq[x][z] and leq[y][z]]
+            lub = [z for z in upper if all(leq[z][w] for w in upper)]
+            if len(lub) != 1:
+                raise NotALattice(f"no join for ({x},{y})")
+            join[x][y] = lub[0]
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+def residual_tables(n, leq, mult, join):
+    """(lres, rres) as joins of witness lists, then the residuation law for
+    every triple."""
+    from rlw.algebra import NotResiduated
+    # x\z exists iff {y : x*y <= z} is nonempty and contains its own join;
+    # afterwards the full residuation law is checked for every triple.
+    lres = [[None] * n for _ in range(n)]
+    rres = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for z in range(n):
+            ys = [y for y in range(n) if leq[mult[x][y]][z]]
+            if not ys:
+                raise NotResiduated(f"{x}\\{z} does not exist: no y with {x}*y <= {z}")
+            m = ys[0]
+            for y in ys[1:]:
+                m = join[m][y]
+            if not leq[mult[x][m]][z]:
+                raise NotResiduated(f"{x}\\{z} does not exist: witness set has no maximum")
+            lres[x][z] = m
+            xs = [w for w in range(n) if leq[mult[w][x]][z]]
+            if not xs:
+                raise NotResiduated(f"{z}/{x} does not exist: no w with w*{x} <= {z}")
+            m = xs[0]
+            for w in xs[1:]:
+                m = join[m][w]
+            if not leq[mult[m][x]][z]:
+                raise NotResiduated(f"{z}/{x} does not exist: witness set has no maximum")
+            rres[z][x] = m
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                prod_le = leq[mult[x][y]][z]
+                if prod_le != leq[y][lres[x][z]]:
+                    raise NotResiduated(f"residuation law fails at x={x}, y={y}, z={z} (left)")
+                if prod_le != leq[x][rres[z][y]]:
+                    raise NotResiduated(f"residuation law fails at x={x}, y={y}, z={z} (right)")
+    return tuple(map(tuple, lres)), tuple(map(tuple, rres))
+
+
 def square_nonsemilinear():
     """A 4-element residuated lattice on the square 0 < a,b < 1 with unit at
     the coatom a: valid, simple, and not semilinear (found by search)."""
@@ -216,3 +275,43 @@ def cep_by_blocks(A):
             else:
                 return False, (sub, theta)
     return True, None
+
+
+def _is_congruence_partition(A, blocks):
+    from rlw.algebra import OPS
+    index = {}
+    for i, block in enumerate(blocks):
+        for x in block:
+            index[x] = i
+    n = A.size
+    for op in OPS:
+        t = getattr(A, op)
+        for block in blocks:
+            x = block[0]
+            for y in block[1:]:
+                for c in range(n):
+                    if index[t[x][c]] != index[t[y][c]] or index[t[c][x]] != index[t[c][y]]:
+                        return False
+    return True
+
+
+def _partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def congruences_bruteforce(A):
+    """Independent oracle: test every partition of the carrier (small n only)."""
+    from rlw.structure import ConLattice, Congruence, _con_key
+    out = []
+    for part in _partitions(list(A.elements)):
+        blocks = tuple(tuple(sorted(b)) for b in sorted(part, key=min))
+        if _is_congruence_partition(A, blocks):
+            out.append(Congruence(blocks, A))
+    return ConLattice(A, tuple(sorted(out, key=_con_key)))

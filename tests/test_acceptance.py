@@ -9,10 +9,12 @@ import time
 
 import pytest
 
-from rlw import (congruences, congruences_bruteforce, decide_ap, has_cep,
-                 principal_congruence, variety)
+from rlw import (congruences, decide_ap, has_cep, principal_congruence,
+                 variety)
 from rlw import amalgam, catalog, properties, repro, structure
 from rlw.catalog import catalog_all, make_dmm, make_goedel, make_rsa, make_sugihara
+
+from oracles import congruences_bruteforce
 
 # time limit, in seconds, for each bounded amalgam search at any bound
 BOUNDED_SEARCH_LIMIT_S = 120

@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from rlw import (BadConstant, MissingConstant, NotAMonoid, NotALattice,
                  NotResiduated, ParseError, finite_algebra, load_algebra)
-from rlw.algebra import _chain_lattice_tables, _lattice_tables, chain_leq
-from rlw.catalog import make_goedel, make_sugihara
+from rlw.algebra import (_chain_lattice_tables, _residual_tables, chain_leq,
+                         lattice_order)
+from rlw.catalog import catalog_all, make_goedel, make_sugihara
 
 import oracles
 
@@ -138,9 +142,69 @@ def test_reduct_drops_constants():
 
 
 def test_chain_lattice_tables_match_general_search():
-    # the min/max fast path for chains against the general meet/join search
+    # the min/max fast path for chains against the candidate-search oracle
     for n in range(1, 9):
-        assert _chain_lattice_tables(n) == _lattice_tables(n, chain_leq(n))
+        assert _chain_lattice_tables(n) == oracles.lattice_tables(n, chain_leq(n))
+
+
+def _outcome(f, *args):
+    """f(*args), or the class of the NotALattice / NotResiduated it raises."""
+    try:
+        return f(*args)
+    except (NotALattice, NotResiduated) as exc:
+        return type(exc)
+
+
+def _partial_orders(n):
+    """Every partial order on 0..n-1 as a 0/1 matrix."""
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        leq = [[int(x == y) for y in range(n)] for x in range(n)]
+        for (x, y), b in zip(pairs, bits):
+            leq[x][y] = b
+        if all(not (leq[x][y] and leq[y][x]) for x, y in pairs) and \
+                all(leq[x][z] or not (leq[x][y] and leq[y][z])
+                    for x in range(n) for y in range(n) for z in range(n)):
+            yield leq
+
+
+def test_lattice_tables_match_oracle():
+    # meet and join read off principal sets against the candidate search
+    orders = [(n, leq) for n in range(1, 5) for leq in _partial_orders(n)]
+    assert len(orders) == 1 + 3 + 19 + 219   # labelled posets on 1..4 points
+    rng = random.Random(1)
+    for A in catalog_all(9):
+        perm = list(A.elements)
+        rng.shuffle(perm)
+        orders += [(A.size, A.leq), (A.size, oracles.relabelled(A, perm).leq)]
+    outcomes = set()
+    for n, leq in orders:
+        got = _outcome(lambda: lattice_order(n, leq)[1:])
+        assert got == _outcome(oracles.lattice_tables, n, leq), (n, leq)
+        outcomes.add(got is NotALattice)
+    assert outcomes == {True, False}
+
+
+def test_residual_tables_match_oracle():
+    # both residuals read off principal down-sets against the witness-list
+    # join fold plus the residuation-law loop
+    le, (_, join) = chain_leq(3), _chain_lattice_tables(3)
+    cases = [(3, le, mult, join) for mult in
+             (tuple(zip(*[iter(cells)] * 3))
+              for cells in itertools.product(range(3), repeat=9))]
+    square = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
+    for A in (finite_algebra("2x2", 4, square, 3, meet), oracles.square_nonsemilinear()):
+        for i, j, v in itertools.product(A.elements, A.elements, A.elements):
+            mult = [list(row) for row in A.mult]
+            mult[i][j] = v
+            cases.append((4, A.leq, tuple(map(tuple, mult)), A.join))
+    outcomes = set()
+    for n, leq, mult, join in cases:
+        got = _outcome(_residual_tables, n, leq, mult)
+        assert got == _outcome(oracles.residual_tables, n, leq, mult, join), mult
+        outcomes.add(got is NotResiduated)
+    assert outcomes == {True, False}
 
 
 def test_with_constants_checks_only_constants():

@@ -330,9 +330,9 @@ def test_simple_chain_ap_iso_subalgebras_fail():
 
 
 def test_strictly_simple_ap():
-    assert strictly_simple_ap(make_figure("strictsimp")) == "AP"
-    assert strictly_simple_ap(make_dmm(2)) == "NotApplicable"
-    assert strictly_simple_ap(make_goedel(3)) == "NotApplicable"
+    assert strictly_simple_ap(make_figure("strictsimp")).has_ap
+    assert strictly_simple_ap(make_dmm(2)) is None
+    assert strictly_simple_ap(make_goedel(3)) is None
 
 
 def test_fast_paths_agree_with_decider():

@@ -205,6 +205,14 @@ def _bad_files(tmp_path):
             "constants-list.json": dict(g3, constants=[0]),
             "leq-ragged.json": dict(g3, leq=[[1, 1], [0, 1]]),
             "bad-constraints.json": dict(partial, constraints={"idempotent": "0"}),
+            "partial-antichain.json": dict(partial, leq=[[1, 0], [0, 1]]),
+            "partial-intransitive.json": dict(partial, size=3, unit=2,
+                                              leq=[[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+                                              mult=[[None] * 3] * 3),
+            "partial-constant-name.json": dict(partial, constants={"g": 1}),
+            "partial-constant-range.json": dict(partial, constants={"f": 7}),
+            "partial-bot.json": dict(partial, constants={"bot": 1}),
+            "partial-commutative.json": dict(partial, constraints={"commutative": "yes"}),
             "span-short-phi.json": dict(span, phi1=[0], phi2=[0, 2]),
             "span-no-phi.json": span, "not-json.json": "{",
             "span.json": dict(span, phi1=[0, 2], phi2=[0, 2])}
@@ -218,6 +226,12 @@ def _bad_files(tmp_path):
     ["catalog", "com", "1"],
     ["complete", "{tmp}/list.json"],
     ["complete", "{tmp}/bad-constraints.json"],
+    ["complete", "{tmp}/partial-antichain.json"],
+    ["complete", "{tmp}/partial-intransitive.json"],
+    ["complete", "{tmp}/partial-constant-name.json"],
+    ["complete", "{tmp}/partial-constant-range.json"],
+    ["complete", "{tmp}/partial-bot.json"],
+    ["complete", "{tmp}/partial-commutative.json"],
     ["con", "{tmp}/null-mult.json"],
     ["con", "{tmp}/constants-list.json"],
     ["con", "{tmp}/leq-ragged.json"],
