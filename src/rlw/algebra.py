@@ -342,7 +342,7 @@ def _constant_tuple(n, le, constants):
     for k in consts:
         if k not in CONSTANT_NAMES:
             raise ParseError(f"unknown constant name {k!r}")
-        if not isinstance(consts[k], int) or not 0 <= consts[k] < n:
+        if type(consts[k]) is not int or not 0 <= consts[k] < n:
             raise ParseError(f"constant {k}={consts[k]!r} out of range")
     if "bot" in consts:
         b = consts["bot"]

@@ -87,11 +87,18 @@ class AmalgamReport:
 
 
 def _verify_amalgam(s, D, psi1, psi2, one_sided):
-    assert is_hom(s.B, D, psi1.mapping) and psi1.injective
-    assert is_hom(s.C, D, psi2.mapping)
-    assert one_sided or psi2.injective
+    """Raise AssertionError unless psi1: B -> D is an embedding, psi2: C -> D
+    a homomorphism (an embedding unless one_sided), and psi1 o phi1 =
+    psi2 o phi2.  Explicit raises, so that `python -O` keeps the check."""
+    if not (psi1.injective and is_hom(s.B, D, psi1.mapping)):
+        raise AssertionError(f"{psi1} is not an embedding of {s.B.name}")
+    if not is_hom(s.C, D, psi2.mapping):
+        raise AssertionError(f"{psi2} is not a homomorphism from {s.C.name}")
+    if not (one_sided or psi2.injective):
+        raise AssertionError(f"{psi2} is not injective")
     for a in s.A.elements:
-        assert psi1.mapping[s.phi1.mapping[a]] == psi2.mapping[s.phi2.mapping[a]]
+        if psi1.mapping[s.phi1.mapping[a]] != psi2.mapping[s.phi2.mapping[a]]:
+            raise AssertionError(f"psi1 o phi1 and psi2 o phi2 differ at {s.A.label(a)}")
 
 
 def is_essential_span(s):
@@ -266,7 +273,8 @@ def _dedup_by_iso(chains):
 
 
 def _spans_of(K, listings):
-    """All spans up to equivalence, ordered by (|B|+|C|, |C|, |B|, ...).
+    """All spans up to equivalence, ordered by (|B|+|C|, |C|, |B|, ...), as
+    (bi, leg, ci, span) with B = K[bi], C = K[ci] and phi1 B's leg-th first leg.
 
     `listings[i]` is `subalgebras(K[i])`.  Each B's first legs (A, phi1), one
     per subuniverse, are named when B is first reached and reused for every C."""
@@ -280,41 +288,95 @@ def _spans_of(K, listings):
             for sub, A, incl in listings[bi]:
                 A = replace(A, name=f"{B.name}|{','.join(map(str, sub))}")
                 legs[bi].append((A, Morphism(A, B, incl)))
-        for A, phi1 in legs[bi]:
+        for leg, (A, phi1) in enumerate(legs[bi]):
             for phi2 in embeddings(A, C):
-                yield Span(A, B, C, phi1, phi2)
+                yield bi, leg, ci, Span(A, B, C, phi1, phi2)
 
 
-def _class_check(K, one_sided):
-    """1AP (one_sided) or EAP of an explicit list that must be closed under
-    subalgebras; returns (True, None) or (False, first failing span).  The EAP
-    takes essential spans only and asks for two-sided amalgams."""
-    K = _dedup_by_iso(K)
-    listings = [list(subalgebras(B)) for B in K]
-    keys = {_iso_key(B) for B in K}
-    for B, listing in zip(K, listings):
-        for sub, A, _ in listing:
-            if _iso_key(A) not in keys:
-                raise NotSubalgebraClosed(
-                    f"{B.name} has a subalgebra on {sub} outside the class")
-    spec = ClassSpec.explicit(K)
-    for s in _spans_of(K, listings):
-        if not one_sided and not is_essential(s.phi2):
-            continue
-        if not find_amalgam(s, spec, one_sided=one_sided).found:
-            return False, s
-    return True, None
+class _ExplicitClass:
+    """An explicit list that must be closed under subalgebras, deduplicated up
+    to isomorphism, with what its 1AP and EAP checks share: each member's
+    subalgebra listing, the homomorphisms between members, and each first
+    leg's restriction sets.  All are built once, for the life of the object.
+
+    A span amalgamates in D exactly when R1 and R2 meet, as tuples over A:
+    R1 = {psi1 o phi1 : psi1 in Emb(B, D)} and R2 = {psi2 o phi2 : psi2 in
+    Hom(C, D)}, or Emb(C, D) for two-sided amalgams.  This is the question
+    `find_amalgam` answers for the class, restated so that each Emb(B, D),
+    each Hom(C, D) and each leg's R1 is listed once, not once per span."""
+
+    def __init__(self, K):
+        self.K = _dedup_by_iso(K)
+        self.listings = [list(subalgebras(B)) for B in self.K]
+        keys = {_iso_key(B) for B in self.K}
+        for B, listing in zip(self.K, self.listings):
+            for sub, A, _ in listing:
+                if _iso_key(A) not in keys:
+                    raise NotSubalgebraClosed(
+                        f"{B.name} has a subalgebra on {sub} outside the class")
+        self._homs = {}        # (i, j, injective) -> homs(K[i], K[j])
+        self._restricted = {}  # (bi, leg, di) -> {psi1 o phi1: first such psi1}
+
+    def _maps(self, i, j, injective):
+        key = (i, j, injective)
+        if key not in self._homs:
+            self._homs[key] = homs(self.K[i], self.K[j], injective=injective)
+        return self._homs[key]
+
+    def _amalgam(self, bi, leg, ci, s, one_sided):
+        """(D, psi1, psi2) amalgamating the span s = (bi, leg, ci) of
+        `_spans_of` in the class, or None."""
+        names = dict(s.B.constants).keys()
+        for di, D in enumerate(self.K):
+            if dict(D.constants).keys() != names:
+                continue
+            r1 = self._restricted.get((bi, leg, di))
+            if r1 is None:
+                r1 = self._restricted[bi, leg, di] = {}
+                for psi1 in self._maps(bi, di, True):
+                    r1.setdefault(tuple(psi1.mapping[v] for v in s.phi1.mapping), psi1)
+            if not r1:
+                continue
+            for psi2 in self._maps(ci, di, not one_sided):
+                psi1 = r1.get(tuple(psi2.mapping[v] for v in s.phi2.mapping))
+                if psi1 is not None:
+                    return D, psi1, psi2
+        return None
+
+    def span_verdicts(self, one_sided):
+        """(span, amalgamates) for each span of `_spans_of`, essential spans
+        only when not one_sided.  A span with phi1 or phi2 onto amalgamates in
+        D = C or D = B, one-sided and two-sided; every other amalgam found is
+        checked by `_verify_amalgam`."""
+        for bi, leg, ci, s in _spans_of(self.K, self.listings):
+            if not one_sided and not is_essential(s.phi2):
+                continue
+            if s.A.size in (s.B.size, s.C.size):
+                yield s, True
+                continue
+            found = self._amalgam(bi, leg, ci, s, one_sided)
+            if found is not None:
+                _verify_amalgam(s, *found, one_sided)
+            yield s, found is not None
+
+    def check(self, one_sided):
+        """1AP (one_sided) or EAP: (True, None) or (False, first failing span).
+        The EAP takes essential spans only and asks for two-sided amalgams."""
+        for s, ok in self.span_verdicts(one_sided):
+            if not ok:
+                return False, s
+        return True, None
 
 
 def class_has_1ap(K):
     """One-sided amalgamation property of an explicit, subalgebra-closed list;
     returns (True, None) or (False, witness span)."""
-    return _class_check(K, one_sided=True)
+    return _ExplicitClass(K).check(one_sided=True)
 
 
 def class_has_eap(K):
     """Essential amalgamation property: essential spans, two-sided amalgams."""
-    return _class_check(K, one_sided=False)
+    return _ExplicitClass(K).check(one_sided=False)
 
 
 # -- varieties ----------------------------------------------------------------
@@ -376,7 +438,8 @@ def decide_ap(V, cross_check=False):
     refutes AP outright (finitely generated implies residually small, and AP
     plus residual smallness forces the CEP).  Step 3: otherwise AP holds iff
     the chain class has the one-sided amalgamation property.  Cross-check mode
-    also runs the essential-span/two-sided route and asserts agreement.
+    also runs the essential-span/two-sided route, over the same subalgebra
+    listings and hom lists, and raises AssertionError if the two disagree.
     """
     chains = tuple(fsi_chains(V))
     for A in chains:
@@ -385,12 +448,14 @@ def decide_ap(V, cross_check=False):
             sub, theta = cep.witness
             return ApVerdict(False, "cep_failure", chains,
                              cep_witness=(A, sub, theta.blocks))
-    ok, witness = class_has_1ap(list(chains))
+    K = _ExplicitClass(chains)
+    ok, witness = K.check(one_sided=True)
     result = ApVerdict(ok, None if ok else "span_failure", chains,
                        span_witness=witness)
     if cross_check:
-        ok_e, witness_e = class_has_eap(list(chains))
-        assert ok_e == ok, "1AP and EAP routes disagree"
+        ok_e, witness_e = K.check(one_sided=False)
+        if ok_e != ok:
+            raise AssertionError("1AP and EAP routes disagree")
         result = ApVerdict(ok, result.reason, chains,
                            span_witness=witness,
                            cross_check={"eap": ok_e,

@@ -364,11 +364,20 @@ def extends(A, sub, eclass):
 def has_cep(A):
     """Exhaustive congruence extension property check with witness: the
     first (proper subuniverse, congruence) pair, in `subuniverses` and
-    `congruences` order, whose e-class is not the trace of a CNS of A."""
+    `congruences` order, whose e-class is not the trace of a CNS of A.
+
+    Con(S) depends on S's tables alone, so it is computed once per `key()`
+    within the call: every k-element subalgebra of a Goedel chain, say, is
+    the same chain-coded G_k.  Each witness is rebuilt on its own S."""
+    blocks_by_key = {}
     for sub, B, back in subalgebras(A):
         if len(sub) == A.size:
             continue
-        for theta in congruences(B):
+        key = B.key()
+        if key not in blocks_by_key:
+            blocks_by_key[key] = [c.blocks for c in congruences(B)]
+        for blocks in blocks_by_key[key]:
+            theta = Congruence(blocks, B)
             if not extends(A, sub, [back[x] for x in theta.unit_class()]):
                 return CepResult(False, (sub, theta))
     return CepResult(True)

@@ -315,3 +315,32 @@ def congruences_bruteforce(A):
         if _is_congruence_partition(A, blocks):
             out.append(Congruence(blocks, A))
     return ConLattice(A, tuple(sorted(out, key=_con_key)))
+
+
+def span_verdicts_by_find_amalgam(K, one_sided):
+    """(span, amalgamates) for each span of `_spans_of` over the deduplicated
+    class (essential spans only when not one_sided), by one `find_amalgam`
+    search through the whole class per span."""
+    from rlw.amalgam import ClassSpec, _dedup_by_iso, _spans_of, find_amalgam
+    from rlw.morphisms import is_essential
+    from rlw.structure import subalgebras
+    K = _dedup_by_iso(K)
+    listings = [list(subalgebras(B)) for B in K]
+    spec = ClassSpec.explicit(K)
+    for *_, s in _spans_of(K, listings):
+        if not one_sided and not is_essential(s.phi2):
+            continue
+        yield s, find_amalgam(s, spec, one_sided=one_sided).found
+
+
+def has_cep_per_subuniverse(A):
+    """`has_cep` with Con(S) taken by closure for every proper subuniverse,
+    congruences and witness on each subalgebra's own algebra."""
+    from rlw.structure import CepResult, congruences, extends, subalgebras
+    for sub, B, back in subalgebras(A):
+        if len(sub) == A.size:
+            continue
+        for theta in congruences(B):
+            if not extends(A, sub, [back[x] for x in theta.unit_class()]):
+                return CepResult(False, (sub, theta))
+    return CepResult(True)

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from rlw import (ClassSpec, NotAChain, NotSemilinear, NotSimple, class_has_1ap,
                  class_has_eap, decide_ap, find_amalgam, fsi_chains,
                  is_essential_span, refute_chain_amalgam, replay_refutation,
                  simple_chain_ap, span, strictly_simple_ap, variety)
-from rlw.amalgam import _Merge, _spans_of
+from rlw.amalgam import _ExplicitClass, _Merge, _spans_of
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_luk, make_rsa, make_sugihara)
 from rlw.properties import is_semilinear
@@ -140,7 +144,7 @@ def test_essential_spans():
 def test_span_enumeration_order():
     K = [make_goedel(m) for m in (1, 2, 3)]
     listings = [list(subalgebras(B)) for B in K]
-    sizes = [(s.B.size + s.C.size, s.C.size) for s in _spans_of(K, listings)]
+    sizes = [(s.B.size + s.C.size, s.C.size) for *_, s in _spans_of(K, listings)]
     assert sizes == sorted(sizes)
 
 
@@ -157,6 +161,69 @@ def test_class_checks_goedel():
     assert witness.phi1.mapping == (0, 1, 3) and witness.phi2.mapping == (0, 2, 3)
     ok_e, _ = class_has_eap(chains4)
     assert not ok_e
+
+
+def _through_first_failure(verdicts):
+    out = []
+    for s, ok in verdicts:
+        out.append((repr(s), ok))
+        if not ok:
+            break
+    return out
+
+
+@pytest.mark.parametrize("family", ["ladders", "catalog"])
+def test_span_verdicts_match_find_amalgam_oracle(family):
+    # restriction sets and the onto skip answer each span as one find_amalgam
+    # search through the class does, one-sided and essential/two-sided, on
+    # every span a class check examines (all spans up to the first failure)
+    if family == "ladders":
+        gens = [make_goedel(m) for m in range(2, 10)]
+        gens += [make_sugihara(n) for n in range(2, 13)]
+    else:
+        gens = [A for A in catalog_all(7) if is_semilinear(A)]
+    classes = {}
+    for g in gens:
+        chains = fsi_chains(variety(g))
+        classes.setdefault(tuple(c.key() for c in chains), chains)
+    for chains in classes.values():
+        K = _ExplicitClass(chains)
+        for one_sided in (True, False):
+            got = _through_first_failure(K.span_verdicts(one_sided))
+            want = _through_first_failure(
+                oracles.span_verdicts_by_find_amalgam(chains, one_sided))
+            assert got == want, (chains[-1].name, one_sided)
+
+
+def test_verify_amalgam_raises_under_optimize():
+    # the certificate check is explicit raises, not asserts, so -O keeps it
+    code = """
+from rlw import span
+from rlw.amalgam import _verify_amalgam
+from rlw.catalog import make_goedel
+from rlw.morphisms import Morphism
+G2, G3, G4 = make_goedel(2), make_goedel(3), make_goedel(4)
+s = span(G2, G3, G3, [0, 2], [0, 2])
+ident, collapse, non_hom = (Morphism(G3, G3, m) for m in ((0, 1, 2), (0, 2, 2), (0, 0, 2)))
+_verify_amalgam(s, G3, ident, ident, False)
+_verify_amalgam(s, G3, ident, collapse, True)
+knotted = span(G3, G4, G4, [0, 1, 3], [0, 2, 3])
+ident4 = Morphism(G4, G4, (0, 1, 2, 3))
+bad = [(s, G3, collapse, collapse, True),    # psi1 not injective
+       (s, G3, ident, non_hom, True),        # psi2 not a homomorphism
+       (s, G3, ident, collapse, False),      # psi2 not injective, two-sided
+       (knotted, G4, ident4, ident4, True)]  # psi1 o phi1 != psi2 o phi2
+for case in bad:
+    try:
+        _verify_amalgam(*case)
+    except AssertionError:
+        continue
+    raise SystemExit("accepted " + repr(case[2:]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_class_check_requires_subalgebra_closure():
@@ -237,8 +304,9 @@ def test_decide_ap_presentation_independent():
             decide_ap(variety(gen, extra)).has_ap
 
 
-# decide_ap(V(A)) as first computed, before hom search used the chain order:
-# verdict, reason, chain names and span witness
+# decide_ap(V(A)): verdict, reason, chain names and span witness.  G_2-G_8 and
+# S_2-S_10 as first computed, before hom search used the chain order; G_9-G_11
+# and S_11-S_12 as computed by one find_amalgam search per span
 DECIDE_AP_GOLDEN = {
     "G_2": ("AP", None, ["G_2/~1", "G_2"], None),
     "G_3": ("AP", None, ["G_3|02/~1", "G_3|02", "G_3"], None),
@@ -283,12 +351,40 @@ DECIDE_AP_GOLDEN = {
               "S_10|01245789", "S_10/~9", "S_10"],
              "<Span S_10/~9|0,4,8 -> S_10/~9 [0, 4, 8], "
              "S_10/~9|0,4,8 -> S_10|014589/~5 [1, 2, 3]>"),
+    "G_9": ("NotAP", "span_failure",
+            ["G_9|08/~1", "G_9|08", "G_9|018", "G_9|0128", "G_9|01238",
+             "G_9|012348", "G_9|0123458", "G_9|01234568", "G_9"],
+            "<Span G_9|0,1,8 -> G_9 [0, 1, 8], G_9|0,1,8 -> G_9|0128 [0, 2, 3]>"),
+    "G_10": ("NotAP", "span_failure",
+             ["G_10|09/~1", "G_10|09", "G_10|019", "G_10|0129", "G_10|01239",
+              "G_10|012349", "G_10|0123459", "G_10|01234569", "G_10|012345679",
+              "G_10"],
+             "<Span G_10|0,1,9 -> G_10 [0, 1, 9], "
+             "G_10|0,1,9 -> G_10|0129 [0, 2, 3]>"),
+    "G_11": ("NotAP", "span_failure",
+             ["G_11|010/~1", "G_11|010", "G_11|0110", "G_11|01210", "G_11|012310",
+              "G_11|0123410", "G_11|01234510", "G_11|012345610",
+              "G_11|0123456710", "G_11|01234567810", "G_11"],
+             "<Span G_11|0,1,10 -> G_11 [0, 1, 10], "
+             "G_11|0,1,10 -> G_11|01210 [0, 2, 3]>"),
+    "S_11": ("NotAP", "span_failure",
+             ["S_11|5", "S_11|0510", "S_11|015910", "S_11|01258910",
+              "S_11|0123578910", "S_11"],
+             "<Span S_11|0,5,10 -> S_11 [0, 5, 10], "
+             "S_11|0,5,10 -> S_11|015910 [1, 2, 3]>"),
+    "S_12": ("NotAP", "span_failure",
+             ["S_12|56/~1", "S_12|56", "S_12|05611/~3", "S_12|05611",
+              "S_12|01561011/~5", "S_12|01561011", "S_12|0125691011/~7",
+              "S_12|0125691011", "S_12|012356891011/~9", "S_12|012356891011",
+              "S_12/~11", "S_12"],
+             "<Span S_12/~11|0,5,10 -> S_12/~11 [0, 5, 10], "
+             "S_12/~11|0,5,10 -> S_12|01561011/~5 [1, 2, 3]>"),
 }
 
 
 def test_decide_ap_golden():
-    gens = [make_goedel(m) for m in range(2, 9)]
-    gens += [make_sugihara(n) for n in range(2, 11)]
+    gens = [make_goedel(m) for m in range(2, 12)]
+    gens += [make_sugihara(n) for n in range(2, 13)]
     for g in gens:
         r = decide_ap(variety(g))
         got = (r.verdict, r.reason, [c.name for c in r.chains],

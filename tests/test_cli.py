@@ -203,6 +203,7 @@ def _bad_files(tmp_path):
             "B": "catalog:goedel:3", "C": "catalog:goedel:3"}
     docs = {"list.json": [1, 2], "null-mult.json": null_mult,
             "constants-list.json": dict(g3, constants=[0]),
+            "constant-bool.json": dict(g3, constants={"f": True}),
             "leq-ragged.json": dict(g3, leq=[[1, 1], [0, 1]]),
             "bad-constraints.json": dict(partial, constraints={"idempotent": "0"}),
             "partial-antichain.json": dict(partial, leq=[[1, 0], [0, 1]]),
@@ -211,6 +212,7 @@ def _bad_files(tmp_path):
                                               mult=[[None] * 3] * 3),
             "partial-constant-name.json": dict(partial, constants={"g": 1}),
             "partial-constant-range.json": dict(partial, constants={"f": 7}),
+            "partial-constant-bool.json": dict(partial, constants={"f": True}),
             "partial-bot.json": dict(partial, constants={"bot": 1}),
             "partial-commutative.json": dict(partial, constraints={"commutative": "yes"}),
             "span-short-phi.json": dict(span, phi1=[0], phi2=[0, 2]),
@@ -230,10 +232,12 @@ def _bad_files(tmp_path):
     ["complete", "{tmp}/partial-intransitive.json"],
     ["complete", "{tmp}/partial-constant-name.json"],
     ["complete", "{tmp}/partial-constant-range.json"],
+    ["complete", "{tmp}/partial-constant-bool.json"],
     ["complete", "{tmp}/partial-bot.json"],
     ["complete", "{tmp}/partial-commutative.json"],
     ["con", "{tmp}/null-mult.json"],
     ["con", "{tmp}/constants-list.json"],
+    ["con", "{tmp}/constant-bool.json"],
     ["con", "{tmp}/leq-ragged.json"],
     ["con", "{tmp}/not-json.json"],
     ["con", "catalog:luk:x"],

@@ -5,8 +5,8 @@ import pytest
 
 from rlw import (FiniteAlgebra, NotASubuniverse, classify, cns_generated,
                  congruences, convex_normal_subalgebras, finite_algebra,
-                 has_cep, natural_projection, principal_congruence, quotient,
-                 subalgebra, subuniverses)
+                 fsi_chains, has_cep, natural_projection, principal_congruence,
+                 quotient, subalgebra, subuniverses, variety)
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_sugihara)
 from rlw.morphisms import is_hom
@@ -154,6 +154,23 @@ def test_has_cep_matches_block_oracle():
         for X in (A, oracles.relabelled(A, perm)):
             res = has_cep(X)
             assert (res.holds, res.witness) == oracles.cep_by_blocks(X), X.name
+
+
+def test_has_cep_reuse_matches_per_subuniverse_oracle():
+    # Con(S) taken once per S.key() gives the same verdict and the same
+    # witness, labels included, in both codings; sizes <= 7 also against the
+    # block-lifting oracle
+    rng = random.Random(1)
+    chains = fsi_chains(variety(make_goedel(9))) + fsi_chains(variety(make_sugihara(12)))
+    for A in chains + [make_figure("cepfail")]:
+        perm = list(A.elements)
+        rng.shuffle(perm)
+        for X in (A, oracles.relabelled(A, perm)):
+            res = has_cep(X)
+            want = oracles.has_cep_per_subuniverse(X)
+            assert (res.holds, repr(res.witness)) == (want.holds, repr(want.witness))
+            if X.size <= 7:
+                assert (res.holds, res.witness) == oracles.cep_by_blocks(X), X.name
 
 
 def _b22():
