@@ -10,6 +10,14 @@ both algebras are chain-coded (index order = algebra order) a homomorphism is
 a monotone map, strictly increasing if injective: each element's image is
 tried only between the images of its assigned neighbours, and meet and join
 (min and max) are not propagated, since the order checks already force them.
+
+Every leaf of the search is a homomorphism without a further check: each
+assigned element is compared with every other assigned one (itself included)
+under each propagated operation, and, on chains, by the order, so a complete
+map preserves all five operations; the unit and constants are pinned first.
+`morphism()` is the checked constructor, for maps that come from outside the
+library; a raw `Morphism(...)` is not checked, and is for maps derived from
+maps already known to be homomorphisms.
 """
 from __future__ import annotations
 
@@ -82,7 +90,8 @@ def homs(B, D, injective=False, commute_with=None, limit=None):
     """All homomorphisms B -> D, optionally injective, optionally pinned.
 
     commute_with = (phi, chi) with phi: A -> B and chi: A -> D restricts to
-    maps psi with psi o phi = chi.  Same signature required.
+    maps psi with psi o phi = chi.  Same signature required.  A limit (>= 1)
+    keeps the first `limit` maps only.
     """
     if dict(B.constants).keys() != dict(D.constants).keys():
         raise SignatureMismatch(
@@ -164,14 +173,10 @@ def homs(B, D, injective=False, commute_with=None, limit=None):
         return trail
 
     def search(idx):
-        if limit is not None and len(out) >= limit:
-            return
         while idx < n and mapping[idx] >= 0:
             idx += 1
         if idx == n:
-            mp = tuple(mapping)
-            if is_hom(B, D, mp):
-                out.append(Morphism(B, D, mp))
+            out.append(Morphism(B, D, tuple(mapping)))
             return
         lo, hi = 0, m
         if chains:
@@ -189,18 +194,15 @@ def homs(B, D, injective=False, commute_with=None, limit=None):
             if limit is not None and len(out) >= limit:
                 return
 
-    ok = True
     for x, v in sorted(pinned.items()):
         if assign(x, v) is None:
-            ok = False
-            break
-    if ok:
-        search(0)
+            return []
+    search(0)
     return out
 
 
-def embeddings(A, C, limit=None):
-    return homs(A, C, injective=True, limit=limit)
+def embeddings(A, C):
+    return homs(A, C, injective=True)
 
 
 def are_isomorphic(A, B):
@@ -224,14 +226,14 @@ class EssentialCheck:
 
 def is_essential(phi):
     """phi is essential iff every nontrivial congruence of the target
-    identifies two distinct image points; checked on the atoms of Con."""
-    if not phi.injective or not is_hom(phi.source, phi.target, phi.mapping):
+    identifies two distinct image points; checked on the atoms of Con.
+    Raises NotAnEmbedding unless phi is injective; phi is taken to be a
+    homomorphism (see `morphism()`)."""
+    if not phi.injective:
         raise NotAnEmbedding(f"{phi} is not an embedding")
-    img = sorted(set(phi.mapping))
+    img = phi.image()
     for atom in congruences(phi.target).atoms():
-        hit = any(atom.same(x, y)
-                  for i, x in enumerate(img) for y in img[i + 1:])
-        if not hit:
+        if len({atom.block_of(x) for x in img}) == len(img):
             return EssentialCheck(False, atom)
     return EssentialCheck(True)
 
@@ -239,16 +241,15 @@ def is_essential(phi):
 def essentialize(phi):
     """A maximal congruence theta of C with trivial restriction to the image,
     plus the induced essential embedding A -> C/theta."""
-    if not phi.injective or not is_hom(phi.source, phi.target, phi.mapping):
+    if not phi.injective:
         raise NotAnEmbedding(f"{phi} is not an embedding")
     C = phi.target
-    img = sorted(set(phi.mapping))
-    ok = [th for th in congruences(C)
-          if all(not th.same(x, y) for i, x in enumerate(img) for y in img[i + 1:])]
+    img = phi.image()
+    ok = [th for th in congruences(C) if len({th.block_of(x) for x in img}) == len(img)]
     maximal = [th for th in ok
                if not any(other is not th and congruence_leq(th, other) for other in ok)]
     theta = maximal[0]
     Q, proj = natural_projection(C, theta)
-    psi = morphism(phi.source, Q, tuple(proj[v] for v in phi.mapping))
+    psi = Morphism(phi.source, Q, tuple(proj[v] for v in phi.mapping))
     return theta, psi
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import OPS, FiniteAlgebra, NotASubuniverse, derived, induced_order
 
@@ -142,6 +142,10 @@ class ConLattice:
         return self.congruences[-1]
 
     def atoms(self):
+        return list(self._atoms)
+
+    @cached_property
+    def _atoms(self):
         nontrivial = [c for c in self.congruences if not c.is_identity]
         return [c for c in nontrivial
                 if not any(congruence_leq(d, c) and d != c for d in nontrivial)]
@@ -357,8 +361,13 @@ def extends(A, sub, eclass):
     2003; Galatos-Jipsen-Kowalski-Ono 2007, ch. 3), and Phi restricted to sub
     has e-class M_Phi & sub.  So theta in Con(sub) extends exactly when its
     e-class is the trace on sub of some CNS of A."""
-    s = frozenset(sub)
-    return frozenset(eclass) in {M & s for M in convex_normal_subalgebras(A)}
+    return frozenset(eclass) in cns_traces(A, sub)
+
+
+def cns_traces(A, sub):
+    """{M & sub : M a convex normal subalgebra of A}: the e-classes of the
+    congruences of the subalgebra on sub that extend to A (see `extends`)."""
+    return {M.intersection(sub) for M in convex_normal_subalgebras(A)}
 
 
 def has_cep(A):
@@ -368,7 +377,8 @@ def has_cep(A):
 
     Con(S) depends on S's tables alone, so it is computed once per `key()`
     within the call: every k-element subalgebra of a Goedel chain, say, is
-    the same chain-coded G_k.  Each witness is rebuilt on its own S."""
+    the same chain-coded G_k.  Each witness is rebuilt on its own S.  The
+    CNS traces (`cns_traces`) are taken once per subuniverse."""
     blocks_by_key = {}
     for sub, B, back in subalgebras(A):
         if len(sub) == A.size:
@@ -376,8 +386,9 @@ def has_cep(A):
         key = B.key()
         if key not in blocks_by_key:
             blocks_by_key[key] = [c.blocks for c in congruences(B)]
+        traces = cns_traces(A, sub)
         for blocks in blocks_by_key[key]:
             theta = Congruence(blocks, B)
-            if not extends(A, sub, [back[x] for x in theta.unit_class()]):
+            if frozenset(back[x] for x in theta.unit_class()) not in traces:
                 return CepResult(False, (sub, theta))
     return CepResult(True)

@@ -158,6 +158,15 @@ def square_nonsemilinear():
     return finite_algebra("sq_a", 4, leq, 1, mult)
 
 
+def boolean_square():
+    """The 2x2 Boolean lattice 0 < a,b < 1 with mult = meet: a semilinear
+    residuated lattice (a product of two 2-chains) that is not a chain."""
+    from rlw.algebra import finite_algebra
+    leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
+    return finite_algebra("2x2", 4, leq, 3, meet)
+
+
 def brute_homs(B, D, injective=False):
     """All homomorphisms by filtering every map (independent checker)."""
     out = []

@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
-from rlw import (ClassSpec, NotAChain, NotSemilinear, NotSimple, class_has_1ap,
-                 class_has_eap, decide_ap, find_amalgam, fsi_chains,
-                 is_essential_span, refute_chain_amalgam, replay_refutation,
-                 simple_chain_ap, span, strictly_simple_ap, variety)
+from rlw import (ClassSpec, NotAChain, NotSemilinear, NotSimple, SignatureMismatch,
+                 class_has_1ap, class_has_eap, decide_ap, find_amalgam,
+                 fsi_chains, is_essential_span, refute_chain_amalgam,
+                 replay_refutation, simple_chain_ap, span, strictly_simple_ap,
+                 variety)
+from rlw.algebra import NotAHomomorphism
 from rlw.amalgam import _ExplicitClass, _Merge, _spans_of
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_luk, make_rsa, make_sugihara)
@@ -114,14 +116,22 @@ def test_merge_c2_note_states_the_flip():
 
 
 def test_refuter_requires_chains():
-    from rlw import finite_algebra
-    leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
-    meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
-    B22 = finite_algebra("2x2", 4, leq, 3, meet)
+    B22 = oracles.boolean_square()
     triv = subalgebra(B22, (3,), name="T")
     s = span(triv, B22, B22, [3], [3])
     with pytest.raises(NotAChain):
         refute_chain_amalgam(s)
+
+
+def test_span_checks_its_legs():
+    # span() checks each leg with morphism(); Span rejects a non-injective leg
+    G2, G3 = make_goedel(2), make_goedel(3)
+    with pytest.raises(NotAHomomorphism):   # [0, 1] does not keep the unit
+        span(G2, G3, G3, [0, 1], [0, 2])
+    R2, R3 = make_rsa(2), make_rsa(3)
+    with pytest.raises(SignatureMismatch):
+        span(R3, R2, R3, [0, 1, 1], [0, 1, 2])
+    # is_essential on that leg: test_morphisms.test_not_an_embedding
 
 
 def test_refuted_implies_bounded_not_found():
@@ -255,11 +265,8 @@ def test_fsi_chains_trivial():
 
 
 def test_fsi_chains_on_semilinear_product():
-    from rlw import finite_algebra
     # the boolean square with meet product is semilinear (product of 2-chains)
-    leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
-    meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
-    B22 = finite_algebra("2x2", 4, leq, 3, meet)
+    B22 = oracles.boolean_square()
     chains = fsi_chains(variety(B22))
     assert [c.size for c in chains] == [1, 2]   # chains of HS(2x2)
 

@@ -217,7 +217,11 @@ def _bad_files(tmp_path):
             "partial-commutative.json": dict(partial, constraints={"commutative": "yes"}),
             "span-short-phi.json": dict(span, phi1=[0], phi2=[0, 2]),
             "span-no-phi.json": span, "not-json.json": "{",
-            "span.json": dict(span, phi1=[0, 2], phi2=[0, 2])}
+            "span.json": dict(span, phi1=[0, 2], phi2=[0, 2]),
+            "span-not-hom.json": dict(span, phi1=[0, 1], phi2=[0, 2]),
+            "span-not-injective.json": dict(span, A="catalog:rsa:3", B="catalog:rsa:2",
+                                            C="catalog:rsa:3", phi1=[0, 1, 1],
+                                            phi2=[0, 1, 2])}
     for name, doc in docs.items():
         (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
@@ -252,6 +256,8 @@ def _bad_files(tmp_path):
     ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded"],
     ["enumerate", "--size", "3", "--prop", "no-such-flag"],
     ["class-check", "--eap", "catalog:goedel:3"],
+    ["refute", "--span", "{tmp}/span-not-hom.json"],        # unit not preserved
+    ["refute", "--span", "{tmp}/span-not-injective.json"],
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv):
     _bad_files(tmp_path)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from rlw import (NotAnEmbedding, SignatureMismatch, are_isomorphic, embeddings,
@@ -17,15 +19,24 @@ def _codings(X):
     return (X, oracles.relabelled(X, list(reversed(X.elements))))
 
 
+def _non_chains():
+    return (oracles.boolean_square(), oracles.square_nonsemilinear())
+
+
 def test_homs_against_bruteforce():
     # homs lists maps in the oracle's (lexicographic) order, because
     # find_amalgam takes the first hit; chain-coded pairs take the interval
-    # search, pairs with a relabelled side the general one
+    # search, pairs with a relabelled side the general one.  homs does not
+    # re-check its results, so the non-chain pairs test the propagation of
+    # all five operations against the oracle.
     chains = [A for A in catalog_all(4, include_figures=False)
               if A.is_totally_ordered]
     pairs = [(B, D) for B in chains for D in chains
              if dict(B.constants).keys() == dict(D.constants).keys()]
     pairs.append((make_sugihara(3), make_sugihara(5)))
+    plain = [A for A in chains if not A.constants] + list(_non_chains())
+    pairs += [(X, Y) for X in _non_chains() for Y in plain]
+    pairs += [(Y, X) for X in _non_chains() for Y in plain if Y.is_totally_ordered]
     for B0, D0 in pairs:
         for B in _codings(B0):
             for D in _codings(D0):
@@ -35,28 +46,30 @@ def test_homs_against_bruteforce():
 
 
 def test_homs_commute_with_match_bruteforce_in_order():
-    # pins from every subalgebra inclusion A -> B and every hom A -> D
+    # pins from every subalgebra inclusion A -> B and every hom A -> D, on
+    # chains and on the non-chain pairs
     chains = [A for A in catalog_all(3, include_figures=False)
               if A.is_totally_ordered]
-    checked = 0
-    for B0 in chains:
-        for D0 in chains:
-            if dict(B0.constants).keys() != dict(D0.constants).keys():
-                continue
-            for B in _codings(B0):
-                for D in _codings(D0):
-                    for sub in subuniverses(B):
-                        A = subalgebra(B, sub)
-                        phi = morphism(A, B, induced_order(B.leq, sub)[0])
-                        for chi in homs(A, D):
-                            for inj in (False, True):
-                                got = [m.mapping for m in homs(
-                                    B, D, injective=inj, commute_with=(phi, chi))]
-                                want = [f for f in oracles.brute_homs(B, D, inj)
-                                        if tuple(f[v] for v in phi.mapping) == chi.mapping]
-                                assert got == want, (B.name, D.name, sub, chi, inj)
-                                checked += 1
-    assert checked > 100
+    pairs = [(B, D) for B in chains for D in chains
+             if dict(B.constants).keys() == dict(D.constants).keys()]
+    pairs += [(X, Y) for X in _non_chains() for Y in _non_chains()]
+    checked = Counter()
+    for B0, D0 in pairs:
+        for B in _codings(B0):
+            for D in _codings(D0):
+                for sub in subuniverses(B):
+                    A = subalgebra(B, sub)
+                    phi = morphism(A, B, induced_order(B.leq, sub)[0])
+                    for chi in homs(A, D):
+                        for inj in (False, True):
+                            got = [m.mapping for m in homs(
+                                B, D, injective=inj, commute_with=(phi, chi))]
+                            want = [f for f in oracles.brute_homs(B, D, inj)
+                                    if tuple(f[v] for v in phi.mapping) == chi.mapping]
+                            assert got == want, (B.name, D.name, sub, chi, inj)
+                            checked[B0.is_totally_ordered, A.size > 1] += 1
+    assert sum(checked.values()) > 100
+    assert checked[False, True] > 10   # non-chain B, pinned beyond the unit
 
 
 def test_goedel_embedding_unique():
