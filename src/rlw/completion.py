@@ -21,8 +21,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .algebra import (AlgebraError, ParseError, _constant_tuple, finite_algebra,
-                      lattice_order, least_element, read_document)
+from .algebra import (AlgebraError, BadParameter, ParseError, _constant_tuple,
+                      finite_algebra, lattice_order, least_element, read_document)
 from . import properties, terms
 
 PARTIAL_FORMAT = "rlw-partial/1"
@@ -259,7 +259,9 @@ class _Search:
 
 def complete_partial(P, limit=None):
     """All completions of the partial algebra (up to `limit`), canonically
-    sorted by multiplication table."""
+    sorted by multiplication table.  Raises BadParameter for a limit below 1."""
+    if limit is not None and limit < 1:
+        raise BadParameter(f"limit must be >= 1, got {limit}")
     t0 = time.perf_counter()
     s = _Search(P, limit=limit)
     algebras = tuple(sorted(s.out, key=lambda A: (A.mult, A.constants)))

@@ -17,9 +17,6 @@ from .algebra import BadParameter
 from .completion import enumerate_chains
 from .morphisms import are_isomorphic
 
-TARGETS = ("fig1", "fig3", "fig4", "fig5", "fig6",
-           "godel", "rsa", "sugihara", "dmm", "comdecomp")
-
 
 def search_bound():
     return int(os.environ.get("RLW_BOUND", "7"))
@@ -298,6 +295,7 @@ RUNNERS = {
     "rsa": repro_rsa, "sugihara": repro_sugihara, "dmm": repro_dmm,
     "comdecomp": repro_comdecomp,
 }
+TARGETS = tuple(RUNNERS)
 
 
 def run_repro(target):

@@ -1,18 +1,19 @@
 """Congruence lattices, convex normal subalgebras, quotients, subalgebras,
 simplicity classification, and the congruence extension property.
 
-Congruences are computed by principal-congruence closure of the covering
-pairs followed by join closure.  The partition brute-force oracle they are
-cross-checked against lives in the tests (oracles.congruences_bruteforce).
+A congruence of a residuated lattice is determined by its e-class, a convex
+normal subalgebra (CNS) (Blount-Tsinakis 2003; Galatos-Jipsen-Kowalski-Ono
+2007, ch. 3).  In a finite algebra that e-class meets the negative cone in an
+interval [m, e], so every congruence is the principal congruence Theta(m, e)
+of some m <= e, and `congruences` computes exactly these.  The partition
+brute-force oracle they are cross-checked against lives in the tests
+(oracles.congruences_bruteforce).
 
-The CEP is tested through the congruence-CNS correspondence: a congruence of
-a residuated lattice is determined by its e-class, a convex normal subalgebra
-(Blount-Tsinakis 2003; Galatos-Jipsen-Kowalski-Ono 2007, ch. 3).  So theta in
-Con(S) extends to A exactly when its e-class is M & S for some CNS M of A.
+The CEP is tested through the same correspondence: theta in Con(S) extends
+to A exactly when its e-class is M & S for some CNS M of A.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -40,9 +41,6 @@ class Congruence:
 
     def block_of(self, x):
         return self._index[x]
-
-    def same(self, x, y):
-        return self._index[x] == self._index[y]
 
     @property
     def nblocks(self):
@@ -107,16 +105,6 @@ def principal_congruence(A, a, b):
     return _close_pairs(A, [(a, b)])
 
 
-def congruence_join(c1, c2):
-    A = c1.algebra
-    uf = _UF(A.size)
-    for block in itertools.chain(c1.blocks, c2.blocks):
-        for x in block[1:]:
-            uf.union(block[0], x)
-    # transitive closure of a union of congruences is already a congruence
-    return Congruence(_canon_blocks(uf.find, A.size), A)
-
-
 def congruence_leq(c1, c2):
     """Refinement order: every c1 block inside some c2 block."""
     return all(len({c2.block_of(x) for x in block}) == 1 for block in c1.blocks)
@@ -162,40 +150,24 @@ def _con_key(c):
     return (c.algebra.size - c.nblocks, c.blocks)
 
 
-def _covers(A):
-    """Pairs (a, b) with a < b and nothing strictly between them."""
-    le, n = A.leq, A.size
-    return [(a, b) for a in range(n) for b in range(n)
-            if a != b and le[a][b]
-            and not any(le[a][c] and le[c][b] for c in range(n) if c != a and c != b)]
-
-
 @lru_cache(maxsize=512)
 def congruences(A):
-    """The full congruence lattice, via principal congruences + join closure.
+    """The full congruence lattice: Theta(m, e) for each m <= e, by the
+    congruence-CNS correspondence (Blount-Tsinakis 2003;
+    Galatos-Jipsen-Kowalski-Ono 2007, ch. 3).
 
-    Lattice congruence classes are convex and Theta(x,y) = Theta(x/\\y, x\\/y),
-    so every principal congruence is a join of those of covering pairs: these
-    are the only ones computed.
+    Let theta have e-class M, and m the meet of M & down(e) (so m is in M).
+    Then Theta(m, e) <= theta, and its e-class contains [m, e], which
+    contains M & down(e).  In any congruence phi, x phi e iff
+    |x| = x /\\ (x\\e) /\\ e phi e, with |x| <= e; so both e-classes equal M,
+    and theta = Theta(m, e).
     """
-    n = A.size
-    delta = Congruence(tuple((x,) for x in range(n)), A)
-    found = {delta.blocks: delta}
-    for a, b in _covers(A):
-        c = principal_congruence(A, a, b)
-        found.setdefault(c.blocks, c)
-    frontier = list(found.values())
-    while frontier:
-        fresh = []
-        for c1 in frontier:
-            for c2 in list(found.values()):
-                j = congruence_join(c1, c2)
-                if j.blocks not in found:
-                    found[j.blocks] = j
-                    fresh.append(j)
-        frontier = fresh
-    ordered = tuple(sorted(found.values(), key=_con_key))
-    return ConLattice(A, ordered)
+    found = {}
+    for m in A.elements:
+        if A.leq[m][A.unit]:
+            c = principal_congruence(A, m, A.unit)
+            found.setdefault(c.blocks, c)
+    return ConLattice(A, tuple(sorted(found.values(), key=_con_key)))
 
 
 # -- convex normal subalgebras ----------------------------------------------
@@ -361,13 +333,14 @@ def extends(A, sub, eclass):
     2003; Galatos-Jipsen-Kowalski-Ono 2007, ch. 3), and Phi restricted to sub
     has e-class M_Phi & sub.  So theta in Con(sub) extends exactly when its
     e-class is the trace on sub of some CNS of A."""
-    return frozenset(eclass) in cns_traces(A, sub)
+    return frozenset(eclass) in cns_traces(convex_normal_subalgebras(A), sub)
 
 
-def cns_traces(A, sub):
-    """{M & sub : M a convex normal subalgebra of A}: the e-classes of the
-    congruences of the subalgebra on sub that extend to A (see `extends`)."""
-    return {M.intersection(sub) for M in convex_normal_subalgebras(A)}
+def cns_traces(cns, sub):
+    """{M & sub : M in cns}: for cns the convex normal subalgebras of A, the
+    e-classes of the congruences of the subalgebra on sub that extend to A
+    (see `extends`)."""
+    return {M.intersection(sub) for M in cns}
 
 
 def has_cep(A):
@@ -378,7 +351,9 @@ def has_cep(A):
     Con(S) depends on S's tables alone, so it is computed once per `key()`
     within the call: every k-element subalgebra of a Goedel chain, say, is
     the same chain-coded G_k.  Each witness is rebuilt on its own S.  The
-    CNS traces (`cns_traces`) are taken once per subuniverse."""
+    CNS of A are listed once, and their traces (`cns_traces`) taken once
+    per subuniverse."""
+    cns = convex_normal_subalgebras(A)
     blocks_by_key = {}
     for sub, B, back in subalgebras(A):
         if len(sub) == A.size:
@@ -386,7 +361,7 @@ def has_cep(A):
         key = B.key()
         if key not in blocks_by_key:
             blocks_by_key[key] = [c.blocks for c in congruences(B)]
-        traces = cns_traces(A, sub)
+        traces = cns_traces(cns, sub)
         for blocks in blocks_by_key[key]:
             theta = Congruence(blocks, B)
             if frozenset(back[x] for x in theta.unit_class()) not in traces:

@@ -353,3 +353,43 @@ def has_cep_per_subuniverse(A):
             if not extends(A, sub, [back[x] for x in theta.unit_class()]):
                 return CepResult(False, (sub, theta))
     return CepResult(True)
+
+
+def congruence_join(c1, c2):
+    """Join of two congruences: the transitive closure of their union, which
+    is already a congruence."""
+    from rlw.structure import Congruence, _UF, _canon_blocks
+    A = c1.algebra
+    uf = _UF(A.size)
+    for block in itertools.chain(c1.blocks, c2.blocks):
+        for x in block[1:]:
+            uf.union(block[0], x)
+    return Congruence(_canon_blocks(uf.find, A.size), A)
+
+
+def congruences_by_covers_and_joins(A):
+    """Con(A) by closing each covering pair a < b of the order (lattice
+    classes are convex and Theta(x,y) = Theta(x/\\y, x\\/y), so every principal
+    congruence is a join of these), then closing under joins.  For sizes
+    where `congruences_bruteforce` is infeasible."""
+    from rlw.structure import ConLattice, Congruence, _con_key, principal_congruence
+    le, n = A.leq, A.size
+    covers = [(a, b) for a in range(n) for b in range(n)
+              if a != b and le[a][b]
+              and not any(le[a][c] and le[c][b] for c in range(n) if c != a and c != b)]
+    delta = Congruence(tuple((x,) for x in range(n)), A)
+    found = {delta.blocks: delta}
+    for a, b in covers:
+        c = principal_congruence(A, a, b)
+        found.setdefault(c.blocks, c)
+    frontier = list(found.values())
+    while frontier:
+        fresh = []
+        for c1 in frontier:
+            for c2 in list(found.values()):
+                j = congruence_join(c1, c2)
+                if j.blocks not in found:
+                    found[j.blocks] = j
+                    fresh.append(j)
+        frontier = fresh
+    return ConLattice(A, tuple(sorted(found.values(), key=_con_key)))

@@ -168,7 +168,7 @@ def test_criterion_11_oracle_equivalence():
             for b in A.elements:
                 th = principal_congruence(A, a, b)
                 least = min((c for c in congruences_bruteforce(A)
-                             if c.same(a, b)),
+                             if c.block_of(a) == c.block_of(b)),
                             key=lambda c: A.size - c.nblocks)
                 assert th.blocks == least.blocks
     # decide_ap cross-check mode on the criteria 2-6 varieties

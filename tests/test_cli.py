@@ -206,6 +206,7 @@ def _bad_files(tmp_path):
             "constant-bool.json": dict(g3, constants={"f": True}),
             "leq-ragged.json": dict(g3, leq=[[1, 1], [0, 1]]),
             "bad-constraints.json": dict(partial, constraints={"idempotent": "0"}),
+            "partial-chain3.json": dict(partial, size=3, unit=2, mult=[[None] * 3] * 3),
             "partial-antichain.json": dict(partial, leq=[[1, 0], [0, 1]]),
             "partial-intransitive.json": dict(partial, size=3, unit=2,
                                               leq=[[1, 1, 0], [0, 1, 1], [0, 0, 1]],
@@ -258,6 +259,7 @@ def _bad_files(tmp_path):
     ["class-check", "--eap", "catalog:goedel:3"],
     ["refute", "--span", "{tmp}/span-not-hom.json"],        # unit not preserved
     ["refute", "--span", "{tmp}/span-not-injective.json"],
+    ["complete", "{tmp}/partial-chain3.json", "--limit", "0"],
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv):
     _bad_files(tmp_path)

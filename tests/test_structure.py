@@ -9,8 +9,9 @@ from rlw import (FiniteAlgebra, NotASubuniverse, classify, cns_generated,
                  quotient, subalgebra, subuniverses, variety)
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_sugihara)
+from rlw.completion import enumerate_chains
 from rlw.morphisms import is_hom
-from rlw.structure import congruence_join, congruence_leq, subalgebra_with_map
+from rlw.structure import congruence_leq, subalgebra_with_map
 
 import oracles
 
@@ -34,9 +35,9 @@ def test_congruence_counts():
 
 
 def test_congruences_match_bruteforce_small():
-    # congruences() closes only the covering pairs; the oracle tries every
-    # partition.  Relabelled codings and a non-chain lattice exercise covers
-    # that are not index neighbours.
+    # congruences() closes only the pairs (m, e) with m <= e; the oracle tries
+    # every partition.  Relabelled codings and a non-chain lattice exercise
+    # negative cones that are not index intervals.
     leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
     meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
     B22 = finite_algebra("2x2", 4, leq, 3, meet)
@@ -58,8 +59,27 @@ def test_con_lattice_structure():
     assert con.identity.is_identity and con.full.is_full
     for c in con:
         assert congruence_leq(con.identity, c) and congruence_leq(c, con.full)
-    j = congruence_join(con.congruences[1], con.congruences[1])
+    j = oracles.congruence_join(con.congruences[1], con.congruences[1])
     assert j.blocks == con.congruences[1].blocks
+
+
+def test_congruences_match_covers_and_joins_oracle():
+    # Theta(m, e) over the negative cone against closing every covering pair
+    # and then every join: same congruences in the same order, same atoms
+    rng = random.Random(2)
+    pool = []
+    for A in catalog_all(max_size=9):
+        perm = list(A.elements)
+        rng.shuffle(perm)
+        pool += [A, oracles.relabelled(A, perm)]
+    pool += [_b22(), oracles.square_nonsemilinear()]
+    for n in range(1, 6):
+        pool += enumerate_chains(n, constants=("f",))
+    for A in pool:
+        fast = congruences(A)
+        slow = oracles.congruences_by_covers_and_joins(A)
+        assert [c.blocks for c in fast] == [c.blocks for c in slow], A.name
+        assert [c.blocks for c in fast.atoms()] == [c.blocks for c in slow.atoms()], A.name
 
 
 def test_cns_bijection():
