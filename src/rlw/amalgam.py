@@ -440,18 +440,19 @@ def decide_ap(V, cross_check=False):
     Step 1: chains = FSI members (Jonsson).  Step 2: a CEP failure on a chain
     refutes AP outright (finitely generated implies residually small, and AP
     plus residual smallness forces the CEP).  Step 3: otherwise AP holds iff
-    the chain class has the one-sided amalgamation property.  Cross-check mode
-    also runs the essential-span/two-sided route, over the same subalgebra
-    listings and hom lists, and raises AssertionError if the two disagree.
+    the chain class has the one-sided amalgamation property.  Steps 2 and 3
+    share one subalgebra listing per chain, `_ExplicitClass.listings`.
+    Cross-check mode also runs the essential-span/two-sided route, over the
+    same listings and hom lists, and raises AssertionError if the two disagree.
     """
     chains = tuple(fsi_chains(V))
-    for A in chains:
-        cep = has_cep(A)
+    K = _ExplicitClass(chains)   # cannot raise: SH <= HS, so K is S-closed
+    for A, listing in zip(K.K, K.listings):
+        cep = has_cep(A, listing)
         if not cep.holds:
             sub, theta = cep.witness
             return ApVerdict(False, "cep_failure", chains,
                              cep_witness=(A, sub, theta.blocks))
-    K = _ExplicitClass(chains)
     ok, witness = K.check(one_sided=True)
     result = ApVerdict(ok, None if ok else "span_failure", chains,
                        span_witness=witness)
@@ -476,11 +477,12 @@ def simple_chain_ap(A):
     cls = classify(A)
     if not cls.simple:
         raise NotSimple(f"{A.name} is not simple")
-    cep = has_cep(A)
+    listing = list(subalgebras(A))
+    cep = has_cep(A, listing)
     if not cep.holds:
         return ApVerdict(False, "cep_failure", (A,),
                          cep_witness=(A, cep.witness[0], cep.witness[1].blocks))
-    _, algebras, subs = zip(*subalgebras(A))
+    _, algebras, subs = zip(*listing)
     for i, S in enumerate(algebras):
         for j in range(i + 1, len(algebras)):
             iso = are_isomorphic(S, algebras[j])

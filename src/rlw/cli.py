@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 for affirmative verdicts (Holds/AP/Found/true), 1 for negative
-verdicts with certificate, 2 for usage or validation errors.  --json writes a
-run manifest (identical inputs give byte-identical manifests modulo the
-wall-time field).  Inputs are file paths or catalog addresses like
-catalog:goedel:3, catalog:luk:4:mv, catalog:A1.
+verdicts with certificate, 2 for usage or validation errors, 141 (128 +
+SIGPIPE) when the reader closes the output pipe early.  --json writes a run
+manifest (identical inputs give byte-identical manifests modulo the wall-time
+field).  Inputs are file paths or catalog addresses like catalog:goedel:3,
+catalog:luk:4:mv, catalog:A1.
 """
 from __future__ import annotations
 
@@ -456,6 +457,9 @@ def main(argv=None):
     run = Run(args)
     try:
         return args.fn(args, run)
+    except BrokenPipeError:   # reader gone: send the flush at exit to devnull, not stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

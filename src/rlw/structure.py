@@ -251,31 +251,29 @@ def subuniverses(A):
 
 
 def is_subuniverse(A, subset):
-    s = frozenset(subset)
-    return subuniverse_closure(A, s) == s and {v for _, v in A.constants} <= s
+    """The one closure test (its closure adds the unit and the constants)."""
+    return subuniverse_closure(A, subset) == frozenset(subset)
+
+
+def _subalgebra(A, sub, name):
+    """`subalgebra_with_map` on a sorted subuniverse, with no check."""
+    order, chainlike = induced_order(A.leq, sub)
+    labels = tuple(A.label(x) for x in order) if A.labels is not None else None
+    if name is None:
+        name = A.name if len(order) == A.size else f"{A.name}|{''.join(map(str, sub))}"
+    pos = {x: i for i, x in enumerate(order)}
+    return derived(A, name, order, pos, chainlike, labels), tuple(order)
 
 
 def subalgebra_with_map(A, subset, name=None):
-    """The subalgebra on a subuniverse, with its tables read from A
-    (`algebra.derived`), plus the inclusion map: element i of the result is
-    `inclusion[i] = induced_order(A.leq, subset)[0][i]` of A.  Raises
-    NotASubuniverse unless the subset is one."""
+    """Checked constructor for a subset from outside: the subalgebra on it,
+    tables read from A (`algebra.derived`), and the inclusion map: element i
+    of the result is `inclusion[i] = induced_order(A.leq, subset)[0][i]` of
+    A.  Raises NotASubuniverse unless `is_subuniverse` accepts the subset."""
     members = sorted(set(subset))
-    sub, chainlike = induced_order(A.leq, members)
-    s = set(sub)
-    if A.unit not in s or not all(v in s for _, v in A.constants):
-        raise NotASubuniverse(f"{members} misses a designated constant of {A.name}")
-    pos = {x: i for i, x in enumerate(sub)}
-    for op in OPS:
-        t = getattr(A, op)
-        for x in sub:
-            for y in sub:
-                if t[x][y] not in s:
-                    raise NotASubuniverse(f"{members} not closed under {op} at ({x},{y})")
-    labels = tuple(A.label(x) for x in sub) if A.labels is not None else None
-    if name is None:
-        name = A.name if len(sub) == A.size else f"{A.name}|{''.join(map(str, members))}"
-    return derived(A, name, sub, pos, chainlike, labels), tuple(sub)
+    if not is_subuniverse(A, members):
+        raise NotASubuniverse(f"{members} is not a subuniverse of {A.name}")
+    return _subalgebra(A, members, name)
 
 
 def subalgebra(A, subset, name=None):
@@ -285,10 +283,11 @@ def subalgebra(A, subset, name=None):
 
 def subalgebras(A):
     """(subuniverse, subalgebra, inclusion) for each subuniverse of A, in
-    `subuniverses` order, built by `subalgebra_with_map` with default names.
-    A generator, not cached: a caller that needs the listing twice keeps it."""
+    `subuniverses` order, named and numbered as by `subalgebra_with_map`, but
+    derive-only: the subuniverses are closed, so none is checked again.  Not
+    cached: a caller that needs it twice keeps it, as `decide_ap` does."""
     for sub in subuniverses(A):
-        yield (sub, *subalgebra_with_map(A, sub))
+        yield (sub, *_subalgebra(A, sub, None))
 
 
 # -- classification and CEP ---------------------------------------------------
@@ -343,19 +342,19 @@ def cns_traces(cns, sub):
     return {M.intersection(sub) for M in cns}
 
 
-def has_cep(A):
+def has_cep(A, listing=None):
     """Exhaustive congruence extension property check with witness: the
     first (proper subuniverse, congruence) pair, in `subuniverses` and
     `congruences` order, whose e-class is not the trace of a CNS of A.
 
-    Con(S) depends on S's tables alone, so it is computed once per `key()`
-    within the call: every k-element subalgebra of a Goedel chain, say, is
-    the same chain-coded G_k.  Each witness is rebuilt on its own S.  The
-    CNS of A are listed once, and their traces (`cns_traces`) taken once
-    per subuniverse."""
+    `listing` is `subalgebras(A)` when the caller holds it already.  Con(S)
+    depends on S's tables alone, so it is computed once per `key()` in the
+    call: every k-element subalgebra of a Goedel chain, say, is the same
+    chain-coded G_k.  Each witness is rebuilt on its own S.  The CNS of A are
+    listed once, and their traces (`cns_traces`) once per subuniverse."""
     cns = convex_normal_subalgebras(A)
     blocks_by_key = {}
-    for sub, B, back in subalgebras(A):
+    for sub, B, back in subalgebras(A) if listing is None else listing:
         if len(sub) == A.size:
             continue
         key = B.key()

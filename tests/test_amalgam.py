@@ -414,6 +414,33 @@ def test_decide_ap_cep_failure_path():
     assert len(sub) == 3
 
 
+def test_decide_ap_lists_each_chain_once(monkeypatch):
+    # the CEP step and the 1AP/EAP checks share one subalgebra listing per FSI
+    # chain; the only other listing is fsi_chains' listing of the generator
+    import rlw.structure
+    listed = []
+
+    def counting(A, original=rlw.structure.subalgebras):
+        listed.append(A)
+        return original(A)
+
+    X = make_figure("cepfail")
+    sub, theta = rlw.structure.has_cep(X).witness
+    with monkeypatch.context() as m:
+        m.setattr("rlw.structure.subalgebras", counting)
+        m.setattr("rlw.amalgam.subalgebras", counting)
+        for g, cross in ((make_goedel(7), True), (X, False)):
+            listed.clear()
+            res = decide_ap(variety(g), cross_check=cross)
+            assert sorted(map(id, listed)) == sorted(map(id, (g,) + res.chains)), g.name
+        assert res.reason == "cep_failure"
+        assert (res.cep_witness[1:], res.cep_witness[0].key()) == ((sub, theta.blocks), X.key())
+        listed.clear()
+        M2 = make_dmm(2)
+        assert simple_chain_ap(M2).has_ap
+        assert len(listed) == 1 and listed[0] is M2
+
+
 def test_simple_chain_ap():
     assert simple_chain_ap(make_figure("strictsimp")).has_ap
     assert simple_chain_ap(make_dmm(2)).has_ap

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +31,19 @@ def test_usage_error_exit_2(capsys):
     assert main(["decide-ap", "no-such-file.json"]) == 2
     assert main(["catalog", "nope", "3"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_closed_output_pipe_exits_141():
+    # about 108 KB of output, more than a pipe buffer holds, so the writes
+    # after the reader has gone meet the closed pipe
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    with subprocess.Popen([sys.executable, "-m", "rlw.cli", "enumerate", "--size", "6"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_catalog_writes_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -7,11 +8,12 @@ from rlw import (FiniteAlgebra, NotASubuniverse, classify, cns_generated,
                  congruences, convex_normal_subalgebras, finite_algebra,
                  fsi_chains, has_cep, natural_projection, principal_congruence,
                  quotient, subalgebra, subuniverses, variety)
+from rlw.algebra import OPS
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_sugihara)
 from rlw.completion import enumerate_chains
 from rlw.morphisms import is_hom
-from rlw.structure import congruence_leq, subalgebra_with_map
+from rlw.structure import congruence_leq, is_subuniverse, subalgebra_with_map, subalgebras
 
 import oracles
 
@@ -117,6 +119,24 @@ def test_subuniverses_examples():
     assert subuniverses(S5) == ((2,), (0, 2, 4), (1, 2, 3), (0, 1, 2, 3, 4))
     with pytest.raises(NotASubuniverse):
         subalgebra(S5, (0, 1))
+    # {0, 1, 4} of M_2 is closed under the five operations but misses f = 3
+    assert all(getattr(M2, op)[x][y] in (0, 1, 4) for op in OPS
+               for x in (0, 1, 4) for y in (0, 1, 4))
+    with pytest.raises(NotASubuniverse, match=r"\[0, 1, 4\] is not a subuniverse of M_2"):
+        subalgebra(M2, (0, 1, 4))
+    # is_subuniverse is the one closure test: it and subalgebra agree with
+    # the subuniverses listing on every subset
+    G5 = oracles.relabelled(make_goedel(5), [3, 0, 4, 1, 2])
+    for A in (S5, M2, G5):
+        subs = set(subuniverses(A))
+        for k in range(A.size + 1):
+            for s in itertools.combinations(A.elements, k):
+                assert is_subuniverse(A, s) == (tuple(sorted(s)) in subs), (A.name, s)
+                if is_subuniverse(A, s):
+                    subalgebra(A, s)
+                else:
+                    with pytest.raises(NotASubuniverse):
+                        subalgebra(A, s)
 
 
 def test_subalgebra_keeps_constants():
@@ -203,30 +223,37 @@ def test_derived_algebras_match_full_validation(monkeypatch):
     # subalgebras, quotients and as_chain read their tables from a valid
     # parent without validating again; rebuilding each from scratch must give
     # the same twelve fields, meet/join/lres/rres included (which == skips)
+    # the derive-only subalgebras() listing is compared with the checked
+    # subalgebra_with_map, its oracle, on the inclusion, name and all fields
     rng = random.Random(0)
     parents = []
     for A in catalog_all(max_size=6) + [_b22(), oracles.square_nonsemilinear()]:
         perm = list(A.elements)
         rng.shuffle(perm)
         parents += [A, oracles.relabelled(A, perm)]
+    names = [f.name for f in dataclasses.fields(FiniteAlgebra)]
+    assert len(names) == 12
     derived = []
     with monkeypatch.context() as m:
         def no_validation(*args, **kwargs):
             raise AssertionError("finite_algebra called on the derive path")
         m.setattr("rlw.algebra.finite_algebra", no_validation)
         for A in parents:
-            for sub in subuniverses(A):
-                B, inclusion = subalgebra_with_map(A, sub)
-                assert is_hom(B, A, inclusion) and sorted(inclusion) == list(sub)
-                derived.append(B)
+            listing = list(subalgebras(A))
+            assert [sub for sub, _, _ in listing] == list(subuniverses(A))
+            for sub, B, inclusion in listing:
+                C, want = subalgebra_with_map(A, sub)
+                assert is_hom(C, A, want) and sorted(want) == list(sub)
+                assert inclusion == want and B.name == C.name, (A.name, sub)
+                for name in names:
+                    assert getattr(B, name) == getattr(C, name), (A.name, sub, name)
+                derived += [B, C]
             for theta in congruences(A):
                 Q, proj = natural_projection(A, theta)
                 assert is_hom(A, Q, proj)
                 derived.append(Q)
             if A.is_totally_ordered:
                 derived.append(A.as_chain())
-    names = [f.name for f in dataclasses.fields(FiniteAlgebra)]
-    assert len(names) == 12
     for B in derived:
         R = oracles.rebuilt(B)
         for name in names:
