@@ -6,6 +6,20 @@ Span enumeration fixes phi1 as a subuniverse inclusion (finite chains have a
 unique order automorphism, so this loses nothing up to equivalence) and walks
 spans by (|B|+|C|, |C|, |B|, ...), so reported witnesses are minimal in that
 order.
+
+The class checks list maps between chains by the homomorphism theorem
+(Burris-Sankappanavar, A Course in Universal Algebra, 1981, II 6), not by
+search: every homomorphism is a quotient map followed by an embedding, and
+the only order isomorphism between two chains numbered in their order is the
+identity.  So for a totally ordered C
+
+    Hom(C, D) = {incl_S o q_theta : theta in Con(C), S in Sub(D),
+                 key(D|S) = key(C/theta)},
+
+and Emb(C, D) is the part with theta the identity.  `natural_projection` and
+`subalgebras` number every quotient and subalgebra of a chain in its order,
+so equal keys mean the identity is an isomorphism.  `homs` remains for
+sources that are not totally ordered and for `find_amalgam`.
 """
 from __future__ import annotations
 
@@ -14,8 +28,8 @@ from dataclasses import dataclass, field, replace
 from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
                       NotSubalgebraClosed, SignatureMismatch)
 from .completion import enumerate_chains
-from .morphisms import (Morphism, are_isomorphic, compose, embeddings, homs,
-                        is_essential, is_hom, morphism)
+from .morphisms import (Morphism, are_isomorphic, compose, homs, is_essential,
+                        is_hom, morphism)
 from .properties import handy_fixed_points, is_semilinear, mirror_fixed_points
 from .structure import classify, congruences, has_cep, natural_projection, subalgebras
 
@@ -89,13 +103,25 @@ class AmalgamReport:
         return self.verdict == "Found"
 
 
-def _verify_amalgam(s, D, psi1, psi2, one_sided):
+def _verify_amalgam(s, D, psi1, psi2, one_sided, checked=None):
     """Raise AssertionError unless psi1: B -> D is an embedding, psi2: C -> D
     a homomorphism (an embedding unless one_sided), and psi1 o phi1 =
-    psi2 o phi2.  Explicit raises, so that `python -O` keeps the check."""
-    if not (psi1.injective and is_hom(s.B, D, psi1.mapping)):
+    psi2 o phi2.  Explicit raises, so that `python -O` keeps the check.
+
+    `checked` holds (id(source), id(target), mapping) of maps that passed
+    `is_hom` already, for a caller that keeps its algebras alive; each new
+    map that passes is added, and none is checked twice."""
+    checked = set() if checked is None else checked
+
+    def hom(X, mapping):
+        key = (id(X), id(D), mapping)
+        if key not in checked and is_hom(X, D, mapping):
+            checked.add(key)
+        return key in checked
+
+    if not (psi1.injective and hom(s.B, psi1.mapping)):
         raise AssertionError(f"{psi1} is not an embedding of {s.B.name}")
-    if not is_hom(s.C, D, psi2.mapping):
+    if not hom(s.C, psi2.mapping):
         raise AssertionError(f"{psi2} is not a homomorphism from {s.C.name}")
     if not (one_sided or psi2.injective):
         raise AssertionError(f"{psi2} is not injective")
@@ -275,12 +301,40 @@ def _dedup_by_iso(chains):
     return [seen[k] for k in sorted(seen, key=lambda k: (k[0], k[2], k[4]))]
 
 
-def _spans_of(K, listings):
+def _by_key(listing):
+    """{S.key(): the inclusions of the subalgebras S with that key} for a
+    `subalgebras` listing."""
+    index = {}
+    for _, S, incl in listing:
+        index.setdefault(S.key(), []).append(incl)
+    return index
+
+
+def _hom_list(C, D, index, quotients, injective):
+    """Hom(C, D), or Emb(C, D) when injective, in the lexicographic order of
+    `homs`; `index` is `_by_key` of D's subalgebra listing.
+
+    A totally ordered C reads its list off Con(C) x Sub(D) (see the module
+    docstring): `quotients()` gives (key of C/theta, projection) for each
+    theta of Con(C), the identity first, and each theta, only the identity
+    when injective, contributes incl_S o q_theta for every subalgebra S of D
+    keyed as C/theta.  `homs` searches for any other C."""
+    if not C.is_totally_ordered:
+        return homs(C, D, injective=injective)
+    thetas = quotients()[:1] if injective else quotients()
+    return [Morphism(C, D, m) for m in sorted(
+        tuple(incl[v] for v in q) for qkey, q in thetas for incl in index.get(qkey, ()))]
+
+
+def _spans_of(K, listings, by_key):
     """All spans up to equivalence, ordered by (|B|+|C|, |C|, |B|, ...), as
     (bi, leg, ci, span) with B = K[bi], C = K[ci] and phi1 B's leg-th first leg.
 
-    `listings[i]` is `subalgebras(K[i])`.  Each B's first legs (A, phi1), one
-    per subuniverse, are named when B is first reached and reused for every C."""
+    `listings[i]` is `subalgebras(K[i])` and `by_key[i]` is `_by_key` of it.
+    Each B's first legs (A, phi1), one per subuniverse, are named when B is
+    first reached and reused for every C.  A listed subalgebra that is totally
+    ordered is numbered in its order, so its identity theta is (A.key(), the
+    identity map) for `_hom_list`."""
     idx = list(enumerate(K))
     keyed = sorted(((b.size + c.size, c.size, b.size, bi, ci, b, c)
                     for bi, b in idx for ci, c in idx))
@@ -292,47 +346,76 @@ def _spans_of(K, listings):
                 A = replace(A, name=f"{B.name}|{','.join(map(str, sub))}")
                 legs[bi].append((A, Morphism(A, B, incl)))
         for leg, (A, phi1) in enumerate(legs[bi]):
-            for phi2 in embeddings(A, C):
+            ident = [(A.key(), A.elements)]
+            for phi2 in _hom_list(A, C, by_key[ci], lambda: ident, True):
                 yield bi, leg, ci, Span(A, B, C, phi1, phi2)
 
 
 class _ExplicitClass:
     """An explicit list that must be closed under subalgebras, deduplicated up
     to isomorphism, with what its 1AP and EAP checks share: each member's
-    subalgebra listing, the homomorphisms between members, and each first
-    leg's restriction sets.  All are built once, for the life of the object.
+    subalgebra listing and its index by key, each member's quotient keys and
+    maps, the homomorphisms between members, each first leg's restriction
+    sets and the certificate maps already checked.  All are built once, for
+    the life of the object.
 
     A span amalgamates in D exactly when R1 and R2 meet, as tuples over A:
     R1 = {psi1 o phi1 : psi1 in Emb(B, D)} and R2 = {psi2 o phi2 : psi2 in
     Hom(C, D)}, or Emb(C, D) for two-sided amalgams.  This is the question
     `find_amalgam` answers for the class, restated so that each Emb(B, D),
-    each Hom(C, D) and each leg's R1 is listed once, not once per span."""
+    each Hom(C, D) and each leg's R1 is listed once, not once per span.
 
-    def __init__(self, K):
+    Hom(C, D) is read off Con(C) x Sub(D) by the homomorphism theorem (see the
+    module docstring) when C is totally ordered: each theta of C contributes
+    incl_S o q_theta for every subalgebra S of D keyed as C/theta
+    (`_hom_list`).  `homs` lists it for any other C.
+
+    All members must designate the same constants.  `listed` maps (name,
+    key()) of an algebra to its `subalgebras` listing, when the caller holds
+    one (`decide_ap` lists each generator); a member with that name and key
+    reuses it."""
+
+    def __init__(self, K, listed=None):
         self.K = _dedup_by_iso(K)
-        self.listings = [list(subalgebras(B)) for B in self.K]
+        listed = listed or {}
+        self.listings = [listed.get((B.name, B.key())) or list(subalgebras(B))
+                         for B in self.K]
+        self.by_key = [_by_key(listing) for listing in self.listings]
         keys = {_iso_key(B) for B in self.K}
         for B, listing in zip(self.K, self.listings):
             for sub, A, _ in listing:
                 if _iso_key(A) not in keys:
                     raise NotSubalgebraClosed(
                         f"{B.name} has a subalgebra on {sub} outside the class")
-        self._homs = {}        # (i, j, injective) -> homs(K[i], K[j])
+        for B in self.K[1:]:
+            if dict(B.constants).keys() != dict(self.K[0].constants).keys():
+                raise SignatureMismatch(
+                    f"{self.K[0].name} and {B.name} designate different constants")
+        self._quotients = {}   # i -> [(key of K[i]/theta, projection)], identity first
+        self._homs = {}        # (i, j, injective) -> `_maps(i, j, injective)`
         self._restricted = {}  # (bi, leg, di) -> {psi1 o phi1: first such psi1}
+        self._checked = set()  # certificate maps that passed is_hom
+
+    def _quotients_of(self, i):
+        """[(key of K[i]/theta, projection)] over Con(K[i]), identity first."""
+        if i not in self._quotients:
+            C = self.K[i]
+            self._quotients[i] = [(Q.key(), q) for Q, q in
+                                  (natural_projection(C, th) for th in congruences(C))]
+        return self._quotients[i]
 
     def _maps(self, i, j, injective):
+        """Hom(K[i], K[j]), or Emb when injective, in lexicographic order."""
         key = (i, j, injective)
         if key not in self._homs:
-            self._homs[key] = homs(self.K[i], self.K[j], injective=injective)
+            self._homs[key] = _hom_list(self.K[i], self.K[j], self.by_key[j],
+                                        lambda: self._quotients_of(i), injective)
         return self._homs[key]
 
     def _amalgam(self, bi, leg, ci, s, one_sided):
         """(D, psi1, psi2) amalgamating the span s = (bi, leg, ci) of
         `_spans_of` in the class, or None."""
-        names = dict(s.B.constants).keys()
         for di, D in enumerate(self.K):
-            if dict(D.constants).keys() != names:
-                continue
             r1 = self._restricted.get((bi, leg, di))
             if r1 is None:
                 r1 = self._restricted[bi, leg, di] = {}
@@ -351,7 +434,7 @@ class _ExplicitClass:
         only when not one_sided.  A span with phi1 or phi2 onto amalgamates in
         D = C or D = B, one-sided and two-sided; every other amalgam found is
         checked by `_verify_amalgam`."""
-        for bi, leg, ci, s in _spans_of(self.K, self.listings):
+        for bi, leg, ci, s in _spans_of(self.K, self.listings, self.by_key):
             if not one_sided and not is_essential(s.phi2):
                 continue
             if s.A.size in (s.B.size, s.C.size):
@@ -359,7 +442,7 @@ class _ExplicitClass:
                 continue
             found = self._amalgam(bi, leg, ci, s, one_sided)
             if found is not None:
-                _verify_amalgam(s, *found, one_sided)
+                _verify_amalgam(s, *found, one_sided, self._checked)
             yield s, found is not None
 
     def check(self, one_sided):
@@ -396,19 +479,20 @@ def variety(*generators):
     return VarietyPresentation(tuple(generators))
 
 
-def fsi_chains(V):
+def fsi_chains(V, listings=None):
     """Totally ordered members of HS(generators), deduplicated up to iso and
     sorted by (size, table).  Jonsson: these are the FSI members of V.
 
     A subalgebra isomorphic to one met before is skipped before its quotients
     are taken: those are isomorphic to quotients already listed, which come
-    first and so are the ones the deduplication keeps."""
+    first and so are the ones the deduplication keeps.  `listings`, when
+    given, holds `subalgebras(g)` of each generator g, in order."""
     out = []
     seen = set()
-    for g in V.generators:
+    for i, g in enumerate(V.generators):
         if not is_semilinear(g):
             raise NotSemilinear(f"generator {g.name} is not semilinear")
-        for _, B, _ in subalgebras(g):
+        for _, B, _ in subalgebras(g) if listings is None else listings[i]:
             key = _iso_key(B)
             if key in seen:
                 continue
@@ -441,12 +525,16 @@ def decide_ap(V, cross_check=False):
     refutes AP outright (finitely generated implies residually small, and AP
     plus residual smallness forces the CEP).  Step 3: otherwise AP holds iff
     the chain class has the one-sided amalgamation property.  Steps 2 and 3
-    share one subalgebra listing per chain, `_ExplicitClass.listings`.
+    share one subalgebra listing per chain, `_ExplicitClass.listings`, and a
+    chain that is a generator reuses the listing step 1 took of it.
     Cross-check mode also runs the essential-span/two-sided route, over the
     same listings and hom lists, and raises AssertionError if the two disagree.
     """
-    chains = tuple(fsi_chains(V))
-    K = _ExplicitClass(chains)   # cannot raise: SH <= HS, so K is S-closed
+    listings = [list(subalgebras(g)) for g in V.generators]
+    chains = tuple(fsi_chains(V, listings))
+    # S-closed as SH <= HS; raises SignatureMismatch on mixed constants
+    K = _ExplicitClass(chains, {(g.name, g.key()): listing
+                                for g, listing in zip(V.generators, listings)})
     for A, listing in zip(K.K, K.listings):
         cep = has_cep(A, listing)
         if not cep.holds:

@@ -8,8 +8,9 @@ left and upper neighbours of a cell are always decided first:
     pre-filled (residuals cannot exist otherwise);
   * candidate values are narrowed by monotonicity against decided neighbours;
   * associativity is enforced incrementally: setting m[i][j] checks every
-    triple whose four lookups just became available (a product index maps
-    each value to the pairs producing it);
+    triple whose four lookups just became available, those that read m[i][j]
+    twice included, since the cell is placed before it is checked (a product
+    index maps each value to the pairs producing it);
   * centrality/commutativity ties force the mirror cell.
 
 Constraint flags that cannot be propagated cheaply (non-central witnesses,
@@ -194,12 +195,14 @@ class _Search:
                 if cur != w:
                     return False
                 continue
-            if not self._cell_ok(a, b, w):
-                return False
+            # placed before the check, so that the triples that read this
+            # cell twice are checked too; on False, _dfs unsets the trail
             self.m[a][b] = w
             self.pairs_for[w].append((a, b))
             if trail is not None:
                 trail.append((a, b))
+            if not self._cell_ok(a, b, w):
+                return False
         return True
 
     def _unset(self, trail):

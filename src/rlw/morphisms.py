@@ -18,6 +18,11 @@ map preserves all five operations; the unit and constants are pinned first.
 `morphism()` is the checked constructor, for maps that come from outside the
 library; a raw `Morphism(...)` is not checked, and is for maps derived from
 maps already known to be homomorphisms.
+
+`homs` serves `find_amalgam`, the `hom` and `iso` commands, `are_isomorphic`
+and class members that are not chains.  The class checks behind `decide_ap`
+read their lists between chains off congruences and subalgebras instead
+(see `amalgam`).
 """
 from __future__ import annotations
 

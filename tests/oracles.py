@@ -330,13 +330,13 @@ def span_verdicts_by_find_amalgam(K, one_sided):
     """(span, amalgamates) for each span of `_spans_of` over the deduplicated
     class (essential spans only when not one_sided), by one `find_amalgam`
     search through the whole class per span."""
-    from rlw.amalgam import ClassSpec, _dedup_by_iso, _spans_of, find_amalgam
+    from rlw.amalgam import ClassSpec, _by_key, _dedup_by_iso, _spans_of, find_amalgam
     from rlw.morphisms import is_essential
     from rlw.structure import subalgebras
     K = _dedup_by_iso(K)
     listings = [list(subalgebras(B)) for B in K]
     spec = ClassSpec.explicit(K)
-    for *_, s in _spans_of(K, listings):
+    for *_, s in _spans_of(K, listings, [_by_key(listing) for listing in listings]):
         if not one_sided and not is_essential(s.phi2):
             continue
         yield s, find_amalgam(s, spec, one_sided=one_sided).found

@@ -10,7 +10,7 @@ from rlw import (ClassSpec, NotAChain, NotSemilinear, NotSimple, SignatureMismat
                  replay_refutation, simple_chain_ap, span, strictly_simple_ap,
                  variety)
 from rlw.algebra import NotAHomomorphism
-from rlw.amalgam import _ExplicitClass, _Merge, _spans_of
+from rlw.amalgam import _ExplicitClass, _Merge, _by_key, _spans_of
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_luk, make_rsa, make_sugihara)
 from rlw.properties import is_semilinear
@@ -21,6 +21,16 @@ import oracles
 
 def by_labels(A, B):
     return [B.labels.index(lbl) for lbl in A.labels]
+
+
+def ladder(goedel_to=9):
+    """Generator tuples of the ap-ladder: G_2 up to G_goedel_to, S_2-S_12,
+    L_2-L_12 (MV), R_2, R_3, M_2, M_3, strictsimp and (S_2, S_3)."""
+    out = [(make_goedel(m),) for m in range(2, goedel_to + 1)]
+    out += [(make_sugihara(n),) for n in range(2, 13)]
+    out += [(make_luk(n, "mv"),) for n in range(2, 13)]
+    return out + [(make_rsa(2),), (make_rsa(3),), (make_dmm(2),), (make_dmm(3),),
+                  (make_figure("strictsimp"),), (make_sugihara(2), make_sugihara(3))]
 
 
 def knotted_span(which):
@@ -154,7 +164,8 @@ def test_essential_spans():
 def test_span_enumeration_order():
     K = [make_goedel(m) for m in (1, 2, 3)]
     listings = [list(subalgebras(B)) for B in K]
-    sizes = [(s.B.size + s.C.size, s.C.size) for *_, s in _spans_of(K, listings)]
+    spans = _spans_of(K, listings, [_by_key(listing) for listing in listings])
+    sizes = [(s.B.size + s.C.size, s.C.size) for *_, s in spans]
     assert sizes == sorted(sizes)
 
 
@@ -203,6 +214,71 @@ def test_span_verdicts_match_find_amalgam_oracle(family):
             want = _through_first_failure(
                 oracles.span_verdicts_by_find_amalgam(chains, one_sided))
             assert got == want, (chains[-1].name, one_sided)
+
+
+def _relabel_members(chains):
+    # matrix-coded, with a numbering that is not the order
+    return [oracles.relabelled(c, [(x * 3 + 1) % c.size if c.size % 3 else c.size - 1 - x
+                                   for x in range(c.size)]) for c in chains]
+
+
+def test_class_hom_lists_match_homs():
+    # the hom lists read off Con x Sub, and the span embeddings read off Sub,
+    # equal the backtracking search's lists in order, on every pair of
+    # members, in the chain coding and relabelled as matrices
+    from rlw.morphisms import embeddings, homs
+    classes = {}
+    for gens in ladder() + [(A,) for A in catalog_all(7) if is_semilinear(A)]:
+        chains = fsi_chains(variety(*gens))
+        classes.setdefault(tuple(c.key() for c in chains), chains)
+    cases = [members for chains in classes.values()
+             for members in (chains, _relabel_members(chains))]
+    # not all chains: the boolean square's lists come from the search
+    cases.append([make_goedel(1).reduct(), make_goedel(2).reduct(), oracles.boolean_square()])
+    pairs = 0
+    for members in cases:
+        K = _ExplicitClass(members)
+        for i, C in enumerate(K.K):
+            for j, D in enumerate(K.K):
+                for injective in (True, False):
+                    got = [m.mapping for m in K._maps(i, j, injective)]
+                    want = [m.mapping for m in homs(C, D, injective=injective)]
+                    assert got == want, (C.name, D.name, injective)
+                pairs += 1
+        spans = {}
+        for bi, leg, ci, s in _spans_of(K.K, K.listings, K.by_key):
+            spans.setdefault((bi, leg, ci), []).append(s.phi2.mapping)
+        for bi, listing in enumerate(K.listings):
+            for leg, (_, A, _) in enumerate(listing):
+                for ci, C in enumerate(K.K):
+                    want = [m.mapping for m in embeddings(A, C)]
+                    assert spans.get((bi, leg, ci), []) == want, (A.name, C.name)
+    assert (len(classes), pairs) == (72, 2 * 2189 + 9)   # 983 pairs of the 36 ladder classes
+
+
+def test_decide_ap_searches_no_homs(monkeypatch):
+    # on the ap-ladder every hom list is read off Con x Sub, and each distinct
+    # certificate map is checked by is_hom at most once per decide_ap call
+    import rlw.amalgam
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("hom search")
+
+    checked = []
+
+    def recording(B, D, mapping, original=rlw.amalgam.is_hom):
+        checked.append((id(B), id(D), tuple(mapping)))
+        return original(B, D, mapping)
+
+    monkeypatch.setattr("rlw.amalgam.homs", no_search)
+    monkeypatch.setattr("rlw.amalgam.is_hom", recording)
+    total = 0
+    for gens in ladder():
+        checked.clear()
+        decide_ap(variety(*gens), cross_check=True)
+        assert len(checked) == len(set(checked)), gens[0].name
+        total += len(checked)
+    assert total > 0
 
 
 def test_verify_amalgam_raises_under_optimize():
@@ -313,7 +389,9 @@ def test_decide_ap_presentation_independent():
 
 # decide_ap(V(A)): verdict, reason, chain names and span witness.  G_2-G_8 and
 # S_2-S_10 as first computed, before hom search used the chain order; G_9-G_11
-# and S_11-S_12 as computed by one find_amalgam search per span
+# and S_11-S_12 as computed by one find_amalgam search per span; L_2-L_12,
+# R_2, R_3, M_2, M_3, strictsimp and V(S_2, S_3) as computed by backtracking
+# hom search, before hom lists were read off Con x Sub
 DECIDE_AP_GOLDEN = {
     "G_2": ("AP", None, ["G_2/~1", "G_2"], None),
     "G_3": ("AP", None, ["G_3|02/~1", "G_3|02", "G_3"], None),
@@ -386,17 +464,38 @@ DECIDE_AP_GOLDEN = {
               "S_12/~11", "S_12"],
              "<Span S_12/~11|0,5,10 -> S_12/~11 [0, 5, 10], "
              "S_12/~11|0,5,10 -> S_12|01561011/~5 [1, 2, 3]>"),
+    "L_2": ("AP", None, ["L_2|02/~1", "L_2|02", "L_2"], None),
+    "L_3": ("AP", None, ["L_3|03/~1", "L_3|03", "L_3"], None),
+    "L_4": ("AP", None, ["L_4|04/~1", "L_4|04", "L_4|024", "L_4"], None),
+    "L_5": ("AP", None, ["L_5|05/~1", "L_5|05", "L_5"], None),
+    "L_6": ("AP", None, ["L_6|06/~1", "L_6|06", "L_6|036", "L_6|0246", "L_6"], None),
+    "L_7": ("AP", None, ["L_7|07/~1", "L_7|07", "L_7"], None),
+    "L_8": ("AP", None, ["L_8|08/~1", "L_8|08", "L_8|048", "L_8|02468", "L_8"], None),
+    "L_9": ("AP", None, ["L_9|09/~1", "L_9|09", "L_9|0369", "L_9"], None),
+    "L_10": ("AP", None, ["L_10|010/~1", "L_10|010", "L_10|0510", "L_10|0246810",
+                          "L_10"], None),
+    "L_11": ("AP", None, ["L_11|011/~1", "L_11|011", "L_11"], None),
+    "L_12": ("AP", None, ["L_12|012/~1", "L_12|012", "L_12|0612", "L_12|04812",
+                          "L_12|036912", "L_12|024681012", "L_12"], None),
+    "R_2": ("AP", None, ["R_2|1", "R_2"], None),
+    "R_3": ("NotAP", "span_failure", ["R_3|2", "R_3|02", "R_3"],
+            "<Span R_3|0,2 -> R_3 [0, 2], R_3|0,2 -> R_3 [1, 2]>"),
+    "M_2": ("AP", None, ["M_2|0134/~1", "M_2|0134", "M_2"], None),
+    "M_3": ("AP", None, ["M_3|0145/~1", "M_3|0145", "M_3"], None),
+    "strictsimp": ("AP", None, ["strictsimp|2", "strictsimp"], None),
+    "S_2,S_3": ("AP", None, ["S_2/~1", "S_2", "S_3"], None),
 }
 
 
 def test_decide_ap_golden():
-    gens = [make_goedel(m) for m in range(2, 12)]
-    gens += [make_sugihara(n) for n in range(2, 13)]
-    for g in gens:
-        r = decide_ap(variety(g))
+    presentations = ladder(goedel_to=11)
+    assert len(presentations) == len(DECIDE_AP_GOLDEN)
+    for gens in presentations:
+        name = ",".join(g.name for g in gens)
+        r = decide_ap(variety(*gens))
         got = (r.verdict, r.reason, [c.name for c in r.chains],
                repr(r.span_witness) if r.span_witness else None)
-        assert got == DECIDE_AP_GOLDEN[g.name], g.name
+        assert got == DECIDE_AP_GOLDEN[name], name
         assert r.cep_witness is None
 
 
@@ -405,6 +504,18 @@ def test_decide_ap_cross_check():
         res = decide_ap(variety(gen), cross_check=True)
         assert res.cross_check is not None
         assert res.cross_check["eap"] == res.has_ap
+
+
+def test_mixed_signatures_rejected():
+    # a class whose members designate different constants has no spans
+    # between them: the class checks and decide_ap refuse it outright
+    G2 = make_goedel(2)
+    with pytest.raises(SignatureMismatch):
+        decide_ap(variety(G2, G2.reduct()))
+    with pytest.raises(SignatureMismatch):
+        class_has_1ap([make_goedel(1), G2, make_goedel(1).reduct(), G2.reduct()])
+    with pytest.raises(SignatureMismatch):
+        class_has_eap([make_goedel(1), G2, make_goedel(1).reduct(), G2.reduct()])
 
 
 def test_decide_ap_cep_failure_path():
@@ -416,7 +527,9 @@ def test_decide_ap_cep_failure_path():
 
 def test_decide_ap_lists_each_chain_once(monkeypatch):
     # the CEP step and the 1AP/EAP checks share one subalgebra listing per FSI
-    # chain; the only other listing is fsi_chains' listing of the generator
+    # chain, and a chain with a generator's name and key reuses fsi_chains'
+    # listing of that generator: each chain is listed once and nothing else is,
+    # but for a generator that is no chain of the class (a matrix-coded one)
     import rlw.structure
     listed = []
 
@@ -424,17 +537,28 @@ def test_decide_ap_lists_each_chain_once(monkeypatch):
         listed.append(A)
         return original(A)
 
+    def names_and_keys(algebras):
+        return sorted((A.name, A.key()) for A in algebras)
+
     X = make_figure("cepfail")
     sub, theta = rlw.structure.has_cep(X).witness
+    G5m = oracles.relabelled(make_goedel(5), [3, 0, 4, 1, 2])
     with monkeypatch.context() as m:
         m.setattr("rlw.structure.subalgebras", counting)
         m.setattr("rlw.amalgam.subalgebras", counting)
-        for g, cross in ((make_goedel(7), True), (X, False)):
+        for g, cross, extra in ((make_goedel(7), True, ()), (X, False, ()),
+                                (G5m, True, (G5m,))):
             listed.clear()
             res = decide_ap(variety(g), cross_check=cross)
-            assert sorted(map(id, listed)) == sorted(map(id, (g,) + res.chains)), g.name
-        assert res.reason == "cep_failure"
-        assert (res.cep_witness[1:], res.cep_witness[0].key()) == ((sub, theta.blocks), X.key())
+            assert g.name in [c.name for c in res.chains]
+            assert len(listed) == len(res.chains) + len(extra), g.name
+            assert names_and_keys(listed) == names_and_keys(res.chains + extra), g.name
+            if g is X:
+                assert res.reason == "cep_failure"
+                assert (res.cep_witness[1:], res.cep_witness[0].key()) == \
+                    ((sub, theta.blocks), X.key())
+            if g is G5m:
+                assert res.reason == "span_failure"
         listed.clear()
         M2 = make_dmm(2)
         assert simple_chain_ap(M2).has_ap

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -65,6 +66,56 @@ def test_manifest_determinism(capsys):
         manifests.append(json.dumps(doc, sort_keys=True))
     assert codes == [0, 0]
     assert manifests[0] == manifests[1]
+
+
+# `decide-ap SPEC --cross-check --json`: exit code and manifest bytes with the
+# wall time masked, as written by the backtracking hom search, before hom lists
+# were read off Con x Sub
+DECIDE_AP_MANIFESTS = {
+    "catalog:goedel:5": (1, (
+        '{"certificates": {"chains": ["G_5|04/~1", "G_5|04", "G_5|014", "G_5|0124", "G_5"], '
+        '"cross_check": {"eap": false, "eap_witness": "<Span G_5|0,1,4 -> G_5 [0, 1, 4], '
+        'G_5|0,1,4 -> G_5|0124 [0, 2, 3]>"}, "span_witness": {"A": 3, "B": "G_5", '
+        '"C": "G_5|0124", "phi1": [0, 1, 4], "phi2": [0, 2, 3]}}, '
+        '"command": ["decide-ap", "catalog:goedel:5", "--cross-check", "--json"], '
+        '"format": "rlw-manifest/1", "inputs": [{"path": "catalog:goedel:5", '
+        '"sha256": "5a230de56cd16c79667b0e522e63022a4446688ef883d13485770e54b17ab5d2"}], '
+        '"parameters": {"cross_check": true}, "verdict": "NotAP", "wall_time_s": null}\n')),
+    "catalog:sugihara:6": (1, (
+        '{"certificates": {"chains": ["S_6|23/~1", "S_6|23", "S_6|0235/~3", "S_6|0235", '
+        '"S_6/~5", "S_6"], "cross_check": {"eap": false, "eap_witness": '
+        '"<Span S_6/~5|0,2,4 -> S_6/~5 [0, 2, 4], S_6/~5|0,2,4 -> S_6/~5 [1, 2, 3]>"}, '
+        '"span_witness": {"A": 3, "B": "S_6/~5", "C": "S_6/~5", "phi1": [0, 2, 4], '
+        '"phi2": [1, 2, 3]}}, '
+        '"command": ["decide-ap", "catalog:sugihara:6", "--cross-check", "--json"], '
+        '"format": "rlw-manifest/1", "inputs": [{"path": "catalog:sugihara:6", '
+        '"sha256": "26e309cb78bf017caea2d6c90dfc03882e6c9228bd1475344e4325df9131a6d7"}], '
+        '"parameters": {"cross_check": true}, "verdict": "NotAP", "wall_time_s": null}\n')),
+    "catalog:luk:6:mv": (0, (
+        '{"certificates": {"chains": ["L_6|06/~1", "L_6|06", "L_6|036", "L_6|0246", "L_6"], '
+        '"cross_check": {"eap": true, "eap_witness": null}}, '
+        '"command": ["decide-ap", "catalog:luk:6:mv", "--cross-check", "--json"], '
+        '"format": "rlw-manifest/1", "inputs": [{"path": "catalog:luk:6:mv", '
+        '"sha256": "6c3c2467de125c4af35ce59fa82249cd4215dff8932a723848eff49e25213422"}], '
+        '"parameters": {"cross_check": true}, "verdict": "AP", "wall_time_s": null}\n')),
+    "catalog:rsa:3": (1, (
+        '{"certificates": {"chains": ["R_3|2", "R_3|02", "R_3"], "cross_check": '
+        '{"eap": false, "eap_witness": "<Span R_3|0,2 -> R_3 [0, 2], '
+        'R_3|0,2 -> R_3 [1, 2]>"}, "span_witness": {"A": 2, "B": "R_3", "C": "R_3", '
+        '"phi1": [0, 2], "phi2": [1, 2]}}, '
+        '"command": ["decide-ap", "catalog:rsa:3", "--cross-check", "--json"], '
+        '"format": "rlw-manifest/1", "inputs": [{"path": "catalog:rsa:3", '
+        '"sha256": "92ac3cfa5d3c708767d829f587065ab39ac29759ee577c6ac67190dd4124fcba"}], '
+        '"parameters": {"cross_check": true}, "verdict": "NotAP", "wall_time_s": null}\n')),
+}
+
+
+def test_decide_ap_manifests_pinned(capsys):
+    # manifests are byte-identical apart from wall_time_s, which is the last key
+    for spec, want in DECIDE_AP_MANIFESTS.items():
+        code, out = run(capsys, "decide-ap", spec, "--cross-check", "--json")
+        masked = re.sub(r'"wall_time_s": [^}]*}', '"wall_time_s": null}', out)
+        assert (code, masked) == want, spec
 
 
 def test_catalog_addressing_matches_file(tmp_path, capsys):
@@ -273,6 +324,10 @@ def _bad_files(tmp_path):
     ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded"],
     ["enumerate", "--size", "3", "--prop", "no-such-flag"],
     ["class-check", "--eap", "catalog:goedel:3"],
+    # generators or members that designate different constants
+    ["decide-ap", "catalog:luk:2:mv", "catalog:luk:2:hoop"],
+    ["class-check", "--1ap", "catalog:goedel:2", "catalog:goedel:1",
+     "catalog:luk:1:hoop", "catalog:rsa:1"],
     ["refute", "--span", "{tmp}/span-not-hom.json"],        # unit not preserved
     ["refute", "--span", "{tmp}/span-not-injective.json"],
     ["complete", "{tmp}/partial-chain3.json", "--limit", "0"],

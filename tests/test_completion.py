@@ -32,6 +32,27 @@ def test_enumerate_matches_from_scratch_validation():
             assert got == want
 
 
+def test_no_leaf_fails_associativity(monkeypatch):
+    # each placed cell is checked against every associativity triple it
+    # completes, those that read it twice included, so no completed table
+    # reaches finite_algebra only to fail NotAMonoid
+    import rlw.completion
+    from rlw.algebra import NotAMonoid
+    failures = []
+
+    def counting(*args, original=rlw.completion.finite_algebra):
+        try:
+            return original(*args)
+        except NotAMonoid as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr("rlw.completion.finite_algebra", counting)
+    for n in range(1, 7):
+        members = list(enumerate_chains(n))
+        assert (len(members), failures) == ((1, 1, 3, 15, 84, 575)[n - 1], []), n
+
+
 def test_every_yield_validates():
     # enumerate_chains output passes the independent law checker
     for n in (4, 5):
