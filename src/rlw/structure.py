@@ -11,11 +11,16 @@ brute-force oracle they are cross-checked against lives in the tests
 
 The CEP is tested through the same correspondence: theta in Con(S) extends
 to A exactly when its e-class is M & S for some CNS M of A.
+
+Con(A) and Sub(A) depend on A's tables alone, so `congruences` and
+`subuniverses` are computed once per table (`key()`) per process: copies
+that differ in name or labels only share one entry, and each `congruences`
+call returns its lattice on the caller's own algebra, labels included.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 from .algebra import OPS, FiniteAlgebra, NotASubuniverse, derived, induced_order
 
@@ -61,43 +66,41 @@ class Congruence:
         return "Con" + "|".join("".join(self.algebra.label(x) for x in b) for b in self.blocks)
 
 
-class _UF:
-    def __init__(self, n):
-        self.p = list(range(n))
-
-    def find(self, x):
-        p = self.p
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.p[rb] = ra
-        return True
+def _translations(A):
+    """The distinct translation tables of A: for each operation table its rows
+    (x -> t[x][c]) and its columns (x -> t[c][x]), so that row x of each gives
+    the images of x under one family of unary translations.  A commutative
+    table's columns are its rows, and are listed once."""
+    tables = []
+    for op in OPS:
+        t = getattr(A, op)
+        for u in (t, tuple(zip(*t))):
+            if u not in tables:
+                tables.append(u)
+    return tables
 
 
 def _close_pairs(A, pairs):
-    """Least congruence containing the given pairs (translation closure)."""
+    """Least congruence containing the given pairs (translation closure).
+
+    `rep[x]` is the least element of x's class.  Each merge of two classes
+    translates the pair of their representatives once by every translation
+    table; those pairs generate the same equivalence as the merged ones."""
     n = A.size
-    uf = _UF(n)
-    tables = [getattr(A, op) for op in OPS]
-    work = [p for p in pairs if uf.union(*p)]
+    rep = list(range(n))
+    tables = _translations(A)
+    work = list(pairs)
     while work:
         x, y = work.pop()
+        x, y = rep[x], rep[y]
+        if x == y:
+            continue
+        if y < x:
+            x, y = y, x
+        rep = [x if r == y else r for r in rep]
         for t in tables:
-            tx, ty = t[x], t[y]
-            for c in range(n):
-                if uf.union(tx[c], ty[c]):
-                    work.append((tx[c], ty[c]))
-                if uf.union(t[c][x], t[c][y]):
-                    work.append((t[c][x], t[c][y]))
-    return Congruence(_canon_blocks(uf.find, n), A)
+            work.extend(zip(t[x], t[y]))
+    return Congruence(_canon_blocks(rep.__getitem__, n), A)
 
 
 def principal_congruence(A, a, b):
@@ -107,13 +110,14 @@ def principal_congruence(A, a, b):
 
 def congruence_leq(c1, c2):
     """Refinement order: every c1 block inside some c2 block."""
-    return all(len({c2.block_of(x) for x in block}) == 1 for block in c1.blocks)
+    block_of = c2.block_of
+    return all(block_of(x) == block_of(b[0]) for b in c1.blocks for x in b[1:])
 
 
 @dataclass(frozen=True)
 class ConLattice:
     algebra: FiniteAlgebra
-    congruences: tuple  # sorted: identity first, full last
+    congruences: tuple  # sorted by _con_key: identity first, full last
 
     def __len__(self):
         return len(self.congruences)
@@ -134,9 +138,13 @@ class ConLattice:
 
     @cached_property
     def _atoms(self):
-        nontrivial = [c for c in self.congruences if not c.is_identity]
-        return [c for c in nontrivial
-                if not any(congruence_leq(d, c) and d != c for d in nontrivial)]
+        # a congruence strictly below c has more blocks, so it comes before c;
+        # c is an atom iff no atom found before it is below it
+        found = []
+        for c in self.congruences:
+            if not c.is_identity and not any(congruence_leq(a, c) for a in found):
+                found.append(c)
+        return found
 
     def monolith(self):
         """Least nontrivial congruence, or None (A is SI iff it exists)."""
@@ -150,11 +158,45 @@ def _con_key(c):
     return (c.algebra.size - c.nblocks, c.blocks)
 
 
-@lru_cache(maxsize=512)
+@dataclass(frozen=True)
+class _Tables:
+    """An algebra compared and hashed by its tables (`key()`) alone: the key
+    of the two structure caches, so that copies that differ in name or labels
+    only share an entry, held by the first of them seen."""
+    key: tuple
+    algebra: FiniteAlgebra = field(compare=False)
+
+
+def _per_table(fn):
+    """fn(A), computed once per table (`key()`) per process: an lru_cache
+    keyed by `_Tables`, whose cache_info() and cache_clear() the wrapper
+    exposes.  fn's result must not depend on A's name or labels."""
+    cached = lru_cache(maxsize=512)(lambda tables: fn(tables.algebra))
+
+    @wraps(fn)
+    def by_table(A):
+        return cached(_Tables(A.key(), A))
+    by_table.cache_info, by_table.cache_clear = cached.cache_info, cached.cache_clear
+    return by_table
+
+
+@_per_table
+def _congruence_blocks(A):
+    """The blocks of each Theta(m, e), m <= e, in `congruences` order."""
+    found = {}
+    for m in A.elements:
+        if A.leq[m][A.unit]:
+            c = principal_congruence(A, m, A.unit)
+            found.setdefault(c.blocks, c)
+    return tuple(c.blocks for c in sorted(found.values(), key=_con_key))
+
+
 def congruences(A):
-    """The full congruence lattice: Theta(m, e) for each m <= e, by the
-    congruence-CNS correspondence (Blount-Tsinakis 2003;
-    Galatos-Jipsen-Kowalski-Ono 2007, ch. 3).
+    """The full congruence lattice, on A itself: Theta(m, e) for each m <= e,
+    by the congruence-CNS correspondence (Blount-Tsinakis 2003;
+    Galatos-Jipsen-Kowalski-Ono 2007, ch. 3).  The blocks are computed once
+    per table (`key()`) per process; the cache_info() and cache_clear() are
+    theirs.
 
     Let theta have e-class M, and m the meet of M & down(e) (so m is in M).
     Then Theta(m, e) <= theta, and its e-class contains [m, e], which
@@ -162,12 +204,11 @@ def congruences(A):
     |x| = x /\\ (x\\e) /\\ e phi e, with |x| <= e; so both e-classes equal M,
     and theta = Theta(m, e).
     """
-    found = {}
-    for m in A.elements:
-        if A.leq[m][A.unit]:
-            c = principal_congruence(A, m, A.unit)
-            found.setdefault(c.blocks, c)
-    return ConLattice(A, tuple(sorted(found.values(), key=_con_key)))
+    return ConLattice(A, tuple(Congruence(blocks, A) for blocks in _congruence_blocks(A)))
+
+
+congruences.cache_info = _congruence_blocks.cache_info
+congruences.cache_clear = _congruence_blocks.cache_clear
 
 
 # -- convex normal subalgebras ----------------------------------------------
@@ -231,9 +272,10 @@ def subuniverse_closure(A, seed):
     return frozenset(current)
 
 
-@lru_cache(maxsize=512)
+@_per_table
 def subuniverses(A):
-    """All subuniverses, by closure of subset seeds, sorted by (size, tuple)."""
+    """All subuniverses, by closure of subset seeds, sorted by (size, tuple);
+    computed once per table (`key()`) per process."""
     base = subuniverse_closure(A, ())
     found = {base}
     frontier = [base]
@@ -348,21 +390,17 @@ def has_cep(A, listing=None):
     `congruences` order, whose e-class is not the trace of a CNS of A.
 
     `listing` is `subalgebras(A)` when the caller holds it already.  Con(S)
-    depends on S's tables alone, so it is computed once per `key()` in the
-    call: every k-element subalgebra of a Goedel chain, say, is the same
-    chain-coded G_k.  Each witness is rebuilt on its own S.  The CNS of A are
-    listed once, and their traces (`cns_traces`) once per subuniverse."""
+    depends on S's tables alone, so it is computed once per table (`key()`)
+    per process: every k-element subalgebra of a Goedel chain, say, is the
+    same chain-coded G_k.  Each witness is a congruence of its own S.  The
+    CNS of A are listed once, and their traces (`cns_traces`) once per
+    subuniverse."""
     cns = convex_normal_subalgebras(A)
-    blocks_by_key = {}
     for sub, B, back in subalgebras(A) if listing is None else listing:
         if len(sub) == A.size:
             continue
-        key = B.key()
-        if key not in blocks_by_key:
-            blocks_by_key[key] = [c.blocks for c in congruences(B)]
         traces = cns_traces(cns, sub)
-        for blocks in blocks_by_key[key]:
-            theta = Congruence(blocks, B)
+        for theta in congruences(B):
             if frozenset(back[x] for x in theta.unit_class()) not in traces:
                 return CepResult(False, (sub, theta))
     return CepResult(True)

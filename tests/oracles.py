@@ -355,10 +355,33 @@ def has_cep_per_subuniverse(A):
     return CepResult(True)
 
 
+class _UF:
+    """Union-find with the least element of each class as its root."""
+
+    def __init__(self, n):
+        self.p = list(range(n))
+
+    def find(self, x):
+        p = self.p
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.p[rb] = ra
+        return True
+
+
 def congruence_join(c1, c2):
     """Join of two congruences: the transitive closure of their union, which
     is already a congruence."""
-    from rlw.structure import Congruence, _UF, _canon_blocks
+    from rlw.structure import Congruence, _canon_blocks
     A = c1.algebra
     uf = _UF(A.size)
     for block in itertools.chain(c1.blocks, c2.blocks):

@@ -63,6 +63,18 @@ def test_con_lattice_structure():
         assert congruence_leq(con.identity, c) and congruence_leq(c, con.full)
     j = oracles.congruence_join(con.congruences[1], con.congruences[1])
     assert j.blocks == con.congruences[1].blocks
+    # the refinement order against inclusion of the related pairs, and the
+    # atoms against their definition, on lattices with more than one atom too
+    for A in (make_goedel(4), make_figure("cepfail"), make_dmm(2), _b22(),
+              oracles.square_nonsemilinear()):
+        con = congruences(A)
+        related = {c: {(x, y) for b in c.blocks for x in b for y in b} for c in con}
+        for c in con:
+            for d in con:
+                assert congruence_leq(d, c) == (related[d] <= related[c])
+        nontrivial = [c for c in con if not c.is_identity]
+        assert con.atoms() == [c for c in nontrivial
+                               if not any(related[d] < related[c] for d in nontrivial)]
 
 
 def test_congruences_match_covers_and_joins_oracle():
@@ -82,6 +94,81 @@ def test_congruences_match_covers_and_joins_oracle():
         slow = oracles.congruences_by_covers_and_joins(A)
         assert [c.blocks for c in fast] == [c.blocks for c in slow], A.name
         assert [c.blocks for c in fast.atoms()] == [c.blocks for c in slow.atoms()], A.name
+
+
+def test_principal_congruence_matches_partition_oracle():
+    # the closure against every partition: Theta(a, b) is the least
+    # congruence containing (a, b), for every pair.  The four figure chains
+    # and the enumerated ones are not commutative, so the column translations
+    # are exercised too: on the figures alone, a closure without them passes.
+    # The partition oracle limits the sizes to 6.
+    def commutative(A):
+        return all(A.mult[x][y] == A.mult[y][x] for x in A.elements for y in A.elements)
+    figures = [make_figure(nm) for nm in ("cepfail", "strictsimp", "idem-B", "idem-C")]
+    assert not any(commutative(A) for A in figures)
+    chains = [A for n in range(2, 6) for A in enumerate_chains(n) if not commutative(A)]
+    rng = random.Random(3)
+    pool = []
+    for A in [A for A in catalog_all(max_size=5) if A.size <= 6] + figures + chains + [_b22()]:
+        perm = list(A.elements)
+        rng.shuffle(perm)
+        pool += [A, oracles.relabelled(A, perm)]
+    for A in pool:
+        con = oracles.congruences_bruteforce(A)
+        for a in A.elements:
+            for b in A.elements:
+                holding = [c for c in con if c.block_of(a) == c.block_of(b)]
+                least = holding[0]
+                assert all(congruence_leq(least, c) for c in holding)
+                assert principal_congruence(A, a, b).blocks == least.blocks, (A.name, a, b)
+
+
+def test_congruences_on_the_callers_algebra():
+    # Con is cached by table, so a copy that differs in labels or name only
+    # gets its lattice on itself, with its own labels
+    A = make_goedel(3)
+    assert [repr(c) for c in congruences(A)] == ["Con-2|-1|0", "Con-2|-10", "Con-2-10"]
+    B = dataclasses.replace(A, labels=("x", "y", "z"))
+    C = dataclasses.replace(A, name="G3 copy")
+    for X, reprs in ((B, ["Conx|y|z", "Conx|yz", "Conxyz"]),
+                     (C, ["Con-2|-1|0", "Con-2|-10", "Con-2-10"])):
+        con = congruences(X)
+        assert con.algebra is X and all(c.algebra is X for c in con)
+        assert [repr(c) for c in con] == reprs
+    # the CEP witness is a congruence of the caller's subalgebra, too
+    X = make_figure("cepfail")
+    Y = dataclasses.replace(X, labels=tuple(s.upper() for s in X.labels))
+    assert repr(has_cep(X).witness[1]) == "Conb|ae"
+    assert repr(has_cep(Y).witness[1]) == "ConB|AE"
+
+
+def test_structure_caches_keyed_by_table():
+    # a renamed copy and a subalgebra with the same tables add no miss and
+    # get the same blocks and subuniverses; a relabelled coding has its own
+    # key and its own entry
+    congruences.cache_clear()
+    subuniverses.cache_clear()
+    G4, G6 = make_goedel(4), make_goedel(6)
+    blocks = [c.blocks for c in congruences(G4)]
+    subs = subuniverses(G4)
+    S = next(B for sub, B, _ in subalgebras(G6) if len(sub) == 4)
+    assert S.key() == G4.key() and S.name != G4.name
+    for X in (dataclasses.replace(G4, name="renamed"), S):
+        misses = congruences.cache_info().misses, subuniverses.cache_info().misses
+        assert [c.blocks for c in congruences(X)] == blocks
+        assert subuniverses(X) == subs
+        assert (congruences.cache_info().misses, subuniverses.cache_info().misses) == misses
+    perm = [2, 0, 3, 1]
+    R = oracles.relabelled(G4, perm)
+    assert R.key() != G4.key()
+    misses = congruences.cache_info().misses, subuniverses.cache_info().misses
+    con = congruences(R)
+    inverse = {perm[x]: x for x in G4.elements}
+    assert {tuple(sorted(inverse[y] for y in s)) for s in subuniverses(R)} == set(subs)
+    assert (congruences.cache_info().misses, subuniverses.cache_info().misses) \
+        == (misses[0] + 1, misses[1] + 1)
+    assert ([c.blocks for c in con]
+            == [c.blocks for c in oracles.congruences_by_covers_and_joins(R)])
 
 
 def test_cns_bijection():
