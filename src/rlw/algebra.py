@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 FILE_FORMAT = "rlw-algebra/1"
 SPAN_FORMAT = "rlw-span/1"
@@ -182,8 +182,9 @@ class FiniteAlgebra:
 
         Only the constants are checked; nothing is derived again.
         """
-        return replace(self, name=str(name),
-                       constants=_constant_tuple(self.size, self.leq, constants))
+        return FiniteAlgebra(str(name), self.size, self.unit, self.mult, self.chain,
+                             self.leq, _constant_tuple(self.size, self.leq, constants),
+                             self.meet, self.join, self.lres, self.rres, self.labels)
 
     def reduct(self, keep=()):
         """Drop designated constants not listed in `keep` (the unit stays)."""
@@ -335,6 +336,39 @@ def _residual_tables(n, le, mult):
     return lres, rres
 
 
+def _chain_residual_tables(n, mult):
+    """x\\z and z/x of a table on the chain 0 < ... < n-1, or None when it is
+    not residuated.  On a finite chain `mult` is residuated exactly when every
+    row and column is monotone with 0 absorbing; then x\\z is the last y with
+    x*y <= z, read off row x by one two-pointer pass, and z/x likewise off
+    column x."""
+    cols = tuple(zip(*mult))
+    for line in mult + cols:
+        if line[0] != 0 or list(line) != sorted(line):
+            return None
+
+    def tops(line):   # [max {y : line[y] <= z} for z], in one pass over line
+        out, y = [], 0
+        for z in range(n):
+            while y + 1 < n and line[y + 1] <= z:
+                y += 1
+            out.append(y)
+        return tuple(out)
+    return tuple(map(tops, mult)), tuple(zip(*map(tops, cols)))
+
+
+def _signature(names):
+    """The constant names of a chain-class signature as a tuple; ParseError
+    for a name outside CONSTANT_NAMES or a repeated one."""
+    sig = tuple(names)
+    for i, k in enumerate(sig):
+        if k not in CONSTANT_NAMES:
+            raise ParseError(f"unknown constant name {k!r}")
+        if k in sig[:i]:
+            raise ParseError(f"constant name {k!r} repeated")
+    return sig
+
+
 def _constant_tuple(n, le, constants):
     """Check designated constants against the order; return them as
     ((name, index), ...) in f, bot, top order."""
@@ -362,9 +396,12 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
     residuals and the constants are all checked.  Meet and join come from
     `lattice_order`; x\\z and z/x are the tops of {y : x*y <= z} and
     {w : w*x <= z}, and a table where any of these sets is not a principal
-    down-set is not residuated.  Algebras derived from one already valid go
-    through `derived` instead.  `leq` is either the string "chain" or an
-    n x n 0/1 (or bool) matrix.
+    down-set is not residuated.  On the "chain" tag a table whose rows and
+    columns are monotone with 0 absorbing is residuated, and its residuals
+    are read off those rows and columns in one pass; any other table takes
+    the general path, which names the failing residual.  Algebras derived
+    from one already valid go through `derived` instead.  `leq` is either the
+    string "chain" or an n x n 0/1 (or bool) matrix.
     Raises ParseError / NotALattice / NotAMonoid / NotResiduated / BadConstant.
     """
     if not isinstance(size, int) or size < 1:
@@ -390,7 +427,8 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
                 if mt[mt[x][y]][z] != mt[x][mt[y][z]]:
                     raise NotAMonoid(f"associativity fails at ({x},{y},{z})")
 
-    lres, rres = _residual_tables(n, le, mt)
+    tables = _chain_residual_tables(n, mt) if leq == "chain" else None
+    lres, rres = tables or _residual_tables(n, le, mt)
 
     const_tuple = _constant_tuple(n, le, constants)
     if labels is not None:

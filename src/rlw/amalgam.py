@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
-                      NotSubalgebraClosed, SignatureMismatch)
+                      NotSubalgebraClosed, SignatureMismatch, _signature)
 from .completion import enumerate_chains
 from .morphisms import (Morphism, are_isomorphic, compose, homs, is_essential,
                         is_hom, morphism)
@@ -62,7 +62,8 @@ def span(A, B, C, phi1, phi2):
 @dataclass(frozen=True)
 class ClassSpec:
     """Either an explicit finite list of algebras or all chains of size <= bound
-    over a constant signature satisfying a property filter."""
+    over a constant signature satisfying a property filter.  `bounded` raises
+    ParseError for an unknown or repeated constant name."""
     algebras: tuple | None = None
     bound: int | None = None
     signature: tuple = ()
@@ -74,7 +75,7 @@ class ClassSpec:
 
     @classmethod
     def bounded(cls, bound, signature=(), require=None):
-        return cls(bound=bound, signature=tuple(signature),
+        return cls(bound=bound, signature=_signature(signature),
                    require=tuple(sorted((require or {}).items())))
 
     def members(self):

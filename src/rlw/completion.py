@@ -6,7 +6,11 @@ left and upper neighbours of a cell are always decided first:
 
   * unit row/column and the absorbing row/column of the least element are
     pre-filled (residuals cannot exist otherwise);
-  * candidate values are narrowed by monotonicity against decided neighbours;
+  * on a chain, a cell is tried only with the values of its monotone window:
+    no less than any decided cell before it in its row or column, and no
+    greater than any after it.  These are exactly the values the
+    monotonicity check accepts there, so that check runs only on a tied
+    mirror cell, and on other orders, where every value is tried;
   * associativity is enforced incrementally: setting m[i][j] checks every
     triple whose four lookups just became available, those that read m[i][j]
     twice included, since the cell is placed before it is checked (a product
@@ -22,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .algebra import (AlgebraError, BadParameter, ParseError, _constant_tuple,
+from .algebra import (AlgebraError, BadParameter, ParseError, _constant_tuple, _signature,
                       finite_algebra, lattice_order, least_element, read_document)
 from . import properties, terms
 
@@ -50,6 +54,9 @@ class PartialAlgebra:
 
 @dataclass(frozen=True)
 class CompletionResult:
+    """`nodes` counts the values the search considered, n per visited cell (or
+    up to the value at which `limit` stopped it), whether or not they were
+    tried; so it does not depend on how candidates are narrowed."""
     algebras: tuple
     nodes: int
     seconds: float
@@ -108,6 +115,7 @@ class _Search:
         self.P = P
         self.n = P.size
         self.leq = lattice_order(P.size, P.leq)[0]
+        self.chain = P.leq == "chain"
         self.limit = limit
         self.nodes = 0
         self.out = []
@@ -176,20 +184,21 @@ class _Search:
                     return False
         return True
 
-    def _cell_ok(self, i, j, v):
+    def _cell_ok(self, i, j, v, mono=True):
         if i == j:
             if i in self.P.non_idempotent and v == i:
                 return False
             if i in self.P.idempotent and v != i:
                 return False
-        return self._mono_ok(i, j, v) and self._assoc_ok(i, j, v)
+        return (not mono or self._mono_ok(i, j, v)) and self._assoc_ok(i, j, v)
 
-    def _set(self, i, j, v, trail=None):
-        """Place v at (i,j) plus the tied mirror; False on conflict."""
+    def _set(self, i, j, v, trail=None, in_window=False):
+        """Place v at (i,j) plus the tied mirror; False on conflict.  With
+        `in_window`, v is known monotone at (i,j)."""
         queue = [(i, j, v)]
         if self.tied or i in self.central or j in self.central:
             queue.append((j, i, v))
-        for (a, b, w) in queue:
+        for q, (a, b, w) in enumerate(queue):
             cur = self.m[a][b]
             if cur is not None:
                 if cur != w:
@@ -201,7 +210,7 @@ class _Search:
             self.pairs_for[w].append((a, b))
             if trail is not None:
                 trail.append((a, b))
-            if not self._cell_ok(a, b, w):
+            if not self._cell_ok(a, b, w, mono=q > 0 or not in_window):
                 return False
         return True
 
@@ -250,14 +259,27 @@ class _Search:
             self._finish()
             return
         i, j = self.cells[idx]
-        for v in range(self.n):
-            self.nodes += 1
+        for v in self._window(i, j):
             trail = []
-            if self._set(i, j, v, trail):
+            if self._set(i, j, v, trail, in_window=self.chain):
                 self._dfs(idx + 1)
             self._unset(trail)
             if self.limit is not None and len(self.out) >= self.limit:
+                self.nodes += v + 1
                 return
+        self.nodes += self.n
+
+    def _window(self, i, j):
+        """The values to try at the undecided cell (i,j): on a chain those
+        between the decided cells before it and after it in its row and
+        column, else all."""
+        n = self.n
+        if not self.chain:
+            return range(n)
+        row, col = self.m[i], [r[j] for r in self.m]
+        lo = max([w for w in row[:j] + col[:i] if w is not None], default=0)
+        hi = min([w for w in row[j + 1:] + col[i + 1:] if w is not None], default=n - 1)
+        return range(lo, hi + 1)
 
 
 def complete_partial(P, limit=None):
@@ -277,12 +299,13 @@ def enumerate_chains(n, require=None, constants=()):
 
     Yields in deterministic order: unit position ascending, multiplication
     tables in row-major lexicographic order, then f placement.  bot/top, when in the signature, are
-    pinned to the endpoints.
+    pinned to the endpoints.  An unknown or repeated constant name raises
+    ParseError.
     """
     require = dict(require or {})
     if n < 1:
         raise ParseError("size must be >= 1")
-    sig = tuple(constants)
+    sig = _signature(constants)
     pre, post = {}, {}
     for key, want in require.items():
         if key in ("idempotent", "commutative", "integral") and want:

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from rlw import (BadConstant, MissingConstant, NotAMonoid, NotALattice,
-                 NotResiduated, ParseError, finite_algebra, load_algebra)
+                 NotResiduated, ParseError, enumerate_chains, finite_algebra, load_algebra)
 from rlw.algebra import (_chain_lattice_tables, _residual_tables, chain_leq,
                          lattice_order)
 from rlw.catalog import catalog_all, make_goedel, make_sugihara
@@ -217,3 +218,36 @@ def test_with_constants_checks_only_constants():
         G.with_constants("bad", {"bot": 1})
     with pytest.raises(ParseError):
         G.with_constants("bad", {"f": 3})
+    # every other field is carried over unchanged
+    same = [f.name for f in dataclasses.fields(G) if f.name not in ("name", "constants")]
+    assert [getattr(A, k) for k in same] == [getattr(G, k) for k in same]
+
+
+def test_chain_residuals_match_general_path():
+    # the chain tag reads x\z and z/x off monotone rows and columns; the
+    # general principal-set path is the oracle
+    for n in range(1, 6):
+        for A in enumerate_chains(n):
+            mult = [list(row) for row in A.mult]
+            B = finite_algebra(A.name, n, "chain", A.unit, mult)
+            assert (B.lres, B.rres) == _residual_tables(n, chain_leq(n), B.mult)
+
+
+@pytest.mark.parametrize("unit, mult, message", [
+    # x*0 != 0: max on 0 < 1, though its rows and columns are monotone
+    (0, [[0, 1], [1, 1]],
+     "1\\0 does not exist: {y : 1*y <= 0} is not a principal down-set"),
+    # a non-monotone row: x*y = y on {1, 2}
+    (3, [[0, 0, 0, 0], [0, 1, 2, 1], [0, 1, 2, 2], [0, 1, 2, 3]],
+     "1\\1 does not exist: {y : 1*y <= 1} is not a principal down-set"),
+    # a non-monotone column, all rows monotone: x*y = x on {1, 2}
+    (3, [[0, 0, 0, 0], [0, 1, 1, 1], [0, 2, 2, 2], [0, 1, 2, 3]],
+     "1/1 does not exist: {w : w*1 <= 1} is not a principal down-set"),
+])
+def test_non_residuated_chain_tables(unit, mult, message):
+    # the same message on the chain tag as through the general path
+    n = len(mult)
+    for leq in ("chain", [[int(b) for b in row] for row in chain_leq(n)]):
+        with pytest.raises(NotResiduated) as exc:
+            finite_algebra("t", n, leq, unit, mult)
+        assert str(exc.value) == message

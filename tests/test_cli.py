@@ -323,6 +323,11 @@ def _bad_files(tmp_path):
     ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded", "x"],
     ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded"],
     ["enumerate", "--size", "3", "--prop", "no-such-flag"],
+    # unknown or repeated constant names in the signature
+    ["enumerate", "--size", "3", "--sig", "foo"],
+    ["enumerate", "--size", "3", "--sig", "f,f"],
+    ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded", "3", "--sig", "foo"],
+    ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded", "3", "--sig", "f,f"],
     ["class-check", "--eap", "catalog:goedel:3"],
     # generators or members that designate different constants
     ["decide-ap", "catalog:luk:2:mv", "catalog:luk:2:hoop"],

@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
-from rlw import complete_partial, enumerate_chains, load_partial
+from rlw import ClassSpec, ParseError, complete_partial, enumerate_chains, load_partial
 from rlw.catalog import figure_completions, make_goedel, make_rsa
-from rlw.completion import PartialAlgebra
+from rlw.completion import PartialAlgebra, _Search
 from rlw.morphisms import are_isomorphic
 from rlw.properties import satisfies_flags
 
@@ -186,3 +189,76 @@ def test_finish_lets_programming_errors_through(monkeypatch):
     monkeypatch.setattr(rlw.completion, "finite_algebra", broken)
     with pytest.raises(RuntimeError):
         list(enumerate_chains(3))
+
+
+def _empty_chain(n, unit=None, **constraints):
+    return PartialAlgebra(name="free", size=n, leq="chain",
+                          unit=n - 1 if unit is None else unit,
+                          mult=[[None] * n for _ in range(n)], **constraints)
+
+
+def test_search_nodes_and_leaves_pinned(monkeypatch):
+    # `nodes` is recorded by `rlw complete --json`: n per visited cell, or up
+    # to the value at which the limit stopped, however candidates are narrowed
+    import rlw.completion
+    leaves = []
+
+    def counting(*args, original=rlw.completion.finite_algebra):
+        leaves.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr("rlw.completion.finite_algebra", counting)
+    for n, nodes, n_leaves, limited in ((4, 44, 8, 6), (5, 540, 44, 11),
+                                        (6, 6876, 308, 18)):
+        leaves.clear()
+        res = complete_partial(_empty_chain(n))
+        assert (res.nodes, len(leaves), res.multiplicity) == (nodes, n_leaves, n_leaves)
+        assert complete_partial(_empty_chain(n), limit=3).nodes == limited
+    got = {name: figure_completions(name).nodes
+           for name in ("A1", "B1", "C1", "cepfail", "idem-C")}
+    assert got == {"A1": 4, "B1": 25, "C1": 15, "cepfail": 15, "idem-C": 42}
+
+
+def test_f_chains_of_size_5_pinned():
+    got = [[A.name, A.mult, A.constants] for A in enumerate_chains(5, constants=("f",))]
+    assert len(got) == 420
+    assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == \
+        "ace6bfa3799b0bc488e43a759c0987b054e1f4a3bd9afa5aafaa1a4045aeedf6"
+
+
+class _WindowCheck(_Search):
+    """Records, at each visited cell, the chain window next to the values
+    `_mono_ok` accepts there with the cell placed."""
+
+    def __init__(self, P):
+        self.visits = []
+        super().__init__(P)
+
+    def _window(self, i, j):
+        window = super()._window(i, j)
+        accepted = []
+        for v in range(self.n):
+            self.m[i][j] = v
+            if self._mono_ok(i, j, v):
+                accepted.append(v)
+        self.m[i][j] = None
+        self.visits.append((list(window), accepted))
+        return window
+
+
+def test_window_is_what_mono_ok_accepts():
+    for n in range(1, 6):
+        for constraints in ({}, {"commutative": True}, {"central": frozenset({n // 2})}):
+            for e in range(1, n) if n > 1 else (0,):
+                s = _WindowCheck(_empty_chain(n, e, **constraints))
+                assert s.visits or n < 3, (n, constraints, e)
+                for window, accepted in s.visits:
+                    assert window == accepted, (n, constraints, e)
+
+
+def test_unknown_or_repeated_constant_names_rejected():
+    for sig in (("foo",), ("f", "f"), ("bot", "top", "bot")):
+        with pytest.raises(ParseError):
+            list(enumerate_chains(3, constants=sig))
+        with pytest.raises(ParseError):
+            ClassSpec.bounded(3, signature=sig)
