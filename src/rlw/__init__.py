@@ -12,8 +12,7 @@ from .algebra import (AlgebraError, BadConstant, BadParameter, FiniteAlgebra,
                       NotALattice, NotAMonoid, NotAnEmbedding, NotASubuniverse,
                       NotResiduated, NotSemilinear, NotSimple,
                       NotSubalgebraClosed, ParseError, SignatureMismatch,
-                      finite_algebra, load_algebra, load_algebra_file,
-                      save_algebra_file)
+                      finite_algebra, load_algebra, save_algebra_file)
 from .terms import Term, check_identity, eval_term, parse_term
 from .properties import (PropertyProfile, handy_fixed_points, is_admissible,
                          is_commutative, is_idempotent, is_integral,

@@ -404,18 +404,18 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
     string "chain" or an n x n 0/1 (or bool) matrix.
     Raises ParseError / NotALattice / NotAMonoid / NotResiduated / BadConstant.
     """
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:
         raise ParseError(f"bad size {size!r}")
     n = size
     le, meet, join = lattice_order(n, leq)
     if len(mult) != n or any(len(row) != n for row in mult):
         raise ParseError("mult table has wrong shape")
-    mt = tuple(tuple(int(v) for v in row) for row in mult)
+    mt = tuple(map(tuple, mult))
     for row in mt:
         for v in row:
-            if not 0 <= v < n:
-                raise ParseError(f"mult entry {v} out of range")
-    if not isinstance(unit, int) or not 0 <= unit < n:
+            if type(v) is not int or not 0 <= v < n:
+                raise ParseError(f"mult entry {v!r} is not an index 0..{n - 1}")
+    if type(unit) is not int or not 0 <= unit < n:
         raise ParseError(f"unit {unit!r} out of range")
 
     for x in range(n):
@@ -482,11 +482,6 @@ def load_algebra(text):
         raise ParseError("missing field 'name'")
     return finite_algebra(doc["name"], doc["size"], doc["leq"], doc["unit"],
                           doc["mult"], doc.get("constants") or {})
-
-
-def load_algebra_file(path):
-    with open(path, encoding="utf-8") as fh:
-        return load_algebra(fh.read())
 
 
 def save_algebra_file(algebra, path):

@@ -23,15 +23,16 @@ sources that are not totally ordered and for `find_amalgam`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
                       NotSubalgebraClosed, SignatureMismatch, _signature)
 from .completion import enumerate_chains
-from .morphisms import (Morphism, are_isomorphic, compose, homs, is_essential,
-                        is_hom, morphism)
+from .morphisms import Morphism, compose, homs, is_essential, is_hom, morphism
 from .properties import handy_fixed_points, is_semilinear, mirror_fixed_points
-from .structure import classify, congruences, has_cep, natural_projection, subalgebras
+from .structure import (classify, congruences, has_cep, interned_subalgebras,
+                        named_subalgebra, natural_projection, quotient_maps,
+                        subalgebra_index)
 
 
 @dataclass(frozen=True)
@@ -302,40 +303,25 @@ def _dedup_by_iso(chains):
     return [seen[k] for k in sorted(seen, key=lambda k: (k[0], k[2], k[4]))]
 
 
-def _by_key(listing):
-    """{S.key(): the inclusions of the subalgebras S with that key} for a
-    `subalgebras` listing."""
-    index = {}
-    for _, S, incl in listing:
-        index.setdefault(S.key(), []).append(incl)
-    return index
-
-
-def _hom_list(C, D, index, quotients, injective):
+def _hom_list(C, D, injective):
     """Hom(C, D), or Emb(C, D) when injective, in the lexicographic order of
-    `homs`; `index` is `_by_key` of D's subalgebra listing.
-
-    A totally ordered C reads its list off Con(C) x Sub(D) (see the module
-    docstring): `quotients()` gives (key of C/theta, projection) for each
-    theta of Con(C), the identity first, and each theta, only the identity
-    when injective, contributes incl_S o q_theta for every subalgebra S of D
-    keyed as C/theta.  `homs` searches for any other C."""
+    `homs`.  For a totally ordered C these are the incl_S o q_theta (see the
+    module docstring): q_theta from `quotient_maps(C)`, only the identity
+    when injective, and incl_S from `subalgebra_index(D)` under the key of
+    C/theta.  `homs` searches for any other C."""
     if not C.is_totally_ordered:
         return homs(C, D, injective=injective)
-    thetas = quotients()[:1] if injective else quotients()
+    thetas = quotient_maps(C)[:1] if injective else quotient_maps(C)
+    index = subalgebra_index(D)
     return [Morphism(C, D, m) for m in sorted(
         tuple(incl[v] for v in q) for qkey, q in thetas for incl in index.get(qkey, ()))]
 
 
-def _spans_of(K, listings, by_key):
+def _spans_of(K):
     """All spans up to equivalence, ordered by (|B|+|C|, |C|, |B|, ...), as
-    (bi, leg, ci, span) with B = K[bi], C = K[ci] and phi1 B's leg-th first leg.
-
-    `listings[i]` is `subalgebras(K[i])` and `by_key[i]` is `_by_key` of it.
-    Each B's first legs (A, phi1), one per subuniverse, are named when B is
-    first reached and reused for every C.  A listed subalgebra that is totally
-    ordered is numbered in its order, so its identity theta is (A.key(), the
-    identity map) for `_hom_list`."""
+    (bi, leg, ci, span) with B = K[bi], C = K[ci] and phi1 the inclusion of
+    B's leg-th subalgebra, named `B|0,1,2` for {0, 1, 2}; each B's legs are
+    built when B is first reached and reused for every C."""
     idx = list(enumerate(K))
     keyed = sorted(((b.size + c.size, c.size, b.size, bi, ci, b, c)
                     for bi, b in idx for ci, c in idx))
@@ -343,74 +329,50 @@ def _spans_of(K, listings, by_key):
     for (_, _, _, bi, ci, B, C) in keyed:
         if bi not in legs:
             legs[bi] = []
-            for sub, A, incl in listings[bi]:
-                A = replace(A, name=f"{B.name}|{','.join(map(str, sub))}")
+            for sub, S, incl in interned_subalgebras(B):
+                A = named_subalgebra(B, sub, S, incl, f"{B.name}|{','.join(map(str, sub))}")
                 legs[bi].append((A, Morphism(A, B, incl)))
         for leg, (A, phi1) in enumerate(legs[bi]):
-            ident = [(A.key(), A.elements)]
-            for phi2 in _hom_list(A, C, by_key[ci], lambda: ident, True):
+            for phi2 in _hom_list(A, C, True):
                 yield bi, leg, ci, Span(A, B, C, phi1, phi2)
 
 
 class _ExplicitClass:
     """An explicit list that must be closed under subalgebras, deduplicated up
-    to isomorphism, with what its 1AP and EAP checks share: each member's
-    subalgebra listing and its index by key, each member's quotient keys and
-    maps, the homomorphisms between members, each first leg's restriction
-    sets and the certificate maps already checked.  All are built once, for
-    the life of the object.
+    to isomorphism, with what its 1AP and EAP checks share: the homomorphisms
+    between members, each first leg's restriction sets and the certificate
+    maps already checked.  All are built once, for the life of the object;
+    what depends on one member's table alone (its subalgebras, their index
+    by table, its quotient maps) `structure` computes once per table.
 
     A span amalgamates in D exactly when R1 and R2 meet, as tuples over A:
     R1 = {psi1 o phi1 : psi1 in Emb(B, D)} and R2 = {psi2 o phi2 : psi2 in
     Hom(C, D)}, or Emb(C, D) for two-sided amalgams.  This is the question
     `find_amalgam` answers for the class, restated so that each Emb(B, D),
-    each Hom(C, D) and each leg's R1 is listed once, not once per span.
+    each Hom(C, D) (`_hom_list`) and each leg's R1 is listed once, not once
+    per span.  All members must designate the same constants."""
 
-    Hom(C, D) is read off Con(C) x Sub(D) by the homomorphism theorem (see the
-    module docstring) when C is totally ordered: each theta of C contributes
-    incl_S o q_theta for every subalgebra S of D keyed as C/theta
-    (`_hom_list`).  `homs` lists it for any other C.
-
-    All members must designate the same constants.  `listed` maps (name,
-    key()) of an algebra to its `subalgebras` listing, when the caller holds
-    one (`decide_ap` lists each generator); a member with that name and key
-    reuses it."""
-
-    def __init__(self, K, listed=None):
+    def __init__(self, K):
         self.K = _dedup_by_iso(K)
-        listed = listed or {}
-        self.listings = [listed.get((B.name, B.key())) or list(subalgebras(B))
-                         for B in self.K]
-        self.by_key = [_by_key(listing) for listing in self.listings]
         keys = {_iso_key(B) for B in self.K}
-        for B, listing in zip(self.K, self.listings):
-            for sub, A, _ in listing:
-                if _iso_key(A) not in keys:
+        for B in self.K:
+            for sub, S, _ in interned_subalgebras(B):
+                if _iso_key(S) not in keys:
                     raise NotSubalgebraClosed(
                         f"{B.name} has a subalgebra on {sub} outside the class")
         for B in self.K[1:]:
             if dict(B.constants).keys() != dict(self.K[0].constants).keys():
                 raise SignatureMismatch(
                     f"{self.K[0].name} and {B.name} designate different constants")
-        self._quotients = {}   # i -> [(key of K[i]/theta, projection)], identity first
         self._homs = {}        # (i, j, injective) -> `_maps(i, j, injective)`
         self._restricted = {}  # (bi, leg, di) -> {psi1 o phi1: first such psi1}
         self._checked = set()  # certificate maps that passed is_hom
-
-    def _quotients_of(self, i):
-        """[(key of K[i]/theta, projection)] over Con(K[i]), identity first."""
-        if i not in self._quotients:
-            C = self.K[i]
-            self._quotients[i] = [(Q.key(), q) for Q, q in
-                                  (natural_projection(C, th) for th in congruences(C))]
-        return self._quotients[i]
 
     def _maps(self, i, j, injective):
         """Hom(K[i], K[j]), or Emb when injective, in lexicographic order."""
         key = (i, j, injective)
         if key not in self._homs:
-            self._homs[key] = _hom_list(self.K[i], self.K[j], self.by_key[j],
-                                        lambda: self._quotients_of(i), injective)
+            self._homs[key] = _hom_list(self.K[i], self.K[j], injective)
         return self._homs[key]
 
     def _amalgam(self, bi, leg, ci, s, one_sided):
@@ -435,7 +397,7 @@ class _ExplicitClass:
         only when not one_sided.  A span with phi1 or phi2 onto amalgamates in
         D = C or D = B, one-sided and two-sided; every other amalgam found is
         checked by `_verify_amalgam`."""
-        for bi, leg, ci, s in _spans_of(self.K, self.listings, self.by_key):
+        for bi, leg, ci, s in _spans_of(self.K):
             if not one_sided and not is_essential(s.phi2):
                 continue
             if s.A.size in (s.B.size, s.C.size):
@@ -480,24 +442,24 @@ def variety(*generators):
     return VarietyPresentation(tuple(generators))
 
 
-def fsi_chains(V, listings=None):
+def fsi_chains(V):
     """Totally ordered members of HS(generators), deduplicated up to iso and
     sorted by (size, table).  Jonsson: these are the FSI members of V.
 
     A subalgebra isomorphic to one met before is skipped before its quotients
     are taken: those are isomorphic to quotients already listed, which come
-    first and so are the ones the deduplication keeps.  `listings`, when
-    given, holds `subalgebras(g)` of each generator g, in order."""
+    first and so are the ones the deduplication keeps."""
     out = []
     seen = set()
-    for i, g in enumerate(V.generators):
+    for g in V.generators:
         if not is_semilinear(g):
             raise NotSemilinear(f"generator {g.name} is not semilinear")
-        for _, B, _ in subalgebras(g) if listings is None else listings[i]:
-            key = _iso_key(B)
+        for sub, S, incl in interned_subalgebras(g):
+            key = _iso_key(S)
             if key in seen:
                 continue
             seen.add(key)
+            B = named_subalgebra(g, sub, S, incl)
             for theta in congruences(B):
                 Q, _ = natural_projection(B, theta)
                 if Q.is_totally_ordered:   # and so numbered in its order
@@ -525,19 +487,16 @@ def decide_ap(V, cross_check=False):
     Step 1: chains = FSI members (Jonsson).  Step 2: a CEP failure on a chain
     refutes AP outright (finitely generated implies residually small, and AP
     plus residual smallness forces the CEP).  Step 3: otherwise AP holds iff
-    the chain class has the one-sided amalgamation property.  Steps 2 and 3
-    share one subalgebra listing per chain, `_ExplicitClass.listings`, and a
-    chain that is a generator reuses the listing step 1 took of it.
+    the chain class has the one-sided amalgamation property.  All three steps
+    read the subalgebras of each table once (`interned_subalgebras`).
     Cross-check mode also runs the essential-span/two-sided route, over the
-    same listings and hom lists, and raises AssertionError if the two disagree.
+    same hom lists, and raises AssertionError if the two disagree.
     """
-    listings = [list(subalgebras(g)) for g in V.generators]
-    chains = tuple(fsi_chains(V, listings))
+    chains = tuple(fsi_chains(V))
     # S-closed as SH <= HS; raises SignatureMismatch on mixed constants
-    K = _ExplicitClass(chains, {(g.name, g.key()): listing
-                                for g, listing in zip(V.generators, listings)})
-    for A, listing in zip(K.K, K.listings):
-        cep = has_cep(A, listing)
+    K = _ExplicitClass(chains)
+    for A in K.K:
+        cep = has_cep(A)
         if not cep.holds:
             sub, theta = cep.witness
             return ApVerdict(False, "cep_failure", chains,
@@ -566,22 +525,19 @@ def simple_chain_ap(A):
     cls = classify(A)
     if not cls.simple:
         raise NotSimple(f"{A.name} is not simple")
-    listing = list(subalgebras(A))
-    cep = has_cep(A, listing)
+    cep = has_cep(A)
     if not cep.holds:
         return ApVerdict(False, "cep_failure", (A,),
                          cep_witness=(A, cep.witness[0], cep.witness[1].blocks))
-    _, algebras, subs = zip(*listing)
-    for i, S in enumerate(algebras):
-        for j in range(i + 1, len(algebras)):
-            iso = are_isomorphic(S, algebras[j])
-            if iso is not None:
-                # two distinct isomorphic subalgebras give the failing span
-                phi1 = Morphism(S, A, subs[i])
-                phi2 = Morphism(S, A, tuple(subs[j][iso.mapping[x]]
-                                            for x in S.elements))
-                return ApVerdict(False, "span_failure", (A,),
-                                 span_witness=Span(S, A, A, phi1, phi2))
+    # two distinct isomorphic subalgebras give the failing span; those of a
+    # chain are numbered in their order, so isomorphic means the same table
+    entries = interned_subalgebras(A)
+    for i, (sub, S, incl) in enumerate(entries):
+        for _, T, incl2 in entries[i + 1:]:
+            if T.key() == S.key():
+                S = named_subalgebra(A, sub, S, incl)
+                return ApVerdict(False, "span_failure", (A,), span_witness=Span(
+                    S, A, A, Morphism(S, A, incl), Morphism(S, A, incl2)))
     return ApVerdict(True, None, (A,))
 
 

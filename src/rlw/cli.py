@@ -17,8 +17,8 @@ import sys
 import time
 
 from . import amalgam, catalog, completion, morphisms, nsum, properties, repro, structure
-from .algebra import (AlgebraError, SPAN_FORMAT, load_algebra, ParseError,
-                      save_algebra_file)
+from .algebra import (AlgebraError, BadParameter, SPAN_FORMAT, load_algebra,
+                      ParseError, save_algebra_file)
 
 MANIFEST_FORMAT = "rlw-manifest/1"
 
@@ -122,8 +122,18 @@ def cmd_complete(args, run):
                    [A.save() for A in res.algebras])
 
 
+def _flags(names):
+    """The --prop names as a property filter; each must name a boolean flag
+    of `properties.FLAG_PREDICATES`."""
+    for name in names:
+        if name not in properties.FLAG_PREDICATES:
+            raise BadParameter(f"--prop {name!r} is not one of "
+                               f"{', '.join(properties.FLAG_PREDICATES)}")
+    return dict.fromkeys(names, True)
+
+
 def cmd_enumerate(args, run):
-    require = {flag: True for flag in args.prop}
+    require = _flags(args.prop)
     sig = tuple(s for s in (args.sig or "").split(",") if s)
     out = list(completion.enumerate_chains(args.size, require, sig))
     run.parameters = {"size": args.size, "prop": args.prop, "sig": list(sig)}
@@ -267,7 +277,7 @@ def _class_spec(args):
         if len(args.klass) != 2 or not args.klass[1].isdigit():
             raise ParseError("--class bounded takes one integer bound")
         bound = int(args.klass[1])
-        require = {flag: True for flag in args.prop}
+        require = _flags(args.prop)
         sig = tuple(s for s in (args.sig or "").split(",") if s)
         return amalgam.ClassSpec.bounded(bound, sig, require)
     raise ParseError("--class must start with 'list' or 'bounded'")
@@ -356,9 +366,9 @@ def cmd_class_check(args, run):
 
 
 def cmd_repro(args, run):
-    rep = repro.run_repro(args.target)
     run.parameters = {"target": args.target, "bound": repro.search_bound(),
                       "seed": repro.repro_seed()}
+    rep = repro.run_repro(args.target)
     run.verdict = "pass" if rep.ok else "fail"
     run.affirmative = rep.ok
     run.certificates = rep.certificates

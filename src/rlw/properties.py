@@ -211,14 +211,22 @@ FLAG_PREDICATES = {
 
 def satisfies_flags(A, require):
     """require: dict flag-name -> bool, {'n_potent': k}, or
-    {'equations': ('lhs=rhs', ...)} in term syntax."""
+    {'equations': ('lhs=rhs', ...)} in term syntax.  Raises BadParameter for
+    an unknown flag, an n_potent that is not an int >= 0, or equations that
+    are not a list of 'lhs=rhs' strings."""
     for key, want in (require or {}).items():
         if key == "n_potent":
-            if not is_n_potent(A, int(want)):
+            if type(want) is not int or want < 0:
+                raise BadParameter(f"n_potent must be an integer >= 0, got {want!r}")
+            if not is_n_potent(A, want):
                 return False
             continue
         if key == "equations":
             from .terms import check_identity
+            if not (isinstance(want, (list, tuple))
+                    and all(isinstance(eq, str) and eq.count("=") == 1 for eq in want)):
+                raise BadParameter(f"equations must be a list of 'lhs=rhs' strings, "
+                                   f"got {want!r}")
             for eq in want:
                 lhs, rhs = eq.split("=")
                 if not check_identity(A, lhs, rhs):

@@ -18,12 +18,25 @@ from .completion import enumerate_chains
 from .morphisms import are_isomorphic
 
 
+def _env_int(name, default):
+    value = os.environ.get(name, str(default))
+    try:
+        return int(value)
+    except ValueError:
+        raise BadParameter(f"{name}={value!r} is not an integer") from None
+
+
 def search_bound():
-    return int(os.environ.get("RLW_BOUND", "7"))
+    """RLW_BOUND, at least 1; BadParameter otherwise."""
+    bound = _env_int("RLW_BOUND", 7)
+    if bound < 1:
+        raise BadParameter(f"RLW_BOUND={bound} is below 1")
+    return bound
 
 
 def repro_seed():
-    return int(os.environ.get("RLW_SEED", "0"))
+    """RLW_SEED, an integer; BadParameter otherwise."""
+    return _env_int("RLW_SEED", 0)
 
 
 @dataclass

@@ -12,14 +12,14 @@ brute-force oracle they are cross-checked against lives in the tests
 The CEP is tested through the same correspondence: theta in Con(S) extends
 to A exactly when its e-class is M & S for some CNS M of A.
 
-Con(A) and Sub(A) depend on A's tables alone, so `congruences` and
-`subuniverses` are computed once per table (`key()`) per process: copies
-that differ in name or labels only share one entry, and each `congruences`
-call returns its lattice on the caller's own algebra, labels included.
+Con(A), Sub(A), the subalgebras and the quotient maps depend on A's tables
+alone, so each is computed once per table (`key()`) per process: copies that
+differ in name or labels only share one entry, and `congruences` and
+`subalgebras` name what they return after the caller's algebra and labels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, wraps
 
 from .algebra import OPS, FiniteAlgebra, NotASubuniverse, derived, induced_order
@@ -158,24 +158,25 @@ def _con_key(c):
     return (c.algebra.size - c.nblocks, c.blocks)
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """An algebra compared and hashed by its tables (`key()`) alone: the key
-    of the two structure caches, so that copies that differ in name or labels
-    only share an entry, held by the first of them seen."""
-    key: tuple
-    algebra: FiniteAlgebra = field(compare=False)
+class _Tables(tuple):
+    """An algebra compared and hashed by its tables (`key()`) alone, as the
+    tuple (A.key(),): the key of the structure caches, so that copies that
+    differ in name or labels only share an entry, held by the first seen."""
+    def __new__(cls, A):
+        tables = super().__new__(cls, (A.key(),))
+        tables.algebra = A
+        return tables
 
 
 def _per_table(fn):
     """fn(A), computed once per table (`key()`) per process: an lru_cache
     keyed by `_Tables`, whose cache_info() and cache_clear() the wrapper
-    exposes.  fn's result must not depend on A's name or labels."""
+    exposes.  Callers read of fn's result only what A's tables determine."""
     cached = lru_cache(maxsize=512)(lambda tables: fn(tables.algebra))
 
     @wraps(fn)
     def by_table(A):
-        return cached(_Tables(A.key(), A))
+        return cached(_Tables(A))
     by_table.cache_info, by_table.cache_clear = cached.cache_info, cached.cache_clear
     return by_table
 
@@ -297,14 +298,12 @@ def is_subuniverse(A, subset):
     return subuniverse_closure(A, subset) == frozenset(subset)
 
 
-def _subalgebra(A, sub, name):
-    """`subalgebra_with_map` on a sorted subuniverse, with no check."""
+def _subalgebra(A, sub):
+    """The subalgebra on a sorted subuniverse, under A's name and without
+    labels, and its inclusion, with no check."""
     order, chainlike = induced_order(A.leq, sub)
-    labels = tuple(A.label(x) for x in order) if A.labels is not None else None
-    if name is None:
-        name = A.name if len(order) == A.size else f"{A.name}|{''.join(map(str, sub))}"
     pos = {x: i for i, x in enumerate(order)}
-    return derived(A, name, order, pos, chainlike, labels), tuple(order)
+    return derived(A, A.name, order, pos, chainlike), tuple(order)
 
 
 def subalgebra_with_map(A, subset, name=None):
@@ -315,7 +314,8 @@ def subalgebra_with_map(A, subset, name=None):
     members = sorted(set(subset))
     if not is_subuniverse(A, members):
         raise NotASubuniverse(f"{members} is not a subuniverse of {A.name}")
-    return _subalgebra(A, members, name)
+    S, inclusion = _subalgebra(A, members)
+    return named_subalgebra(A, members, S, inclusion, name), inclusion
 
 
 def subalgebra(A, subset, name=None):
@@ -323,13 +323,56 @@ def subalgebra(A, subset, name=None):
     return subalgebra_with_map(A, subset, name)[0]
 
 
+_interned = _per_table(lambda S: S)   # the first algebra seen with S's table
+
+
+@_per_table
+def interned_subalgebras(A):
+    """(subuniverse, subalgebra, inclusion) for each subuniverse of A, in
+    `subuniverses` order and numbered as by `subalgebra_with_map`, but
+    derive-only, unlabelled and with one object per distinct table (named as
+    first seen); once per table.  `named_subalgebra` names an entry."""
+    out = []
+    for sub in subuniverses(A):
+        S, inclusion = _subalgebra(A, sub)
+        out.append((sub, _interned(S), inclusion))
+    return tuple(out)
+
+
+def named_subalgebra(A, sub, S, inclusion, name=None):
+    """The subalgebra S of A on sub, with that inclusion, under the given
+    name, or A's for the full carrier and A|013 for {0, 1, 3} by default,
+    and under A's labels."""
+    if name is None:
+        name = A.name if len(sub) == A.size else f"{A.name}|{''.join(map(str, sub))}"
+    labels = tuple(A.label(x) for x in inclusion) if A.labels is not None else None
+    return replace(S, name=name, labels=labels)
+
+
 def subalgebras(A):
     """(subuniverse, subalgebra, inclusion) for each subuniverse of A, in
-    `subuniverses` order, named and numbered as by `subalgebra_with_map`, but
-    derive-only: the subuniverses are closed, so none is checked again.  Not
-    cached: a caller that needs it twice keeps it, as `decide_ap` does."""
-    for sub in subuniverses(A):
-        yield (sub, *_subalgebra(A, sub, None))
+    `subuniverses` order, named and numbered as by `subalgebra_with_map`:
+    the `interned_subalgebras` entries, each under its own name."""
+    for sub, S, inclusion in interned_subalgebras(A):
+        yield sub, named_subalgebra(A, sub, S, inclusion), inclusion
+
+
+@_per_table
+def subalgebra_index(A):
+    """{S.key(): the inclusions of A's subalgebras S with that table}, in
+    `subuniverses` order; computed once per table.  Read-only."""
+    index = {}
+    for _, S, inclusion in interned_subalgebras(A):
+        index.setdefault(S.key(), []).append(inclusion)
+    return index
+
+
+@_per_table
+def quotient_maps(A):
+    """(key of A/theta, projection) for each theta in `congruences(A)`, the
+    identity first; computed once per table."""
+    return tuple((Q.key(), q) for Q, q in (natural_projection(A, theta)
+                                           for theta in congruences(A)))
 
 
 # -- classification and CEP ---------------------------------------------------
@@ -384,23 +427,23 @@ def cns_traces(cns, sub):
     return {M.intersection(sub) for M in cns}
 
 
-def has_cep(A, listing=None):
+def has_cep(A):
     """Exhaustive congruence extension property check with witness: the
     first (proper subuniverse, congruence) pair, in `subuniverses` and
     `congruences` order, whose e-class is not the trace of a CNS of A.
 
-    `listing` is `subalgebras(A)` when the caller holds it already.  Con(S)
-    depends on S's tables alone, so it is computed once per table (`key()`)
-    per process: every k-element subalgebra of a Goedel chain, say, is the
-    same chain-coded G_k.  Each witness is a congruence of its own S.  The
-    CNS of A are listed once, and their traces (`cns_traces`) once per
-    subuniverse."""
+    It reads `interned_subalgebras(A)` and the congruence blocks of each
+    subalgebra, both computed once per table (`key()`) per process, and
+    names only a witness's subalgebra.  The CNS of A are listed once, and
+    their traces (`cns_traces`) once per subuniverse."""
     cns = convex_normal_subalgebras(A)
-    for sub, B, back in subalgebras(A) if listing is None else listing:
+    for sub, S, back in interned_subalgebras(A):
         if len(sub) == A.size:
             continue
         traces = cns_traces(cns, sub)
-        for theta in congruences(B):
-            if frozenset(back[x] for x in theta.unit_class()) not in traces:
-                return CepResult(False, (sub, theta))
+        for blocks in _congruence_blocks(S):
+            eclass = next(b for b in blocks if S.unit in b)
+            if frozenset(back[x] for x in eclass) not in traces:
+                B = named_subalgebra(A, sub, S, back)
+                return CepResult(False, (sub, Congruence(blocks, B)))
     return CepResult(True)

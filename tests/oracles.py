@@ -330,16 +330,31 @@ def span_verdicts_by_find_amalgam(K, one_sided):
     """(span, amalgamates) for each span of `_spans_of` over the deduplicated
     class (essential spans only when not one_sided), by one `find_amalgam`
     search through the whole class per span."""
-    from rlw.amalgam import ClassSpec, _by_key, _dedup_by_iso, _spans_of, find_amalgam
+    from rlw.amalgam import ClassSpec, _dedup_by_iso, _spans_of, find_amalgam
     from rlw.morphisms import is_essential
-    from rlw.structure import subalgebras
     K = _dedup_by_iso(K)
-    listings = [list(subalgebras(B)) for B in K]
     spec = ClassSpec.explicit(K)
-    for *_, s in _spans_of(K, listings, [_by_key(listing) for listing in listings]):
+    for *_, s in _spans_of(K):
         if not one_sided and not is_essential(s.phi2):
             continue
         yield s, find_amalgam(s, spec, one_sided=one_sided).found
+
+
+def simple_chain_iso_span(A):
+    """The span A <- S -> A that `simple_chain_ap` reports for two distinct
+    isomorphic subalgebras, found by `are_isomorphic` on every pair of
+    subalgebras in order, or None."""
+    from rlw.amalgam import Span
+    from rlw.morphisms import Morphism, are_isomorphic
+    from rlw.structure import subalgebras
+    _, algebras, subs = zip(*subalgebras(A))
+    for i, S in enumerate(algebras):
+        for j in range(i + 1, len(algebras)):
+            iso = are_isomorphic(S, algebras[j])
+            if iso is not None:
+                return Span(S, A, A, Morphism(S, A, subs[i]), Morphism(
+                    S, A, tuple(subs[j][iso.mapping[x]] for x in S.elements)))
+    return None
 
 
 def has_cep_per_subuniverse(A):

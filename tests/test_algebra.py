@@ -107,6 +107,21 @@ def test_parse_errors():
                      '"leq":"chain","unit":0,"mult":[[0,1]]}')
 
 
+@pytest.mark.parametrize("size,unit,mult", [
+    (2, 1, [[0, 0], [0.9, 1]]),      # int() would truncate 0.9 to 0
+    (2, 1, [[0, 0], ["0", 1]]),
+    (2, 1, [[0, 0], [0, True]]),
+    (2, True, [[0, 0], [0, 1]]),
+    (True, 0, [[0]]),
+    (1.0, 0, [[0]]),
+])
+def test_finite_algebra_rejects_non_int_entries(size, unit, mult):
+    # finite_algebra validates outside input: sizes, units and mult entries
+    # must be ints (bool is not), as read_document requires of files
+    with pytest.raises(ParseError):
+        finite_algebra("bad", size, "chain", unit, mult)
+
+
 def test_matrix_order_lattice_checks():
     # 2x2 boolean square as a matrix order, product = meet
     leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]

@@ -10,7 +10,7 @@ from rlw import (ClassSpec, NotAChain, NotSemilinear, NotSimple, SignatureMismat
                  replay_refutation, simple_chain_ap, span, strictly_simple_ap,
                  variety)
 from rlw.algebra import NotAHomomorphism
-from rlw.amalgam import _ExplicitClass, _Merge, _by_key, _spans_of
+from rlw.amalgam import _ExplicitClass, _Merge, _spans_of
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_luk, make_rsa, make_sugihara)
 from rlw.properties import is_semilinear
@@ -163,8 +163,7 @@ def test_essential_spans():
 
 def test_span_enumeration_order():
     K = [make_goedel(m) for m in (1, 2, 3)]
-    listings = [list(subalgebras(B)) for B in K]
-    spans = _spans_of(K, listings, [_by_key(listing) for listing in listings])
+    spans = _spans_of(K)
     sizes = [(s.B.size + s.C.size, s.C.size) for *_, s in spans]
     assert sizes == sorted(sizes)
 
@@ -246,10 +245,10 @@ def test_class_hom_lists_match_homs():
                     assert got == want, (C.name, D.name, injective)
                 pairs += 1
         spans = {}
-        for bi, leg, ci, s in _spans_of(K.K, K.listings, K.by_key):
+        for bi, leg, ci, s in _spans_of(K.K):
             spans.setdefault((bi, leg, ci), []).append(s.phi2.mapping)
-        for bi, listing in enumerate(K.listings):
-            for leg, (_, A, _) in enumerate(listing):
+        for bi, B in enumerate(K.K):
+            for leg, (_, A, _) in enumerate(subalgebras(B)):
                 for ci, C in enumerate(K.K):
                     want = [m.mapping for m in embeddings(A, C)]
                     assert spans.get((bi, leg, ci), []) == want, (A.name, C.name)
@@ -525,44 +524,38 @@ def test_decide_ap_cep_failure_path():
     assert len(sub) == 3
 
 
-def test_decide_ap_lists_each_chain_once(monkeypatch):
-    # the CEP step and the 1AP/EAP checks share one subalgebra listing per FSI
-    # chain, and a chain with a generator's name and key reuses fsi_chains'
-    # listing of that generator: each chain is listed once and nothing else is,
-    # but for a generator that is no chain of the class (a matrix-coded one)
-    import rlw.structure
-    listed = []
+def test_decide_ap_derives_each_table_once():
+    # the CEP step, the subalgebra-closure check and the 1AP/EAP checks read
+    # one cached subalgebra listing per table: a cold decide_ap derives the
+    # subalgebras of each distinct table of its chains and generators exactly
+    # once, and a repeated call derives none
+    from rlw import structure
+    caches = (structure.congruences, structure.subuniverses, structure.interned_subalgebras,
+              structure.subalgebra_index, structure.quotient_maps)
 
-    def counting(A, original=rlw.structure.subalgebras):
-        listed.append(A)
-        return original(A)
-
-    def names_and_keys(algebras):
-        return sorted((A.name, A.key()) for A in algebras)
+    def cold_misses(call):
+        for cache in caches:
+            cache.cache_clear()
+        result = call()
+        return result, structure.interned_subalgebras.cache_info().misses
 
     X = make_figure("cepfail")
-    sub, theta = rlw.structure.has_cep(X).witness
+    sub, theta = structure.has_cep(X).witness
     G5m = oracles.relabelled(make_goedel(5), [3, 0, 4, 1, 2])
-    with monkeypatch.context() as m:
-        m.setattr("rlw.structure.subalgebras", counting)
-        m.setattr("rlw.amalgam.subalgebras", counting)
-        for g, cross, extra in ((make_goedel(7), True, ()), (X, False, ()),
-                                (G5m, True, (G5m,))):
-            listed.clear()
-            res = decide_ap(variety(g), cross_check=cross)
-            assert g.name in [c.name for c in res.chains]
-            assert len(listed) == len(res.chains) + len(extra), g.name
-            assert names_and_keys(listed) == names_and_keys(res.chains + extra), g.name
-            if g is X:
-                assert res.reason == "cep_failure"
-                assert (res.cep_witness[1:], res.cep_witness[0].key()) == \
-                    ((sub, theta.blocks), X.key())
-            if g is G5m:
-                assert res.reason == "span_failure"
-        listed.clear()
-        M2 = make_dmm(2)
-        assert simple_chain_ap(M2).has_ap
-        assert len(listed) == 1 and listed[0] is M2
+    for g, cross in ((make_goedel(7), True), (X, False), (G5m, True)):
+        res, misses = cold_misses(lambda: decide_ap(variety(g), cross_check=cross))
+        assert g.name in [c.name for c in res.chains]
+        assert misses == len({A.key() for A in res.chains + (g,)}), g.name
+        assert decide_ap(variety(g), cross_check=cross) == res
+        assert structure.interned_subalgebras.cache_info().misses == misses, g.name
+        if g is X:
+            assert res.reason == "cep_failure"
+            assert (res.cep_witness[1:], res.cep_witness[0].key()) == \
+                ((sub, theta.blocks), X.key())
+        if g is G5m:
+            assert res.reason == "span_failure"
+    res, misses = cold_misses(lambda: simple_chain_ap(make_dmm(2)))
+    assert res.has_ap and misses == 1
 
 
 def test_simple_chain_ap():
@@ -581,6 +574,33 @@ def test_simple_chain_ap_iso_subalgebras_fail():
     from rlw.structure import subuniverses
     A = make_figure("strictsimp")
     assert len(subuniverses(A)) == 2
+
+
+def test_simple_chain_ap_span_failure_matches_iso_search():
+    # simple chains with the CEP and two distinct isomorphic subalgebras
+    # exist from size 4 on ({0, 3} and {2, 3} of chain4u3n3): the span
+    # simple_chain_ap reads off equal subalgebra tables is the one the
+    # isomorphism search finds, in the chain coding and relabelled
+    from rlw.completion import enumerate_chains
+    from rlw.structure import classify
+    failures = 0
+    for n in range(2, 6):
+        for sig in ((), ("f",)):
+            for A in enumerate_chains(n, None, sig):
+                if not classify(A).simple:
+                    continue
+                for X in (A, oracles.relabelled(A, [n - 1 - x for x in A.elements])):
+                    res = simple_chain_ap(X)
+                    if res.reason == "cep_failure":
+                        continue
+                    want = oracles.simple_chain_iso_span(X)
+                    assert res.has_ap == (want is None), X.name
+                    if want is not None:
+                        got = res.span_witness
+                        assert (repr(got), got.A.labels, got.A.key()) == \
+                            (repr(want), want.A.labels, want.A.key()), X.name
+                        failures += 1
+    assert failures > 0
 
 
 def test_strictly_simple_ap():

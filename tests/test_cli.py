@@ -323,6 +323,12 @@ def _bad_files(tmp_path):
     ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded", "x"],
     ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded"],
     ["enumerate", "--size", "3", "--prop", "no-such-flag"],
+    # --prop takes boolean flags only, not n_potent or equations
+    ["enumerate", "--size", "3", "--prop", "equations"],
+    ["enumerate", "--size", "3", "--prop", "n_potent"],
+    ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded", "3", "--prop", "n_potent"],
+    ["amalgamate", "--span", "{tmp}/span.json", "--class", "bounded", "3",
+     "--prop", "equations"],
     # unknown or repeated constant names in the signature
     ["enumerate", "--size", "3", "--sig", "foo"],
     ["enumerate", "--size", "3", "--sig", "f,f"],
@@ -343,6 +349,20 @@ def test_malformed_input_exit_2(tmp_path, capsys, argv):
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("name,value,target", [
+    ("RLW_BOUND", "abc", "fig6"), ("RLW_BOUND", "-1", "fig6"), ("RLW_BOUND", "0", "fig3"),
+    ("RLW_BOUND", "2.5", "godel"), ("RLW_SEED", "x", "godel"), ("RLW_SEED", "", "comdecomp")])
+def test_repro_bad_environment_exit_2(capsys, monkeypatch, name, value, target):
+    # a bound or seed that is not an integer, or a bound below 1, is bad
+    # input: one error line and exit 2, not a traceback or a vacuous PASS
+    monkeypatch.setenv(name, value)
+    code = main(["repro", target])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 2 and captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name}=")
 
 
 def test_repro_manifest_byte_identical(capsys, monkeypatch):

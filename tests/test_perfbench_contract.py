@@ -1,8 +1,9 @@
 """The names the benchmark's tracer and worker use of the program.
 
-`perfbench/tracer.py` wraps every function in its LAYERS by name and copies
-cache_info and cache_clear from the structure caches, and `perfbench/worker.py`
-reads `cache_info()._asdict()` of both on every run.  The tracer is installed
+`perfbench/tracer.py` wraps every function in its LAYERS by name, counts the
+items of each generator function in its GENERATORS (so each must stay one),
+and copies cache_info and cache_clear from the structure caches, and
+`perfbench/worker.py` reads `cache_info()._asdict()` of both on every run.  The tracer is installed
 in a subprocess, so this session's modules stay unwrapped; `-B` keeps it from
 writing bytecode next to the tracer.
 """
@@ -14,10 +15,16 @@ TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
                       "perfbench", "tracer.py")
 
 CODE = """
-import importlib, importlib.util, sys
+import importlib, importlib.util, inspect, sys
 spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
+for path in tracer.GENERATORS:
+    short, *attrs = path.split(".")
+    fn = importlib.import_module("rlw." + short)
+    for attr in attrs:
+        fn = getattr(fn, attr)
+    assert inspect.isgeneratorfunction(fn), path
 t = tracer.Tracer()
 t.install()
 for short, names in tracer.LAYERS.items():

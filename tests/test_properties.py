@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rlw import (NotAChain, is_admissible, is_semilinear, property_profile,
+from rlw import (BadParameter, NotAChain, is_admissible, is_semilinear, property_profile,
                  satisfies_knotted)
 from rlw.catalog import (catalog_all, make_com, make_dmm, make_figure,
                          make_goedel, make_luk, make_rsa, make_sugihara)
 from rlw.properties import (handy_fixed_points, is_lower_involutive,
-                            is_n_potent, n_potent_degree, wedge_value)
+                            is_n_potent, n_potent_degree, satisfies_flags,
+                            wedge_value)
 
 
 def test_s3_profile():
@@ -118,3 +119,18 @@ def test_chains_are_semilinear(A):
 def test_luk_involutive(A):
     p = property_profile(A)
     assert p.involutive_f and p.integral and p.bounded
+
+
+@pytest.mark.parametrize("require", [
+    {"n_potent": True}, {"n_potent": "2"}, {"n_potent": 2.0}, {"n_potent": -1},
+    {"equations": True}, {"equations": "x=x"}, {"equations": ["x"]},
+    {"equations": ["x=y=z"]}, {"equations": [1]}, {"no-such-flag": True}])
+def test_satisfies_flags_rejects_malformed_filters(require):
+    with pytest.raises(BadParameter):
+        satisfies_flags(make_goedel(3), require)
+
+
+def test_satisfies_flags_n_potent_and_equations():
+    G3 = make_goedel(3)
+    assert satisfies_flags(G3, {"n_potent": 1, "equations": ["x*x=x", "x*y=y*x"]})
+    assert not satisfies_flags(make_luk(3, "mv"), {"n_potent": 1})

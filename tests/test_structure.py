@@ -13,7 +13,8 @@ from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_sugihara)
 from rlw.completion import enumerate_chains
 from rlw.morphisms import is_hom
-from rlw.structure import congruence_leq, is_subuniverse, subalgebra_with_map, subalgebras
+from rlw.structure import (congruence_leq, interned_subalgebras, is_subuniverse,
+                           subalgebra_with_map, subalgebras)
 
 import oracles
 
@@ -304,6 +305,27 @@ def _b22():
     leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
     meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
     return finite_algebra("2x2", 4, leq, 3, meet)
+
+
+def test_cached_subalgebras_match_checked_constructor():
+    # subalgebras() reads one listing per table, which holds one object per
+    # distinct subalgebra table, and names and labels every entry for the
+    # caller: a renamed or label-changed copy of a table met before gets the
+    # name, labels, key and inclusion the checked subalgebra_with_map gives
+    for A in catalog_all(7):
+        perm = [(x * 3 + 1) % A.size if A.size % 3 else A.size - 1 - x for x in A.elements]
+        for X in (A, oracles.relabelled(A, perm)):
+            labelled = dataclasses.replace(X, labels=tuple(f"<{X.label(x)}>" for x in X.elements))
+            for Y in (X, labelled, dataclasses.replace(X, name=X.name + "*")):
+                for sub, B, inclusion in subalgebras(Y):
+                    C, want = subalgebra_with_map(Y, sub)
+                    assert (B.name, B.labels, B.key(), inclusion) == \
+                        (C.name, C.labels, C.key(), want), (Y.name, sub)
+            entries = interned_subalgebras(X)
+            assert len({id(S) for _, S, _ in entries}) == len({S.key() for _, S, _ in entries})
+    # 2^(m-2) subuniverses of G_m, but m - 1 distinct subalgebra tables
+    entries = interned_subalgebras(make_goedel(9))
+    assert (len(entries), len({id(S) for _, S, _ in entries})) == (128, 8)
 
 
 def test_derived_algebras_match_full_validation(monkeypatch):
