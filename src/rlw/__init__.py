@@ -31,8 +31,7 @@ from .catalog import (FAMILIES, FIGURES, catalog_all, figure_completions,
 from .nsum import factor_nested_sum, nested_sum, nested_sum_with_map
 from .amalgam import (AmalgamReport, ApVerdict, ClassSpec, Span, class_has_1ap,
                       class_has_eap, decide_ap, find_amalgam, fsi_chains,
-                      is_essential_span, refute_chain_amalgam,
-                      replay_refutation, simple_chain_ap, span,
-                      strictly_simple_ap, variety)
+                      refute_chain_amalgam, replay_refutation,
+                      simple_chain_ap, span, strictly_simple_ap, variety)
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ sources that are not totally ordered and for `find_amalgam`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
                       NotSubalgebraClosed, SignatureMismatch, _signature)
@@ -130,11 +131,6 @@ def _verify_amalgam(s, D, psi1, psi2, one_sided, checked=None):
     for a in s.A.elements:
         if psi1.mapping[s.phi1.mapping[a]] != psi2.mapping[s.phi2.mapping[a]]:
             raise AssertionError(f"psi1 o phi1 and psi2 o phi2 differ at {s.A.label(a)}")
-
-
-def is_essential_span(s):
-    """A span is essential when its second leg is an essential embedding."""
-    return bool(is_essential(s.phi2))
 
 
 def find_amalgam(s, K, one_sided=False):
@@ -308,11 +304,15 @@ def _hom_list(C, D, injective):
     `homs`.  For a totally ordered C these are the incl_S o q_theta (see the
     module docstring): q_theta from `quotient_maps(C)`, only the identity
     when injective, and incl_S from `subalgebra_index(D)` under the key of
-    C/theta.  `homs` searches for any other C."""
+    C/theta.  A chain-coded C is its own quotient by the identity, so its
+    embeddings are read under C.key() and no quotient is built.  `homs`
+    searches for any other C."""
     if not C.is_totally_ordered:
         return homs(C, D, injective=injective)
-    thetas = quotient_maps(C)[:1] if injective else quotient_maps(C)
     index = subalgebra_index(D)
+    if injective and C.chain:
+        return [Morphism(C, D, incl) for incl in sorted(index.get(C.key(), ()))]
+    thetas = quotient_maps(C)[:1] if injective else quotient_maps(C)
     return [Morphism(C, D, m) for m in sorted(
         tuple(incl[v] for v in q) for qkey, q in thetas for incl in index.get(qkey, ()))]
 
@@ -349,8 +349,10 @@ class _ExplicitClass:
     R1 = {psi1 o phi1 : psi1 in Emb(B, D)} and R2 = {psi2 o phi2 : psi2 in
     Hom(C, D)}, or Emb(C, D) for two-sided amalgams.  This is the question
     `find_amalgam` answers for the class, restated so that each Emb(B, D),
-    each Hom(C, D) (`_hom_list`) and each leg's R1 is listed once, not once
-    per span.  All members must designate the same constants."""
+    each Hom(C, D) (`_hom_list`), each leg's R1 and each R2 is listed once,
+    not once per span: R2 depends on (C, phi2, D) alone, so spans from
+    different B with the same second leg share it.  All members must
+    designate the same constants."""
 
     def __init__(self, K):
         self.K = _dedup_by_iso(K)
@@ -365,7 +367,7 @@ class _ExplicitClass:
                 raise SignatureMismatch(
                     f"{self.K[0].name} and {B.name} designate different constants")
         self._homs = {}        # (i, j, injective) -> `_maps(i, j, injective)`
-        self._restricted = {}  # (bi, leg, di) -> {psi1 o phi1: first such psi1}
+        self._restricted = {}  # (i, phi, j, injective) -> `_restrictions(...)`
         self._checked = set()  # certificate maps that passed is_hom
 
     def _maps(self, i, j, injective):
@@ -375,21 +377,36 @@ class _ExplicitClass:
             self._homs[key] = _hom_list(self.K[i], self.K[j], injective)
         return self._homs[key]
 
-    def _amalgam(self, bi, leg, ci, s, one_sided):
-        """(D, psi1, psi2) amalgamating the span s = (bi, leg, ci) of
-        `_spans_of` in the class, or None."""
+    def _restrictions(self, i, j, injective, phi):
+        """{psi o phi: the first psi in `_maps(i, j, injective)` with it}, for
+        phi into K[i]: R1 of a span for (B, phi1, D, True), R2 for (C, phi2,
+        D, injective).  Built once per (i, phi's mapping, j, injective); a
+        restriction is a tuple, or the one image when A has one element."""
+        key = (i, phi.mapping, j, injective)
+        found = self._restricted.get(key)
+        if found is None:
+            found = self._restricted[key] = {}
+            restrict = itemgetter(*phi.mapping)
+            for psi in self._maps(i, j, injective):
+                found.setdefault(restrict(psi.mapping), psi)
+        return found
+
+    def _amalgam(self, bi, ci, s, one_sided):
+        """(D, psi1, psi2) amalgamating the span s of `_spans_of`, from K[bi]
+        and K[ci], in the class, or None.  The amalgam reported is the
+        first D in class order, then the least common restriction, then the
+        first psi1 and psi2 in `homs` order with it: the smaller of R1 and
+        R2 is walked, and the answer does not depend on which."""
         for di, D in enumerate(self.K):
-            r1 = self._restricted.get((bi, leg, di))
-            if r1 is None:
-                r1 = self._restricted[bi, leg, di] = {}
-                for psi1 in self._maps(bi, di, True):
-                    r1.setdefault(tuple(psi1.mapping[v] for v in s.phi1.mapping), psi1)
+            r1 = self._restrictions(bi, di, True, s.phi1)
             if not r1:
                 continue
-            for psi2 in self._maps(ci, di, not one_sided):
-                psi1 = r1.get(tuple(psi2.mapping[v] for v in s.phi2.mapping))
-                if psi1 is not None:
-                    return D, psi1, psi2
+            r2 = self._restrictions(ci, di, not one_sided, s.phi2)
+            small, large = (r1, r2) if len(r1) <= len(r2) else (r2, r1)
+            common = [r for r in small if r in large]
+            if common:
+                r = min(common)
+                return D, r1[r], r2[r]
         return None
 
     def span_verdicts(self, one_sided):
@@ -397,13 +414,13 @@ class _ExplicitClass:
         only when not one_sided.  A span with phi1 or phi2 onto amalgamates in
         D = C or D = B, one-sided and two-sided; every other amalgam found is
         checked by `_verify_amalgam`."""
-        for bi, leg, ci, s in _spans_of(self.K):
+        for bi, _, ci, s in _spans_of(self.K):
             if not one_sided and not is_essential(s.phi2):
                 continue
             if s.A.size in (s.B.size, s.C.size):
                 yield s, True
                 continue
-            found = self._amalgam(bi, leg, ci, s, one_sided)
+            found = self._amalgam(bi, ci, s, one_sided)
             if found is not None:
                 _verify_amalgam(s, *found, one_sided, self._checked)
             yield s, found is not None

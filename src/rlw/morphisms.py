@@ -28,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import OPS, FiniteAlgebra, NotAHomomorphism, NotAnEmbedding, SignatureMismatch
-from .structure import congruence_leq, congruences, natural_projection
+from .algebra import (OPS, FiniteAlgebra, NotAHomomorphism, NotAnEmbedding,
+                      SignatureMismatch, ops_to_check)
+from .structure import (Congruence, atom_indices, congruence_leq, congruences,
+                        natural_projection)
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,7 @@ def homs(B, D, injective=False, commute_with=None, limit=None):
         return []
 
     chains = B.chain and D.chain
-    # on chains meet and join are min and max, fixed by the order checks
-    ops = [op for op in OPS if not (chains and op in ("meet", "join"))]
+    ops = ops_to_check(chains)   # meet and join are fixed by the order checks
     b_tables = [getattr(B, op) for op in ops]
     d_tables = [getattr(D, op) for op in ops]
     bleq, dleq = B.leq, D.leq
@@ -233,13 +234,14 @@ def is_essential(phi):
     """phi is essential iff every nontrivial congruence of the target
     identifies two distinct image points; checked on the atoms of Con.
     Raises NotAnEmbedding unless phi is injective; phi is taken to be a
-    homomorphism (see `morphism()`)."""
+    homomorphism (see `morphism()`).  The atoms are listed once per table
+    (`atom_indices`); a Congruence is built for a witness only."""
     if not phi.injective:
         raise NotAnEmbedding(f"{phi} is not an embedding")
     img = phi.image()
-    for atom in congruences(phi.target).atoms():
-        if len({atom.block_of(x) for x in img}) == len(img):
-            return EssentialCheck(False, atom)
+    for blocks, block_of in atom_indices(phi.target):
+        if len({block_of[x] for x in img}) == len(img):
+            return EssentialCheck(False, Congruence(blocks, phi.target))
     return EssentialCheck(True)
 
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, wraps
 
-from .algebra import OPS, FiniteAlgebra, NotASubuniverse, derived, induced_order
+from .algebra import (OPS, FiniteAlgebra, NotASubuniverse, derived, induced_order,
+                      ops_to_check)
 
 
 def _canon_blocks(rep, n):
@@ -55,10 +56,6 @@ class Congruence:
     def is_identity(self):
         return self.nblocks == self.algebra.size
 
-    @property
-    def is_full(self):
-        return self.nblocks == 1
-
     def unit_class(self):
         return self.blocks[self.block_of(self.algebra.unit)]
 
@@ -66,13 +63,14 @@ class Congruence:
         return "Con" + "|".join("".join(self.algebra.label(x) for x in b) for b in self.blocks)
 
 
-def _translations(A):
-    """The distinct translation tables of A: for each operation table its rows
-    (x -> t[x][c]) and its columns (x -> t[c][x]), so that row x of each gives
-    the images of x under one family of unary translations.  A commutative
-    table's columns are its rows, and are listed once."""
+def _translations(A, ops=OPS):
+    """The distinct translation tables of A's operations `ops`: for each
+    operation table its rows (x -> t[x][c]) and its columns (x -> t[c][x]),
+    so that row x of each gives the images of x under one family of unary
+    translations.  A commutative table's columns are its rows, and are listed
+    once."""
     tables = []
-    for op in OPS:
+    for op in ops:
         t = getattr(A, op)
         for u in (t, tuple(zip(*t))):
             if u not in tables:
@@ -255,28 +253,43 @@ def quotient(A, theta, name=None):
     return natural_projection(A, theta, name)[0]
 
 
-def subuniverse_closure(A, seed):
-    """Closure of seed + designated constants + unit under all five operations."""
-    current = set(seed) | {A.unit} | {v for _, v in A.constants}
-    tables = [getattr(A, op) for op in OPS]
-    changed = True
-    while changed:
-        changed = False
-        elems = list(current)
+def _closure_tables(A):
+    """The translation tables a closure in A reads: of all five operations,
+    or of `ops_to_check(True)` when A is totally ordered."""
+    return _translations(A, ops_to_check(A.is_totally_ordered))
+
+
+def _close(tables, closed, new):
+    """The least set containing `closed` and `new` and closed under the
+    translation tables, where `closed` is already closed.  Semi-naive: each
+    round applies the translations to the elements new in the round before
+    only (their products with every element reached so far), so no product
+    of two elements of `closed` is computed; UACalc's closure works the same
+    way (Freese, Kiss and Valeriote, uacalc.org)."""
+    current = set(closed)
+    new = set(new) - current
+    while new:
+        current |= new
+        reached = list(current)
+        fresh = set()
         for t in tables:
-            for x in elems:
-                for y in elems:
-                    v = t[x][y]
-                    if v not in current:
-                        current.add(v)
-                        changed = True
+            for x in new:
+                fresh.update(map(t[x].__getitem__, reached))
+        new = fresh - current
     return frozenset(current)
+
+
+def subuniverse_closure(A, seed):
+    """Closure of seed + designated constants + unit under the operations."""
+    return _close(_closure_tables(A), (), {A.unit, *seed, *(v for _, v in A.constants)})
 
 
 @_per_table
 def subuniverses(A):
-    """All subuniverses, by closure of subset seeds, sorted by (size, tuple);
-    computed once per table (`key()`) per process."""
+    """All subuniverses, sorted by (size, tuple): the closure of the unit and
+    constants, then each s + {x} closed from the subuniverse s; computed once
+    per table (`key()`) per process."""
+    tables = _closure_tables(A)
     base = subuniverse_closure(A, ())
     found = {base}
     frontier = [base]
@@ -285,7 +298,7 @@ def subuniverses(A):
         for s in frontier:
             for x in A.elements:
                 if x not in s:
-                    s2 = subuniverse_closure(A, s | {x})
+                    s2 = _close(tables, s, (x,))
                     if s2 not in found:
                         found.add(s2)
                         fresh.append(s2)
@@ -373,6 +386,14 @@ def quotient_maps(A):
     identity first; computed once per table."""
     return tuple((Q.key(), q) for Q, q in (natural_projection(A, theta)
                                            for theta in congruences(A)))
+
+
+@_per_table
+def atom_indices(A):
+    """(blocks, block number of each element) for each atom of Con(A), in
+    `congruences` order; computed once per table."""
+    return tuple((c.blocks, tuple(map(c.block_of, A.elements)))
+                 for c in congruences(A).atoms())
 
 
 # -- classification and CEP ---------------------------------------------------

@@ -167,6 +167,18 @@ def boolean_square():
     return finite_algebra("2x2", 4, leq, 3, meet)
 
 
+def boolean_square_with_top():
+    """The Heyting algebra 0 < a,b < c < 1 with mult = meet and unit 1: a
+    non-chain whose subset {0, a, b, 1} is closed under mult and both
+    residuals but not under join (a v b = c)."""
+    from rlw.algebra import finite_algebra
+    leq = [[1, 1, 1, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 1, 1], [0, 0, 0, 1, 1],
+           [0, 0, 0, 0, 1]]
+    meet = [[0, 0, 0, 0, 0], [0, 1, 0, 1, 1], [0, 0, 2, 2, 2], [0, 1, 2, 3, 3],
+            [0, 1, 2, 3, 4]]
+    return finite_algebra("2x2+1", 5, leq, 4, meet)
+
+
 def brute_homs(B, D, injective=False):
     """All homomorphisms by filtering every map (independent checker)."""
     out = []
@@ -431,3 +443,78 @@ def congruences_by_covers_and_joins(A):
                     fresh.append(j)
         frontier = fresh
     return ConLattice(A, tuple(sorted(found.values(), key=_con_key)))
+
+
+def subuniverse_closure(A, seed):
+    """Closure of seed + constants + unit under all five operations, every
+    product of the set recomputed each round until nothing new appears."""
+    current = set(seed) | {A.unit} | {v for _, v in A.constants}
+    tables = [getattr(A, op) for op in ("mult", "meet", "join", "lres", "rres")]
+    changed = True
+    while changed:
+        changed = False
+        elems = list(current)
+        for t in tables:
+            for x in elems:
+                for y in elems:
+                    v = t[x][y]
+                    if v not in current:
+                        current.add(v)
+                        changed = True
+    return frozenset(current)
+
+
+def subuniverses_by_closure(A):
+    """All subuniverses, each s + {x} closed from scratch, sorted by
+    (size, tuple)."""
+    base = subuniverse_closure(A, ())
+    found = {base}
+    frontier = [base]
+    while frontier:
+        fresh = []
+        for s in frontier:
+            for x in A.elements:
+                if x not in s:
+                    s2 = subuniverse_closure(A, s | {x})
+                    if s2 not in found:
+                        found.add(s2)
+                        fresh.append(s2)
+        frontier = fresh
+    return tuple(tuple(sorted(s)) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
+
+
+def span_amalgams(members, one_sided):
+    """(span, amalgam or None) for each span of `_spans_of` over the
+    deduplicated class, each span answered on its own by restriction sets
+    over lists from the backtracking `homs`: for the first D in class order
+    where R1 = {psi1 o phi1} and R2 = {psi2 o phi2} meet, the least common
+    restriction r, the first psi1 with psi1 o phi1 = r and the first psi2
+    with psi2 o phi2 = r, in `homs` order."""
+    from rlw.amalgam import _dedup_by_iso, _spans_of
+    from rlw.morphisms import homs
+    K = _dedup_by_iso(members)
+    lists = {}
+
+    def maps(X, D, injective):
+        key = (id(X), id(D), injective)
+        if key not in lists:
+            lists[key] = homs(X, D, injective=injective)
+        return lists[key]
+
+    def restrictions(X, D, injective, phi):
+        found = {}
+        for psi in maps(X, D, injective):
+            found.setdefault(tuple(psi.mapping[v] for v in phi.mapping), psi)
+        return found
+
+    for *_, s in _spans_of(K):
+        amalgam = None
+        for D in K:
+            r1 = restrictions(s.B, D, True, s.phi1)
+            r2 = restrictions(s.C, D, not one_sided, s.phi2)
+            common = set(r1) & set(r2)
+            if common:
+                r = min(common)
+                amalgam = D, r1[r], r2[r]
+                break
+        yield s, amalgam

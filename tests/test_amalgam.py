@@ -6,7 +6,7 @@ import pytest
 
 from rlw import (ClassSpec, NotAChain, NotSemilinear, NotSimple, SignatureMismatch,
                  class_has_1ap, class_has_eap, decide_ap, find_amalgam,
-                 fsi_chains, is_essential_span, refute_chain_amalgam,
+                 fsi_chains, is_essential, refute_chain_amalgam,
                  replay_refutation, simple_chain_ap, span, strictly_simple_ap,
                  variety)
 from rlw.algebra import NotAHomomorphism
@@ -153,12 +153,12 @@ def test_refuted_implies_bounded_not_found():
 
 def test_essential_spans():
     s1 = knotted_span(1)
-    assert is_essential_span(s1)
+    assert is_essential(s1.phi2)
     A = make_goedel(3)
-    assert is_essential_span(span(A, A, A, list(A.elements), list(A.elements)))
+    assert is_essential(span(A, A, A, list(A.elements), list(A.elements)).phi2)
     triv = subalgebra(make_rsa(2), (1,), name="T")
     s = span(triv, make_rsa(2), make_rsa(3), [1], [2])
-    assert not is_essential_span(s)
+    assert not is_essential(s.phi2)
 
 
 def test_span_enumeration_order():
@@ -253,6 +253,40 @@ def test_class_hom_lists_match_homs():
                     want = [m.mapping for m in embeddings(A, C)]
                     assert spans.get((bi, leg, ci), []) == want, (A.name, C.name)
     assert (len(classes), pairs) == (72, 2 * 2189 + 9)   # 983 pairs of the 36 ladder classes
+
+
+def test_span_amalgams_match_per_span_oracle():
+    # the shared R1 and R2 answer every span of the ladder classes, chain-coded
+    # and relabelled as matrices, as restriction sets built per span from the
+    # backtracking search do, and report the amalgam the fixed rule names:
+    # first D, least common restriction, first psi1 and psi2 in homs order
+    # (G_9 is left out: its 25,740 spans per coding and side would triple the
+    # test's time).  On the ladder classes R1 and R2 never share more than one
+    # restriction; the boolean square's automorphism gives two, listed out of
+    # order.
+    classes = {}
+    for gens in ladder(goedel_to=8):
+        chains = fsi_chains(variety(*gens))
+        classes.setdefault(tuple(c.key() for c in chains), chains)
+    cases = [members for chains in classes.values()
+             for members in (chains, _relabel_members(chains))]
+    cases.append([make_goedel(1).reduct(), make_goedel(2).reduct(), oracles.boolean_square()])
+    spans = 0
+    for members in cases:
+        for one_sided in (True, False):
+            K = _ExplicitClass(members)
+            got = list(_spans_of(K.K))
+            want = list(oracles.span_amalgams(members, one_sided))
+            assert [repr(s) for *_, s in got] == [repr(s) for s, _ in want]
+            for (bi, _, ci, s), (_, amalgam) in zip(got, want):
+                found = K._amalgam(bi, ci, s, one_sided)
+                if amalgam is None:
+                    assert found is None, (s, one_sided)
+                else:
+                    assert found is not None and found[0] is amalgam[0], (s, one_sided)
+                    assert [m.mapping for m in found[1:]] == [m.mapping for m in amalgam[1:]]
+            spans += len(got)
+    assert spans > 0
 
 
 def test_decide_ap_searches_no_homs(monkeypatch):
