@@ -111,6 +111,10 @@ class NoCompletion(AlgebraError):
     pass
 
 
+_table_ids = {}   # (key(), chain) -> table id
+by_table_id = []  # table id -> the first algebra whose `table_id` was read
+
+
 @dataclass(frozen=True)
 class FiniteAlgebra:
     """A validated finite residuated lattice, possibly with f/bot/top constants.
@@ -181,6 +185,17 @@ class FiniteAlgebra:
     def key(self):
         """Identity of the algebra up to renaming/labels (used for dedup)."""
         return (self.size, self.unit, self.mult, self.leq, self.constants)
+
+    @functools.cached_property
+    def table_id(self):
+        """A small int naming `key()` and the `chain` tag, shared by copies that
+        differ in name or labels only; the registry keeps one entry per table
+        asked, so only the caches of facts that depend on tables alone ask.
+        Ids are process-local (nothing pickles a FiniteAlgebra)."""
+        tid = _table_ids.setdefault((self.key(), self.chain), len(by_table_id))
+        if tid == len(by_table_id):
+            by_table_id.append(self)
+        return tid
 
     # -- derived views ------------------------------------------------------
 

@@ -7,19 +7,8 @@ unique order automorphism, so this loses nothing up to equivalence) and walks
 spans by (|B|+|C|, |C|, |B|, ...), so reported witnesses are minimal in that
 order.
 
-The class checks list maps between chains by the homomorphism theorem
-(Burris-Sankappanavar, A Course in Universal Algebra, 1981, II 6), not by
-search: every homomorphism is a quotient map followed by an embedding, and
-the only order isomorphism between two chains numbered in their order is the
-identity.  So for a totally ordered C
-
-    Hom(C, D) = {incl_S o q_theta : theta in Con(C), S in Sub(D),
-                 key(D|S) = key(C/theta)},
-
-and Emb(C, D) is the part with theta the identity.  `natural_projection` and
-`subalgebras` number every quotient and subalgebra of a chain in its order,
-so equal keys mean the identity is an isomorphism.  `homs` remains for
-sources that are not totally ordered and for `find_amalgam`.
+The class checks read the maps between members off `morphisms.hom_maps`,
+listed once per pair of tables; `find_amalgam` searches with `homs`.
 """
 from __future__ import annotations
 
@@ -29,11 +18,10 @@ from operator import itemgetter
 from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
                       NotSubalgebraClosed, SignatureMismatch, _signature)
 from .completion import enumerate_chains
-from .morphisms import Morphism, compose, homs, is_essential, is_hom, morphism
+from .morphisms import Morphism, compose, hom_maps, homs, is_essential, is_hom, morphism
 from .properties import handy_fixed_points, is_semilinear, mirror_fixed_points
 from .structure import (classify, congruences, has_cep, interned_subalgebras,
-                        named_subalgebra, natural_projection, quotient_maps,
-                        subalgebra_index)
+                        named_subalgebra, natural_projection)
 
 
 @dataclass(frozen=True)
@@ -111,13 +99,13 @@ def _verify_amalgam(s, D, psi1, psi2, one_sided, checked=None):
     a homomorphism (an embedding unless one_sided), and psi1 o phi1 =
     psi2 o phi2.  Explicit raises, so that `python -O` keeps the check.
 
-    `checked` holds (id(source), id(target), mapping) of maps that passed
-    `is_hom` already, for a caller that keeps its algebras alive; each new
-    map that passes is added, and none is checked twice."""
-    checked = set() if checked is None else checked
-
+    `checked` holds (source's table id, target's table id, mapping) of maps
+    that passed `is_hom` already; each new map that passes is added, and none
+    is checked twice.  Without it no table id is read."""
     def hom(X, mapping):
-        key = (id(X), id(D), mapping)
+        if checked is None:
+            return is_hom(X, D, mapping)
+        key = (X.table_id, D.table_id, mapping)
         if key not in checked and is_hom(X, D, mapping):
             checked.add(key)
         return key in checked
@@ -299,24 +287,6 @@ def _dedup_by_iso(chains):
     return [seen[k] for k in sorted(seen, key=lambda k: (k[0], k[2], k[4]))]
 
 
-def _hom_list(C, D, injective):
-    """Hom(C, D), or Emb(C, D) when injective, in the lexicographic order of
-    `homs`.  For a totally ordered C these are the incl_S o q_theta (see the
-    module docstring): q_theta from `quotient_maps(C)`, only the identity
-    when injective, and incl_S from `subalgebra_index(D)` under the key of
-    C/theta.  A chain-coded C is its own quotient by the identity, so its
-    embeddings are read under C.key() and no quotient is built.  `homs`
-    searches for any other C."""
-    if not C.is_totally_ordered:
-        return homs(C, D, injective=injective)
-    index = subalgebra_index(D)
-    if injective and C.chain:
-        return [Morphism(C, D, incl) for incl in sorted(index.get(C.key(), ()))]
-    thetas = quotient_maps(C)[:1] if injective else quotient_maps(C)
-    return [Morphism(C, D, m) for m in sorted(
-        tuple(incl[v] for v in q) for qkey, q in thetas for incl in index.get(qkey, ()))]
-
-
 def _spans_of(K):
     """All spans up to equivalence, ordered by (|B|+|C|, |C|, |B|, ...), as
     (bi, leg, ci, span) with B = K[bi], C = K[ci] and phi1 the inclusion of
@@ -331,28 +301,27 @@ def _spans_of(K):
             legs[bi] = []
             for sub, S, incl in interned_subalgebras(B):
                 A = named_subalgebra(B, sub, S, incl, f"{B.name}|{','.join(map(str, sub))}")
-                legs[bi].append((A, Morphism(A, B, incl)))
-        for leg, (A, phi1) in enumerate(legs[bi]):
-            for phi2 in _hom_list(A, C, True):
-                yield bi, leg, ci, Span(A, B, C, phi1, phi2)
+                legs[bi].append((S, A, Morphism(A, B, incl)))
+        for leg, (S, A, phi1) in enumerate(legs[bi]):
+            for phi2 in hom_maps(S, C, True):
+                yield bi, leg, ci, Span(A, B, C, phi1, Morphism(A, C, phi2))
 
 
 class _ExplicitClass:
     """An explicit list that must be closed under subalgebras, deduplicated up
-    to isomorphism, with what its 1AP and EAP checks share: the homomorphisms
-    between members, each first leg's restriction sets and the certificate
-    maps already checked.  All are built once, for the life of the object;
-    what depends on one member's table alone (its subalgebras, their index
-    by table, its quotient maps) `structure` computes once per table.
+    to isomorphism, with what its 1AP and EAP checks share: each leg's
+    restriction sets and the certificate maps already checked, kept for the
+    life of the object.  What depends on tables alone (subalgebras, quotient
+    maps, the maps between two members) is listed once per process, by
+    `structure` and `morphisms.hom_maps`.
 
     A span amalgamates in D exactly when R1 and R2 meet, as tuples over A:
     R1 = {psi1 o phi1 : psi1 in Emb(B, D)} and R2 = {psi2 o phi2 : psi2 in
     Hom(C, D)}, or Emb(C, D) for two-sided amalgams.  This is the question
-    `find_amalgam` answers for the class, restated so that each Emb(B, D),
-    each Hom(C, D) (`_hom_list`), each leg's R1 and each R2 is listed once,
-    not once per span: R2 depends on (C, phi2, D) alone, so spans from
-    different B with the same second leg share it.  All members must
-    designate the same constants."""
+    `find_amalgam` answers for the class, restated so that each leg's R1 and
+    each R2 is built once, not once per span: R2 depends on (C, phi2, D)
+    alone, so spans from different B with the same second leg share it.  All
+    members must designate the same constants."""
 
     def __init__(self, K):
         self.K = _dedup_by_iso(K)
@@ -366,29 +335,21 @@ class _ExplicitClass:
             if dict(B.constants).keys() != dict(self.K[0].constants).keys():
                 raise SignatureMismatch(
                     f"{self.K[0].name} and {B.name} designate different constants")
-        self._homs = {}        # (i, j, injective) -> `_maps(i, j, injective)`
-        self._restricted = {}  # (i, phi, j, injective) -> `_restrictions(...)`
+        self._restricted = {}  # (X, phi, D) table ids and mapping, injective -> R
         self._checked = set()  # certificate maps that passed is_hom
 
-    def _maps(self, i, j, injective):
-        """Hom(K[i], K[j]), or Emb when injective, in lexicographic order."""
-        key = (i, j, injective)
-        if key not in self._homs:
-            self._homs[key] = _hom_list(self.K[i], self.K[j], injective)
-        return self._homs[key]
-
-    def _restrictions(self, i, j, injective, phi):
-        """{psi o phi: the first psi in `_maps(i, j, injective)` with it}, for
-        phi into K[i]: R1 of a span for (B, phi1, D, True), R2 for (C, phi2,
-        D, injective).  Built once per (i, phi's mapping, j, injective); a
-        restriction is a tuple, or the one image when A has one element."""
-        key = (i, phi.mapping, j, injective)
+    def _restrictions(self, X, phi, D, injective):
+        """{psi o phi: the first psi in `hom_maps(X, D, injective)` with it},
+        for phi into X: R1 of a span for (B, phi1, D, True), R2 for (C, phi2,
+        D, injective); built once per key.  A restriction is a tuple, or the
+        one image when A has one element."""
+        key = (X.table_id, phi.mapping, D.table_id, injective)
         found = self._restricted.get(key)
         if found is None:
             found = self._restricted[key] = {}
             restrict = itemgetter(*phi.mapping)
-            for psi in self._maps(i, j, injective):
-                found.setdefault(restrict(psi.mapping), psi)
+            for psi in hom_maps(X, D, injective):
+                found.setdefault(restrict(psi), psi)
         return found
 
     def _amalgam(self, bi, ci, s, one_sided):
@@ -397,16 +358,17 @@ class _ExplicitClass:
         first D in class order, then the least common restriction, then the
         first psi1 and psi2 in `homs` order with it: the smaller of R1 and
         R2 is walked, and the answer does not depend on which."""
-        for di, D in enumerate(self.K):
-            r1 = self._restrictions(bi, di, True, s.phi1)
+        B, C = self.K[bi], self.K[ci]
+        for D in self.K:
+            r1 = self._restrictions(B, s.phi1, D, True)
             if not r1:
                 continue
-            r2 = self._restrictions(ci, di, not one_sided, s.phi2)
+            r2 = self._restrictions(C, s.phi2, D, not one_sided)
             small, large = (r1, r2) if len(r1) <= len(r2) else (r2, r1)
             common = [r for r in small if r in large]
             if common:
                 r = min(common)
-                return D, r1[r], r2[r]
+                return D, Morphism(B, D, r1[r]), Morphism(C, D, r2[r])
         return None
 
     def span_verdicts(self, one_sided):
@@ -547,11 +509,11 @@ def simple_chain_ap(A):
         return ApVerdict(False, "cep_failure", (A,),
                          cep_witness=(A, cep.witness[0], cep.witness[1].blocks))
     # two distinct isomorphic subalgebras give the failing span; those of a
-    # chain are numbered in their order, so isomorphic means the same table
+    # chain are numbered in their order, so isomorphic ones are one interned object
     entries = interned_subalgebras(A)
     for i, (sub, S, incl) in enumerate(entries):
         for _, T, incl2 in entries[i + 1:]:
-            if T.key() == S.key():
+            if T is S:
                 S = named_subalgebra(A, sub, S, incl)
                 return ApVerdict(False, "span_failure", (A,), span_witness=Span(
                     S, A, A, Morphism(S, A, incl), Morphism(S, A, incl2)))

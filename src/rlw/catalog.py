@@ -318,14 +318,19 @@ def catalog_all(max_size=9, include_figures=True):
     return out
 
 
+def make_entry(name, *params):
+    """A family member, or a figure algebra, which takes no parameters."""
+    if params and name not in FAMILIES:
+        raise BadParameter(f"figure {name!r} takes no parameters, got {list(params)}")
+    return make_family(name, *params) if name in FAMILIES else make_figure(name)
+
+
 def resolve_catalog_name(spec):
     """Resolve 'catalog:<family>:<params>' or 'figure:<name>' addressing."""
     parts = spec.split(":")
     if parts[0] == "catalog" and len(parts) >= 2:
-        if parts[1] in FAMILIES:
-            return make_family(parts[1], *parts[2:])
-        if parts[1] in FIGURES:
-            return make_figure(parts[1])
+        if parts[1] in FAMILIES or parts[1] in FIGURES:
+            return make_entry(*parts[1:])
         raise BadParameter(f"unknown catalog entry {parts[1]!r}")
     if parts[0] == "figure" and len(parts) == 2:
         return make_figure(parts[1])

@@ -93,8 +93,7 @@ def _morphism_cert(m):
 # -- subcommands --------------------------------------------------------------
 
 def cmd_catalog(args, run):
-    A = catalog.make_family(args.family, *args.params) \
-        if args.family in catalog.FAMILIES else catalog.make_figure(args.family)
+    A = catalog.make_entry(args.family, *args.params)
     run.parameters = {"family": args.family, "params": args.params}
     run.verdict = "ok"
     run.affirmative = True

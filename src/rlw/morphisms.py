@@ -20,18 +20,28 @@ library; a raw `Morphism(...)` is not checked, and is for maps derived from
 maps already known to be homomorphisms.
 
 `homs` serves `find_amalgam`, the `hom` and `iso` commands, `are_isomorphic`
-and class members that are not chains.  The class checks behind `decide_ap`
-read their lists between chains off congruences and subalgebras instead
-(see `amalgam`).
+and `hom_maps` from a C that is not a chain.  From a chain, `hom_maps` reads
+Hom(C, D) off the homomorphism theorem (Burris-Sankappanavar, A Course in
+Universal Algebra, 1981, II 6): every homomorphism is a quotient map followed
+by an embedding, and the only order isomorphism between two chains numbered
+in their order is the identity.  So for a totally ordered C
+
+    Hom(C, D) = {incl_S o q_theta : theta in Con(C), S in Sub(D),
+                 D|S and C/theta have the same table},
+
+and Emb(C, D) is the part with theta the identity.  `natural_projection` and
+`subalgebras` number every quotient and subalgebra of a chain in its order,
+so equal tables mean the identity is an isomorphism.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .algebra import (OPS, FiniteAlgebra, NotAHomomorphism, NotAnEmbedding,
-                      SignatureMismatch, ops_to_check)
+                      SignatureMismatch, by_table_id, ops_to_check)
 from .structure import (Congruence, atom_indices, congruence_leq, congruences,
-                        natural_projection)
+                        natural_projection, quotient_maps, subalgebra_index)
 
 
 @dataclass(frozen=True)
@@ -209,6 +219,28 @@ def homs(B, D, injective=False, commute_with=None, limit=None):
 
 def embeddings(A, C):
     return homs(A, C, injective=True)
+
+
+def hom_maps(C, D, injective):
+    """The mappings of Hom(C, D), or of Emb(C, D) when injective, sorted as
+    by `homs`, once per pair of tables per process.  A chain C's maps are the
+    incl_S o q_theta of the module docstring, from `quotient_maps(C)` (only
+    the identity when injective) and `subalgebra_index(D)`; a chain-coded C's
+    embeddings are read under its own id, with no quotient built."""
+    return _hom_maps(C.table_id, D.table_id, injective)
+
+
+@lru_cache(maxsize=None)
+def _hom_maps(cid, did, injective):
+    C, D = by_table_id[cid], by_table_id[did]
+    if not C.is_totally_ordered:
+        return tuple(m.mapping for m in homs(C, D, injective=injective))
+    index = subalgebra_index(D)
+    if injective and C.chain:
+        return tuple(sorted(index.get(cid, ())))
+    thetas = quotient_maps(C)[:1] if injective else quotient_maps(C)
+    return tuple(sorted(tuple(incl[v] for v in q)
+                        for qid, q in thetas for incl in index.get(qid, ())))
 
 
 def are_isomorphic(A, B):

@@ -13,8 +13,8 @@ The CEP is tested through the same correspondence: theta in Con(S) extends
 to A exactly when its e-class is M & S for some CNS M of A.
 
 Con(A), Sub(A), the subalgebras and the quotient maps depend on A's tables
-alone, so each is computed once per table (`key()`) per process: copies that
-differ in name or labels only share one entry, and `congruences` and
+alone, so each is computed once per table (`table_id`) per process: copies
+that differ in name or labels only share one entry, and `congruences` and
 `subalgebras` name what they return after the caller's algebra and labels.
 """
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, wraps
 
-from .algebra import (OPS, FiniteAlgebra, NotASubuniverse, derived, induced_order,
-                      ops_to_check)
+from .algebra import (OPS, FiniteAlgebra, NotASubuniverse, by_table_id, derived,
+                      induced_order, ops_to_check)
 
 
 def _canon_blocks(rep, n):
@@ -156,25 +156,15 @@ def _con_key(c):
     return (c.algebra.size - c.nblocks, c.blocks)
 
 
-class _Tables(tuple):
-    """An algebra compared and hashed by its tables (`key()`) alone, as the
-    tuple (A.key(),): the key of the structure caches, so that copies that
-    differ in name or labels only share an entry, held by the first seen."""
-    def __new__(cls, A):
-        tables = super().__new__(cls, (A.key(),))
-        tables.algebra = A
-        return tables
-
-
 def _per_table(fn):
-    """fn(A), computed once per table (`key()`) per process: an lru_cache
-    keyed by `_Tables`, whose cache_info() and cache_clear() the wrapper
-    exposes.  Callers read of fn's result only what A's tables determine."""
-    cached = lru_cache(maxsize=512)(lambda tables: fn(tables.algebra))
+    """fn(A), computed once per table per process, on the first algebra seen
+    with A's table: an lru_cache keyed by A.table_id, whose cache_info() and
+    cache_clear() the wrapper exposes."""
+    cached = lru_cache(maxsize=512)(lambda tid: fn(by_table_id[tid]))
 
     @wraps(fn)
     def by_table(A):
-        return cached(_Tables(A))
+        return cached(A.table_id)
     by_table.cache_info, by_table.cache_clear = cached.cache_info, cached.cache_clear
     return by_table
 
@@ -194,8 +184,8 @@ def congruences(A):
     """The full congruence lattice, on A itself: Theta(m, e) for each m <= e,
     by the congruence-CNS correspondence (Blount-Tsinakis 2003;
     Galatos-Jipsen-Kowalski-Ono 2007, ch. 3).  The blocks are computed once
-    per table (`key()`) per process; the cache_info() and cache_clear() are
-    theirs.
+    per table (`table_id`) per process; the cache_info() and cache_clear()
+    are theirs.
 
     Let theta have e-class M, and m the meet of M & down(e) (so m is in M).
     Then Theta(m, e) <= theta, and its e-class contains [m, e], which
@@ -288,7 +278,7 @@ def subuniverse_closure(A, seed):
 def subuniverses(A):
     """All subuniverses, sorted by (size, tuple): the closure of the unit and
     constants, then each s + {x} closed from the subuniverse s; computed once
-    per table (`key()`) per process."""
+    per table per process."""
     tables = _closure_tables(A)
     base = subuniverse_closure(A, ())
     found = {base}
@@ -336,19 +326,16 @@ def subalgebra(A, subset, name=None):
     return subalgebra_with_map(A, subset, name)[0]
 
 
-_interned = _per_table(lambda S: S)   # the first algebra seen with S's table
-
-
 @_per_table
 def interned_subalgebras(A):
     """(subuniverse, subalgebra, inclusion) for each subuniverse of A, in
     `subuniverses` order and numbered as by `subalgebra_with_map`, but
-    derive-only, unlabelled and with one object per distinct table (named as
-    first seen); once per table.  `named_subalgebra` names an entry."""
+    derive-only and with one object per table, the first seen with it under
+    any name and labels; once per table.  `named_subalgebra` names an entry."""
     out = []
     for sub in subuniverses(A):
         S, inclusion = _subalgebra(A, sub)
-        out.append((sub, _interned(S), inclusion))
+        out.append((sub, by_table_id[S.table_id], inclusion))
     return tuple(out)
 
 
@@ -372,20 +359,20 @@ def subalgebras(A):
 
 @_per_table
 def subalgebra_index(A):
-    """{S.key(): the inclusions of A's subalgebras S with that table}, in
+    """{S.table_id: the inclusions of A's subalgebras S with that table}, in
     `subuniverses` order; computed once per table.  Read-only."""
     index = {}
     for _, S, inclusion in interned_subalgebras(A):
-        index.setdefault(S.key(), []).append(inclusion)
+        index.setdefault(S.table_id, []).append(inclusion)
     return index
 
 
 @_per_table
 def quotient_maps(A):
-    """(key of A/theta, projection) for each theta in `congruences(A)`, the
-    identity first; computed once per table."""
-    return tuple((Q.key(), q) for Q, q in (natural_projection(A, theta)
-                                           for theta in congruences(A)))
+    """(table id of A/theta, projection) for each theta in `congruences(A)`,
+    the identity first; computed once per table."""
+    return tuple((Q.table_id, q) for Q, q in (natural_projection(A, theta)
+                                              for theta in congruences(A)))
 
 
 @_per_table
@@ -454,7 +441,7 @@ def has_cep(A):
     `congruences` order, whose e-class is not the trace of a CNS of A.
 
     It reads `interned_subalgebras(A)` and the congruence blocks of each
-    subalgebra, both computed once per table (`key()`) per process, and
+    subalgebra, both computed once per table per process, and
     names only a witness's subalgebra.  The CNS of A are listed once, and
     their traces (`cns_traces`) once per subuniverse."""
     cns = convex_normal_subalgebras(A)

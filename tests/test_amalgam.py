@@ -225,7 +225,7 @@ def test_class_hom_lists_match_homs():
     # the hom lists read off Con x Sub, and the span embeddings read off Sub,
     # equal the backtracking search's lists in order, on every pair of
     # members, in the chain coding and relabelled as matrices
-    from rlw.morphisms import embeddings, homs
+    from rlw.morphisms import embeddings, hom_maps, homs
     classes = {}
     for gens in ladder() + [(A,) for A in catalog_all(7) if is_semilinear(A)]:
         chains = fsi_chains(variety(*gens))
@@ -240,7 +240,7 @@ def test_class_hom_lists_match_homs():
         for i, C in enumerate(K.K):
             for j, D in enumerate(K.K):
                 for injective in (True, False):
-                    got = [m.mapping for m in K._maps(i, j, injective)]
+                    got = list(hom_maps(C, D, injective))
                     want = [m.mapping for m in homs(C, D, injective=injective)]
                     assert got == want, (C.name, D.name, injective)
                 pairs += 1
@@ -290,9 +290,11 @@ def test_span_amalgams_match_per_span_oracle():
 
 
 def test_decide_ap_searches_no_homs(monkeypatch):
-    # on the ap-ladder every hom list is read off Con x Sub, and each distinct
-    # certificate map is checked by is_hom at most once per decide_ap call
+    # on the ap-ladder every hom list is read off Con x Sub, so hom_maps never
+    # falls back to the search, and each distinct certificate map is checked
+    # by is_hom at most once per decide_ap call
     import rlw.amalgam
+    import rlw.morphisms
 
     def no_search(*args, **kwargs):
         raise AssertionError("hom search")
@@ -303,7 +305,8 @@ def test_decide_ap_searches_no_homs(monkeypatch):
         checked.append((id(B), id(D), tuple(mapping)))
         return original(B, D, mapping)
 
-    monkeypatch.setattr("rlw.amalgam.homs", no_search)
+    monkeypatch.setattr("rlw.morphisms.homs", no_search)
+    rlw.morphisms._hom_maps.cache_clear()   # lists from earlier calls would hide a search
     monkeypatch.setattr("rlw.amalgam.is_hom", recording)
     total = 0
     for gens in ladder():
@@ -312,6 +315,28 @@ def test_decide_ap_searches_no_homs(monkeypatch):
         assert len(checked) == len(set(checked)), gens[0].name
         total += len(checked)
     assert total > 0
+
+
+def test_bounded_searches_register_no_table_ids():
+    # the table-id registry keeps one entry per table it has seen, so the
+    # bounded searches, which meet each of thousands of chains once, must
+    # not feed it: the refuter and find_amalgam at bound 6 (the
+    # bounded-search workload's queries) and chain enumeration
+    from rlw import repro
+    from rlw.algebra import by_table_id
+    from rlw.completion import enumerate_chains
+    knotted = [repro._knotted_span(which) for which in (1, 2)]
+    fig3 = repro.fig3_span()
+    f_chains = ClassSpec.bounded(6, signature=("f",))
+    idem_chains = ClassSpec.bounded(6, require={"idempotent": True})
+    size = len(by_table_id)
+    for s in knotted:
+        assert replay_refutation(s, refute_chain_amalgam(s))
+        assert find_amalgam(s, f_chains).verdict == "NotFoundExhaustive"
+    assert find_amalgam(fig3, idem_chains, one_sided=True).found
+    assert find_amalgam(fig3, idem_chains).verdict == "NotFoundExhaustive"
+    assert len(list(enumerate_chains(5))) > 0
+    assert len(by_table_id) == size
 
 
 def test_verify_amalgam_raises_under_optimize():

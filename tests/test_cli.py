@@ -313,6 +313,9 @@ def _bad_files(tmp_path):
     ["con", "{tmp}/leq-ragged.json"],
     ["con", "{tmp}/not-json.json"],
     ["con", "catalog:luk:x"],
+    # a figure takes no parameters, in either addressing
+    ["catalog", "A1", "7"],
+    ["con", "catalog:A1:7"],
     ["hom", "catalog:goedel:4", "catalog:goedel:4", "--commute",
      "catalog:goedel:3", "0,x", "0,1"],
     ["hom", "catalog:goedel:4", "catalog:goedel:4", "--commute",

@@ -1,11 +1,13 @@
 """Results must not depend on how a totally ordered algebra numbers its
 elements: a chain written as a matrix order with its elements permuted gives
 the results of its canonical coding, mapped back through the permutation."""
+import random
+
 from hypothesis import given, strategies as st
 
-from rlw import (ClassSpec, class_has_1ap, congruences, decide_ap, find_amalgam,
-                 has_cep, refute_chain_amalgam, replay_refutation, span,
-                 subuniverses, variety)
+from rlw import (ClassSpec, class_has_1ap, classify, congruences, convex_normal_subalgebras,
+                 decide_ap, find_amalgam, has_cep, property_profile, refute_chain_amalgam,
+                 replay_refutation, span, subuniverses, variety)
 from rlw.amalgam import _dedup_by_iso
 from rlw.catalog import catalog_all, make_figure, make_goedel, make_sugihara
 
@@ -40,6 +42,31 @@ def test_structure_invariant_under_recoding(case):
     assert _mapped(subuniverses(R), back) == {frozenset(s) for s in subuniverses(A)}
     assert has_cep(R).holds == has_cep(A).holds
     assert decide_ap(variety(R)).verdict == decide_ap(variety(A)).verdict
+
+
+def test_classification_cns_and_profile_invariant_under_recoding():
+    # every catalog_all(9) algebra with more than one element, under one
+    # fixed non-identity permutation each
+    rng = random.Random(9)
+    checked = 0
+    for A in catalog_all(9):
+        if A.size == 1:
+            continue
+        perm = list(A.elements)
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+        R = oracles.relabelled(A, perm)
+        back = {y: x for x, y in enumerate(perm)}
+        assert property_profile(R) == property_profile(A), A.name
+        assert (_mapped(convex_normal_subalgebras(R), back)
+                == set(convex_normal_subalgebras(A))), A.name
+        got, want = classify(R), classify(A)
+        assert ((got.fsi, got.si, got.simple, got.strictly_simple)
+                == (want.fsi, want.si, want.simple, want.strictly_simple)), A.name
+        assert ((got.monolith and _mapped(got.monolith.blocks, back))
+                == (want.monolith and set(map(frozenset, want.monolith.blocks)))), A.name
+        checked += 1
+    assert checked == 81
 
 
 def _by_labels(X, Y):

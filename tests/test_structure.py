@@ -14,7 +14,7 @@ from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
 from rlw.completion import enumerate_chains
 from rlw.morphisms import is_hom
 from rlw.structure import (congruence_leq, interned_subalgebras, is_subuniverse,
-                           subalgebra_with_map, subalgebras)
+                           named_subalgebra, subalgebra_with_map, subalgebras)
 
 import oracles
 
@@ -170,6 +170,28 @@ def test_structure_caches_keyed_by_table():
         == (misses[0] + 1, misses[1] + 1)
     assert ([c.blocks for c in con]
             == [c.blocks for c in oracles.congruences_by_covers_and_joins(R)])
+
+
+def test_table_id_names_the_tables():
+    # copies that differ only in name or labels share one id, however they
+    # were made; other constants or another coding of the order get another
+    X = make_figure("cepfail")
+    assert dataclasses.replace(X, name="copy", labels=None).table_id == X.table_id
+    R = oracles.relabelled(X, [3, 0, 4, 1, 2])
+    assert R.table_id != X.table_id
+    assert R.as_chain().labels == X.labels and R.as_chain().table_id == X.table_id
+    G4, G6 = make_goedel(4), make_goedel(6)
+    sub, S, incl = next(e for e in interned_subalgebras(G6) if len(e[0]) == 4)
+    named = named_subalgebra(G6, sub, S, incl, "G6|four")
+    assert named is not S and named.table_id == S.table_id == G4.table_id
+    F = G4.with_constants("G4f", {"f": 0})
+    assert F.table_id != G4.table_id
+    assert F.with_constants("again", {"f": 0}).table_id == F.table_id
+    assert G4.with_constants("renamed", dict(G4.constants)).table_id == G4.table_id
+    # a matrix coding in index order has G4's key but not its "chain" tag, so
+    # an interned subalgebra read under the id is always tagged as it was made
+    M = oracles.relabelled(G4, list(G4.elements))
+    assert M.key() == G4.key() and M.table_id != G4.table_id
 
 
 def test_cns_bijection():

@@ -22,7 +22,7 @@ final JSON line.  Per metric it then gives, for each tree, the median and
 quartiles over that tree's runs (statistics.quantiles, n=4), and how many
 pairs the change won, in the direction BENCHMARK.json names.
 
-Cold decide_ap.  For each m from 10 to 14, with and without cross_check, each
+Cold decide_ap.  For each m from 10 to 15, with and without cross_check, each
 tree times `decide_ap(variety(make_goedel(m)))` in a fresh interpreter and
 reports the seconds of the call and the process's peak RSS (ru_maxrss); the
 trees alternate which runs first, three times.  Verdicts must agree.
@@ -43,7 +43,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRIC_LINE = re.compile(r"^\s+(\S+)\s+(\S+) \S+\s+\(median of (\d+), quartiles (\S+) \.\. (\S+)\)$")
-LADDER = range(10, 15)
+LADDER = range(10, 16)
 LADDER_REPEATS = 3
 COLD = """
 import json, resource, sys, time
