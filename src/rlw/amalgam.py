@@ -8,7 +8,9 @@ spans by (|B|+|C|, |C|, |B|, ...), so reported witnesses are minimal in that
 order.
 
 The class checks read the maps between members off `morphisms.hom_maps`,
-listed once per pair of tables; `find_amalgam` searches with `homs`.
+listed once per pair of tables, take spans as index tuples and maps as
+mappings, and build a `Span` for a reported witness only (`_span`);
+`find_amalgam` searches with `homs`.
 """
 from __future__ import annotations
 
@@ -16,12 +18,13 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
-                      NotSubalgebraClosed, SignatureMismatch, _signature)
+                      NotSubalgebraClosed, SignatureMismatch, _signature, by_table_id)
 from .completion import enumerate_chains
-from .morphisms import Morphism, compose, hom_maps, homs, is_essential, is_hom, morphism
+from .morphisms import Morphism, compose, hom_maps, homs, is_hom, morphism
 from .properties import handy_fixed_points, is_semilinear, mirror_fixed_points
-from .structure import (classify, congruences, has_cep, interned_subalgebras,
-                        named_subalgebra, natural_projection)
+from .structure import (atom_indices, classify, congruences, has_cep,
+                        interned_subalgebras, named_subalgebra, natural_projection,
+                        quotient_maps)
 
 
 @dataclass(frozen=True)
@@ -94,10 +97,11 @@ class AmalgamReport:
         return self.verdict == "Found"
 
 
-def _verify_amalgam(s, D, psi1, psi2, one_sided, checked=None):
-    """Raise AssertionError unless psi1: B -> D is an embedding, psi2: C -> D
-    a homomorphism (an embedding unless one_sided), and psi1 o phi1 =
-    psi2 o phi2.  Explicit raises, so that `python -O` keeps the check.
+def _verify_amalgam(B, C, phi1, phi2, D, psi1, psi2, one_sided, checked=None):
+    """Raise AssertionError unless, all maps given as mappings, psi1: B -> D
+    is an embedding, psi2: C -> D a homomorphism (an embedding unless
+    one_sided), and psi1 o phi1 = psi2 o phi2.  Explicit raises, so that
+    `python -O` keeps the check.
 
     `checked` holds (source's table id, target's table id, mapping) of maps
     that passed `is_hom` already; each new map that passes is added, and none
@@ -110,15 +114,15 @@ def _verify_amalgam(s, D, psi1, psi2, one_sided, checked=None):
             checked.add(key)
         return key in checked
 
-    if not (psi1.injective and hom(s.B, psi1.mapping)):
-        raise AssertionError(f"{psi1} is not an embedding of {s.B.name}")
-    if not hom(s.C, psi2.mapping):
-        raise AssertionError(f"{psi2} is not a homomorphism from {s.C.name}")
-    if not (one_sided or psi2.injective):
-        raise AssertionError(f"{psi2} is not injective")
-    for a in s.A.elements:
-        if psi1.mapping[s.phi1.mapping[a]] != psi2.mapping[s.phi2.mapping[a]]:
-            raise AssertionError(f"psi1 o phi1 and psi2 o phi2 differ at {s.A.label(a)}")
+    if not (len(set(psi1)) == len(psi1) and hom(B, psi1)):
+        raise AssertionError(f"{list(psi1)} is not an embedding of {B.name} in {D.name}")
+    if not hom(C, psi2):
+        raise AssertionError(f"{list(psi2)} is not a homomorphism from {C.name} to {D.name}")
+    if not (one_sided or len(set(psi2)) == len(psi2)):
+        raise AssertionError(f"{list(psi2)} is not injective")
+    for a, (b, c) in enumerate(zip(phi1, phi2)):
+        if psi1[b] != psi2[c]:
+            raise AssertionError(f"psi1 o phi1 and psi2 o phi2 differ at element {a} of A")
 
 
 def find_amalgam(s, K, one_sided=False):
@@ -131,7 +135,8 @@ def find_amalgam(s, K, one_sided=False):
             pinned = compose(psi1, s.phi1)
             for psi2 in homs(s.C, D, injective=not one_sided,
                              commute_with=(s.phi2, pinned), limit=1):
-                _verify_amalgam(s, D, psi1, psi2, one_sided)
+                _verify_amalgam(s.B, s.C, s.phi1.mapping, s.phi2.mapping,
+                                D, psi1.mapping, psi2.mapping, one_sided)
                 return AmalgamReport("Found", (D, psi1, psi2),
                                      class_info=K.describe())
     return AmalgamReport("NotFoundExhaustive", class_info=K.describe())
@@ -273,38 +278,51 @@ def replay_refutation(s, report):
 # -- class-level checks -------------------------------------------------------
 
 def _iso_key(A):
-    """The tables of A, of its `as_chain` coding when A is totally ordered: for
-    chains this is an isomorphism invariant (the only order isomorphism
+    """The table id of A, of its `as_chain` coding when A is totally ordered:
+    for chains this is an isomorphism invariant (the only order isomorphism
     between two codings in the algebra order is the identity)."""
-    return (A.as_chain() if A.is_totally_ordered else A).key()
+    return (A.as_chain() if A.is_totally_ordered else A).table_id
+
+
+def _by_table(tid):
+    """The sort key of a table id: (size, mult, constants) of its table."""
+    T = by_table_id[tid]
+    return T.size, T.mult, T.constants
 
 
 def _dedup_by_iso(chains):
     seen = {}
     for A in chains:
         seen.setdefault(_iso_key(A), A)
-    # key = (size, unit, mult, leq, constants)
-    return [seen[k] for k in sorted(seen, key=lambda k: (k[0], k[2], k[4]))]
+    return [seen[t] for t in sorted(seen, key=_by_table)]
 
 
 def _spans_of(K):
     """All spans up to equivalence, ordered by (|B|+|C|, |C|, |B|, ...), as
-    (bi, leg, ci, span) with B = K[bi], C = K[ci] and phi1 the inclusion of
-    B's leg-th subalgebra, named `B|0,1,2` for {0, 1, 2}; each B's legs are
-    built when B is first reached and reused for every C."""
-    idx = list(enumerate(K))
-    keyed = sorted(((b.size + c.size, c.size, b.size, bi, ci, b, c)
-                    for bi, b in idx for ci, c in idx))
-    legs = {}
-    for (_, _, _, bi, ci, B, C) in keyed:
-        if bi not in legs:
-            legs[bi] = []
-            for sub, S, incl in interned_subalgebras(B):
-                A = named_subalgebra(B, sub, S, incl, f"{B.name}|{','.join(map(str, sub))}")
-                legs[bi].append((S, A, Morphism(A, B, incl)))
-        for leg, (S, A, phi1) in enumerate(legs[bi]):
-            for phi2 in hom_maps(S, C, True):
-                yield bi, leg, ci, Span(A, B, C, phi1, Morphism(A, C, phi2))
+    (bi, leg, ci, phi2): B = K[bi], C = K[ci], phi1 the inclusion of B's
+    leg-th interned subalgebra, and phi2 a mapping of its `hom_maps` into C.
+    `_span` builds the named span."""
+    keyed = sorted((b.size + c.size, c.size, b.size, bi, ci)
+                   for bi, b in enumerate(K) for ci, c in enumerate(K))
+    for (_, _, _, bi, ci) in keyed:
+        for leg, (_, S, _) in enumerate(interned_subalgebras(K[bi])):
+            for phi2 in hom_maps(S, K[ci], True):
+                yield bi, leg, ci, phi2
+
+
+def _span(K, bi, leg, ci, phi2):
+    """The span (bi, leg, ci, phi2) of `_spans_of(K)`, with A named `B|0,1,2`
+    for the subuniverse {0, 1, 2} of B."""
+    B, C = K[bi], K[ci]
+    sub, S, incl = interned_subalgebras(B)[leg]
+    A = named_subalgebra(B, sub, S, incl, f"{B.name}|{','.join(map(str, sub))}")
+    return Span(A, B, C, Morphism(A, B, incl), Morphism(A, C, phi2))
+
+
+def _is_essential(C, phi2):
+    """`is_essential` of the embedding phi2 into C, given as a mapping."""
+    return all(len(set(map(block_of.__getitem__, phi2))) < len(phi2)
+               for _, block_of in atom_indices(C))
 
 
 class _ExplicitClass:
@@ -340,59 +358,59 @@ class _ExplicitClass:
 
     def _restrictions(self, X, phi, D, injective):
         """{psi o phi: the first psi in `hom_maps(X, D, injective)` with it},
-        for phi into X: R1 of a span for (B, phi1, D, True), R2 for (C, phi2,
-        D, injective); built once per key.  A restriction is a tuple, or the
-        one image when A has one element."""
-        key = (X.table_id, phi.mapping, D.table_id, injective)
+        for the mapping phi into X: R1 of a span for (B, phi1, D, True), R2
+        for (C, phi2, D, injective); built once per key.  A restriction is a
+        tuple, or the one image when A has one element."""
+        key = (X.table_id, phi, D.table_id, injective)
         found = self._restricted.get(key)
         if found is None:
             found = self._restricted[key] = {}
-            restrict = itemgetter(*phi.mapping)
+            restrict = itemgetter(*phi)
             for psi in hom_maps(X, D, injective):
                 found.setdefault(restrict(psi), psi)
         return found
 
-    def _amalgam(self, bi, ci, s, one_sided):
-        """(D, psi1, psi2) amalgamating the span s of `_spans_of`, from K[bi]
-        and K[ci], in the class, or None.  The amalgam reported is the
-        first D in class order, then the least common restriction, then the
-        first psi1 and psi2 in `homs` order with it: the smaller of R1 and
-        R2 is walked, and the answer does not depend on which."""
+    def _amalgam(self, bi, leg, ci, phi2, one_sided):
+        """(D, psi1, psi2) amalgamating the span (bi, leg, ci, phi2) of
+        `_spans_of` in the class, checked by `_verify_amalgam`, or None.  The
+        amalgam reported is the first D in class order, then the least common
+        restriction, then the first psi1 and psi2 in `homs` order with it:
+        the smaller of R1 and R2 is walked, and the answer does not depend on
+        which."""
         B, C = self.K[bi], self.K[ci]
+        phi1 = interned_subalgebras(B)[leg][2]
         for D in self.K:
-            r1 = self._restrictions(B, s.phi1, D, True)
+            r1 = self._restrictions(B, phi1, D, True)
             if not r1:
                 continue
-            r2 = self._restrictions(C, s.phi2, D, not one_sided)
+            r2 = self._restrictions(C, phi2, D, not one_sided)
             small, large = (r1, r2) if len(r1) <= len(r2) else (r2, r1)
             common = [r for r in small if r in large]
             if common:
                 r = min(common)
-                return D, Morphism(B, D, r1[r]), Morphism(C, D, r2[r])
+                _verify_amalgam(B, C, phi1, phi2, D, r1[r], r2[r], one_sided, self._checked)
+                return D, r1[r], r2[r]
         return None
 
     def span_verdicts(self, one_sided):
-        """(span, amalgamates) for each span of `_spans_of`, essential spans
-        only when not one_sided.  A span with phi1 or phi2 onto amalgamates in
-        D = C or D = B, one-sided and two-sided; every other amalgam found is
-        checked by `_verify_amalgam`."""
-        for bi, _, ci, s in _spans_of(self.K):
-            if not one_sided and not is_essential(s.phi2):
+        """(entry, amalgamates) for each entry of `_spans_of`, essential
+        spans only when not one_sided.  A span with phi1 or phi2 onto
+        amalgamates in D = C or D = B, one-sided and two-sided; every other
+        span is answered by `_amalgam`."""
+        for entry in _spans_of(self.K):
+            bi, _, ci, phi2 = entry
+            B, C = self.K[bi], self.K[ci]
+            if not one_sided and not _is_essential(C, phi2):
                 continue
-            if s.A.size in (s.B.size, s.C.size):
-                yield s, True
-                continue
-            found = self._amalgam(bi, ci, s, one_sided)
-            if found is not None:
-                _verify_amalgam(s, *found, one_sided, self._checked)
-            yield s, found is not None
+            yield entry, (len(phi2) in (B.size, C.size)
+                          or self._amalgam(*entry, one_sided) is not None)
 
     def check(self, one_sided):
         """1AP (one_sided) or EAP: (True, None) or (False, first failing span).
         The EAP takes essential spans only and asks for two-sided amalgams."""
-        for s, ok in self.span_verdicts(one_sided):
+        for entry, ok in self.span_verdicts(one_sided):
             if not ok:
-                return False, s
+                return False, _span(self.K, *entry)
         return True, None
 
 
@@ -427,8 +445,9 @@ def fsi_chains(V):
 
     A subalgebra isomorphic to one met before is skipped before its quotients
     are taken: those are isomorphic to quotients already listed, which come
-    first and so are the ones the deduplication keeps."""
-    out = []
+    first and so are the ones kept.  Only the first quotient with each table
+    (`quotient_maps`) is built and named."""
+    chains = {}
     seen = set()
     for g in V.generators:
         if not is_semilinear(g):
@@ -438,12 +457,12 @@ def fsi_chains(V):
             if key in seen:
                 continue
             seen.add(key)
-            B = named_subalgebra(g, sub, S, incl)
-            for theta in congruences(B):
-                Q, _ = natural_projection(B, theta)
-                if Q.is_totally_ordered:   # and so numbered in its order
-                    out.append(Q)
-    return _dedup_by_iso(out)
+            for theta, (qid, _) in zip(congruences(S), quotient_maps(S)):
+                # a totally ordered quotient is numbered in its order
+                if by_table_id[qid].chain and qid not in chains:
+                    B = named_subalgebra(g, sub, S, incl)
+                    chains[qid] = natural_projection(B, theta)[0]
+    return [chains[t] for t in sorted(chains, key=_by_table)]
 
 
 @dataclass(frozen=True)
@@ -481,17 +500,14 @@ def decide_ap(V, cross_check=False):
             return ApVerdict(False, "cep_failure", chains,
                              cep_witness=(A, sub, theta.blocks))
     ok, witness = K.check(one_sided=True)
-    result = ApVerdict(ok, None if ok else "span_failure", chains,
-                       span_witness=witness)
+    cross = None
     if cross_check:
         ok_e, witness_e = K.check(one_sided=False)
         if ok_e != ok:
             raise AssertionError("1AP and EAP routes disagree")
-        result = ApVerdict(ok, result.reason, chains,
-                           span_witness=witness,
-                           cross_check={"eap": ok_e,
-                                        "eap_witness": repr(witness_e) if witness_e else None})
-    return result
+        cross = {"eap": ok_e, "eap_witness": repr(witness_e) if witness_e else None}
+    return ApVerdict(ok, None if ok else "span_failure", chains, span_witness=witness,
+                     cross_check=cross)
 
 
 def simple_chain_ap(A):
@@ -501,8 +517,7 @@ def simple_chain_ap(A):
         raise NotAChain(f"{A.name} is not a chain")
     if A.is_trivial:
         return ApVerdict(True, None, (A,))   # the trivial variety has the AP
-    cls = classify(A)
-    if not cls.simple:
+    if not classify(A).simple:
         raise NotSimple(f"{A.name} is not simple")
     cep = has_cep(A)
     if not cep.holds:

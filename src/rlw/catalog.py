@@ -282,9 +282,9 @@ def _figure_mirror(name):
         equations=pos.equations, require={"integral": True})
 
 
-def figure_completions(name, limit=None):
+def figure_completions(name):
     """CompletionResult for a figure's transcribed partial algebra."""
-    return complete_partial(_figure_partial(name), limit=limit)
+    return complete_partial(_figure_partial(name))
 
 
 def make_figure(name):

@@ -117,19 +117,13 @@ def homs(B, D, injective=False, commute_with=None, limit=None):
     if injective and n > m:
         return []
     mapping = [-1] * n
-    pinned = {B.unit: D.unit}
-    for nm, v in B.constants:
-        w = D.constant(nm)
-        if v in pinned and pinned[v] != w:
-            return []
-        pinned[v] = w
+    pairs = [(B.unit, D.unit)] + [(v, D.constant(nm)) for nm, v in B.constants]
     if commute_with is not None:
-        phi, chi = commute_with
-        for a in range(phi.source.size):
-            v, w = phi.mapping[a], chi.mapping[a]
-            if v in pinned and pinned[v] != w:
-                return []
-            pinned[v] = w
+        pairs += zip(commute_with[0].mapping, commute_with[1].mapping)
+    pinned = {}
+    for v, w in pairs:
+        if pinned.setdefault(v, w) != w:
+            return []
     if injective and len(set(pinned.values())) != len(pinned):
         return []
 

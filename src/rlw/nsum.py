@@ -23,7 +23,7 @@ def _check_component(i, A, last):
             f"witness element {admissibility_witness(A)}")
 
 
-def nested_sum_with_map(components, name=None):
+def nested_sum_with_map(components):
     """Glued chain plus provenance: glued index -> (component index, element).
 
     All but the last component must be admissible or integral; components are
@@ -66,14 +66,14 @@ def nested_sum_with_map(components, name=None):
     labels = []
     for (i, x) in sequence:
         labels.append("e" if i < 0 else f"{i}.{comps[i].label(x)}")
-    name = name or "(" + " + ".join(C.name for C in comps) + ")"
+    name = "(" + " + ".join(C.name for C in comps) + ")"
     glued = finite_algebra(name, n, "chain", unit, mult, {}, labels)
     provenance = tuple(sequence)
     return glued, provenance
 
 
-def nested_sum(components, name=None):
-    return nested_sum_with_map(components, name)[0]
+def nested_sum(components):
+    return nested_sum_with_map(components)[0]
 
 
 def _restrict(A, subset, name):
@@ -120,24 +120,13 @@ def _split_once(A, allow_integral):
         if not (is_admissible(X) or (allow_integral and is_integral(X))):
             continue
         # cross rule: outer elements absorb every inner non-unit
-        ok = True
-        for x in outer_set:
-            if x == e:
-                continue
-            for s in inner_set:
-                if s == e:
-                    continue
-                if A.mult[x][s] != x or A.mult[s][x] != x:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(A.mult[x][s] == x == A.mult[s][x]
+               for x in outer_set if x != e for s in inner_set if s != e):
             return X, S
     return None
 
 
-def factor_nested_sum(A, allow_integral=None):
+def factor_nested_sum(A):
     """Finest nested-sum decomposition, outermost component first.
 
     Policy: outer components must be admissible; when the whole input chain is
@@ -147,8 +136,7 @@ def factor_nested_sum(A, allow_integral=None):
     A = A.as_chain()
     if A.constants:
         A = A.reduct()
-    if allow_integral is None:
-        allow_integral = is_integral(A)
+    allow_integral = is_integral(A)
     parts = []
     current = A
     while True:

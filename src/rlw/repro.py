@@ -90,9 +90,7 @@ def fig3_span():
     B = catalog.make_figure("idem-B")
     C = catalog.make_figure("idem-C")
     triv = structure.subalgebra(B, (B.unit,), name="T")
-    return amalgam.Span(triv, B, C,
-                        amalgam.morphism(triv, B, (B.unit,)),
-                        amalgam.morphism(triv, C, (C.unit,)))
+    return amalgam.span(triv, B, C, (B.unit,), (C.unit,))
 
 
 def repro_fig3(report):

@@ -215,7 +215,7 @@ def cns_generated(A, seed):
 
 # -- quotients and subalgebras ----------------------------------------------
 
-def natural_projection(A, theta, name=None):
+def natural_projection(A, theta):
     """Quotient algebra plus the projection map A -> A/theta.
 
     Blocks are numbered by `induced_order` of their least elements; the
@@ -234,13 +234,12 @@ def natural_projection(A, theta, name=None):
     labels = None
     if A.labels is not None:
         labels = tuple("".join(A.label(x) for x in blocks[b]) for b in order)
-    if name is None:
-        name = A.name if k == A.size else f"{A.name}/~{k}"
+    name = A.name if k == A.size else f"{A.name}/~{k}"
     return derived(A, name, [reps[b] for b in order], mapping, chainlike, labels), mapping
 
 
-def quotient(A, theta, name=None):
-    return natural_projection(A, theta, name)[0]
+def quotient(A, theta):
+    return natural_projection(A, theta)[0]
 
 
 def _closure_tables(A):

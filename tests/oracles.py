@@ -339,14 +339,15 @@ def congruences_bruteforce(A):
 
 
 def span_verdicts_by_find_amalgam(K, one_sided):
-    """(span, amalgamates) for each span of `_spans_of` over the deduplicated
-    class (essential spans only when not one_sided), by one `find_amalgam`
-    search through the whole class per span."""
-    from rlw.amalgam import ClassSpec, _dedup_by_iso, _spans_of, find_amalgam
+    """(span, amalgamates) for each entry of `_spans_of` over the deduplicated
+    class, built by `_span` (essential spans only when not one_sided), by one
+    `find_amalgam` search through the whole class per span."""
+    from rlw.amalgam import ClassSpec, _dedup_by_iso, _span, _spans_of, find_amalgam
     from rlw.morphisms import is_essential
     K = _dedup_by_iso(K)
     spec = ClassSpec.explicit(K)
-    for *_, s in _spans_of(K):
+    for entry in _spans_of(K):
+        s = _span(K, *entry)
         if not one_sided and not is_essential(s.phi2):
             continue
         yield s, find_amalgam(s, spec, one_sided=one_sided).found
@@ -484,13 +485,13 @@ def subuniverses_by_closure(A):
 
 
 def span_amalgams(members, one_sided):
-    """(span, amalgam or None) for each span of `_spans_of` over the
-    deduplicated class, each span answered on its own by restriction sets
-    over lists from the backtracking `homs`: for the first D in class order
-    where R1 = {psi1 o phi1} and R2 = {psi2 o phi2} meet, the least common
-    restriction r, the first psi1 with psi1 o phi1 = r and the first psi2
-    with psi2 o phi2 = r, in `homs` order."""
-    from rlw.amalgam import _dedup_by_iso, _spans_of
+    """(span, amalgam or None) for each entry of `_spans_of` over the
+    deduplicated class, built by `_span`, each span answered on its own by
+    restriction sets over lists from the backtracking `homs`: for the first
+    D in class order where R1 = {psi1 o phi1} and R2 = {psi2 o phi2} meet,
+    the least common restriction r, the first psi1 with psi1 o phi1 = r and
+    the first psi2 with psi2 o phi2 = r, in `homs` order."""
+    from rlw.amalgam import _dedup_by_iso, _span, _spans_of
     from rlw.morphisms import homs
     K = _dedup_by_iso(members)
     lists = {}
@@ -507,7 +508,8 @@ def span_amalgams(members, one_sided):
             found.setdefault(tuple(psi.mapping[v] for v in phi.mapping), psi)
         return found
 
-    for *_, s in _spans_of(K):
+    for entry in _spans_of(K):
+        s = _span(K, *entry)
         amalgam = None
         for D in K:
             r1 = restrictions(s.B, D, True, s.phi1)

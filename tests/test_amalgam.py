@@ -10,7 +10,7 @@ from rlw import (ClassSpec, NotAChain, NotSemilinear, NotSimple, SignatureMismat
                  replay_refutation, simple_chain_ap, span, strictly_simple_ap,
                  variety)
 from rlw.algebra import NotAHomomorphism
-from rlw.amalgam import _ExplicitClass, _Merge, _spans_of
+from rlw.amalgam import _ExplicitClass, _Merge, _span, _spans_of
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_luk, make_rsa, make_sugihara)
 from rlw.properties import is_semilinear
@@ -163,8 +163,8 @@ def test_essential_spans():
 
 def test_span_enumeration_order():
     K = [make_goedel(m) for m in (1, 2, 3)]
-    spans = _spans_of(K)
-    sizes = [(s.B.size + s.C.size, s.C.size) for *_, s in spans]
+    spans = [_span(K, *entry) for entry in _spans_of(K)]
+    sizes = [(s.B.size + s.C.size, s.C.size) for s in spans]
     assert sizes == sorted(sizes)
 
 
@@ -209,7 +209,8 @@ def test_span_verdicts_match_find_amalgam_oracle(family):
     for chains in classes.values():
         K = _ExplicitClass(chains)
         for one_sided in (True, False):
-            got = _through_first_failure(K.span_verdicts(one_sided))
+            got = _through_first_failure(
+                (_span(K.K, *entry), ok) for entry, ok in K.span_verdicts(one_sided))
             want = _through_first_failure(
                 oracles.span_verdicts_by_find_amalgam(chains, one_sided))
             assert got == want, (chains[-1].name, one_sided)
@@ -245,7 +246,9 @@ def test_class_hom_lists_match_homs():
                     assert got == want, (C.name, D.name, injective)
                 pairs += 1
         spans = {}
-        for bi, leg, ci, s in _spans_of(K.K):
+        for bi, leg, ci, phi2 in _spans_of(K.K):
+            s = _span(K.K, bi, leg, ci, phi2)
+            assert (s.B, s.C, s.phi2.mapping) == (K.K[bi], K.K[ci], phi2)
             spans.setdefault((bi, leg, ci), []).append(s.phi2.mapping)
         for bi, B in enumerate(K.K):
             for leg, (_, A, _) in enumerate(subalgebras(B)):
@@ -277,14 +280,14 @@ def test_span_amalgams_match_per_span_oracle():
             K = _ExplicitClass(members)
             got = list(_spans_of(K.K))
             want = list(oracles.span_amalgams(members, one_sided))
-            assert [repr(s) for *_, s in got] == [repr(s) for s, _ in want]
-            for (bi, _, ci, s), (_, amalgam) in zip(got, want):
-                found = K._amalgam(bi, ci, s, one_sided)
+            assert [repr(_span(K.K, *entry)) for entry in got] == [repr(s) for s, _ in want]
+            for entry, (s, amalgam) in zip(got, want):
+                found = K._amalgam(*entry, one_sided)
                 if amalgam is None:
                     assert found is None, (s, one_sided)
                 else:
                     assert found is not None and found[0] is amalgam[0], (s, one_sided)
-                    assert [m.mapping for m in found[1:]] == [m.mapping for m in amalgam[1:]]
+                    assert list(found[1:]) == [m.mapping for m in amalgam[1:]]
             spans += len(got)
     assert spans > 0
 
@@ -345,24 +348,25 @@ def test_verify_amalgam_raises_under_optimize():
 from rlw import span
 from rlw.amalgam import _verify_amalgam
 from rlw.catalog import make_goedel
-from rlw.morphisms import Morphism
 G2, G3, G4 = make_goedel(2), make_goedel(3), make_goedel(4)
-s = span(G2, G3, G3, [0, 2], [0, 2])
-ident, collapse, non_hom = (Morphism(G3, G3, m) for m in ((0, 1, 2), (0, 2, 2), (0, 0, 2)))
-_verify_amalgam(s, G3, ident, ident, False)
-_verify_amalgam(s, G3, ident, collapse, True)
-knotted = span(G3, G4, G4, [0, 1, 3], [0, 2, 3])
-ident4 = Morphism(G4, G4, (0, 1, 2, 3))
+def legs(s):
+    return s.B, s.C, s.phi1.mapping, s.phi2.mapping
+s = legs(span(G2, G3, G3, [0, 2], [0, 2]))
+ident, collapse, non_hom = (0, 1, 2), (0, 2, 2), (0, 0, 2)
+_verify_amalgam(*s, G3, ident, ident, False)
+_verify_amalgam(*s, G3, ident, collapse, True)
+knotted = legs(span(G3, G4, G4, [0, 1, 3], [0, 2, 3]))
+ident4 = (0, 1, 2, 3)
 bad = [(s, G3, collapse, collapse, True),    # psi1 not injective
        (s, G3, ident, non_hom, True),        # psi2 not a homomorphism
        (s, G3, ident, collapse, False),      # psi2 not injective, two-sided
        (knotted, G4, ident4, ident4, True)]  # psi1 o phi1 != psi2 o phi2
-for case in bad:
+for legs_, *case in bad:
     try:
-        _verify_amalgam(*case)
+        _verify_amalgam(*legs_, *case)
     except AssertionError:
         continue
-    raise SystemExit("accepted " + repr(case[2:]))
+    raise SystemExit("accepted " + repr(case[1:]))
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
@@ -615,6 +619,32 @@ def test_decide_ap_derives_each_table_once():
             assert res.reason == "span_failure"
     res, misses = cold_misses(lambda: simple_chain_ap(make_dmm(2)))
     assert res.has_ap and misses == 1
+
+
+def test_decide_ap_builds_only_what_it_reports(monkeypatch):
+    # spans are index tuples and quotients table ids: decide_ap projects once
+    # per chain it returns, and names one subalgebra per chain and one leg
+    # per reported span (the 1AP and the EAP witness under cross_check)
+    import rlw.amalgam
+    calls = {"named_subalgebra": 0, "natural_projection": 0}
+
+    def counting(name):
+        original = getattr(rlw.amalgam, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(rlw.amalgam, name, counting(name))
+    for g, witnesses in ((make_goedel(6), 2), (make_sugihara(8), 2), (make_sugihara(4), 0)):
+        for name in calls:
+            calls[name] = 0
+        res = decide_ap(variety(g), cross_check=True)
+        assert res.has_ap == (witnesses == 0), g.name
+        n = len(res.chains)
+        assert calls == {"named_subalgebra": n + witnesses, "natural_projection": n}, g.name
 
 
 def test_simple_chain_ap():

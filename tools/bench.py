@@ -22,10 +22,12 @@ final JSON line.  Per metric it then gives, for each tree, the median and
 quartiles over that tree's runs (statistics.quantiles, n=4), and how many
 pairs the change won, in the direction BENCHMARK.json names.
 
-Cold decide_ap.  For each m from 10 to 15, with and without cross_check, each
+Cold decide_ap.  For each m from 10 to 16, with and without cross_check, each
 tree times `decide_ap(variety(make_goedel(m)))` in a fresh interpreter and
 reports the seconds of the call and the process's peak RSS (ru_maxrss); the
-trees alternate which runs first, three times.  Verdicts must agree.
+trees alternate which runs first.  The rungs below G_13 run nine times, since
+single runs of under a second spread by up to 50% on a 2-vCPU machine, and
+the others three times.  Verdicts must agree.
 """
 from __future__ import annotations
 
@@ -43,8 +45,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRIC_LINE = re.compile(r"^\s+(\S+)\s+(\S+) \S+\s+\(median of (\d+), quartiles (\S+) \.\. (\S+)\)$")
-LADDER = range(10, 16)
-LADDER_REPEATS = 3
+LADDER = range(10, 17)
+REPEATS = {m: 9 if m < 13 else 3 for m in LADDER}
 COLD = """
 import json, resource, sys, time
 from rlw import decide_ap, variety
@@ -136,9 +138,11 @@ def bench_workload(trees, workload, pairs, seconds, better):
 
 def cold_ladder(trees):
     rows = {(side, m, cc): [] for side in trees for m in LADDER for cc in (False, True)}
-    for k in range(LADDER_REPEATS):
+    for k in range(max(REPEATS.values())):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for m in LADDER:
+            if k >= REPEATS[m]:
+                continue
             for cc in (False, True):
                 for side in order:
                     env = dict(os.environ, PYTHONPATH=os.path.join(trees[side], "src"))
