@@ -7,10 +7,10 @@ compares through `leq`, so a totally ordered algebra given as a matrix may
 number its elements in any order.  Outside input (files, partial completions,
 catalog tables, nested sums) is validated by `finite_algebra`, which derives
 the lattice and residual tables (never stored in files).  Algebras derived
-from a valid one (subalgebras, quotients, `as_chain`) read all five tables
-from it through `derived`, and number their elements by `induced_order`: in
-the algebra order when that is total (tagged "chain"), else in ascending
-index order.
+from a valid one (subalgebras, quotients, `as_chain`) go through `derived`,
+which reads their key first and all five tables only for a new table, and
+number their elements by `induced_order`: in the algebra order when that is
+total (tagged "chain"), else in ascending index order.
 
 `finite_algebra` reads each table it derives off principal sets: x meet y is
 the top of the common lower bounds of x and y, x join y the bottom of their
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 FILE_FORMAT = "rlw-algebra/1"
 SPAN_FORMAT = "rlw-span/1"
@@ -189,9 +189,9 @@ class FiniteAlgebra:
     @functools.cached_property
     def table_id(self):
         """A small int naming `key()` and the `chain` tag, shared by copies that
-        differ in name or labels only; the registry keeps one entry per table
-        asked, so only the caches of facts that depend on tables alone ask.
-        Ids are process-local (nothing pickles a FiniteAlgebra)."""
+        differ in name or labels only.  The registry has one entry per table a
+        cache of facts on tables alone asks for or `derived` builds.  Ids are
+        process-local (nothing pickles a FiniteAlgebra)."""
         tid = _table_ids.setdefault((self.key(), self.chain), len(by_table_id))
         if tid == len(by_table_id):
             by_table_id.append(self)
@@ -222,7 +222,7 @@ class FiniteAlgebra:
             raise NotAChain(f"{self.name} is not totally ordered")
         pos = {x: i for i, x in enumerate(order)}
         labels = tuple(self.label(x) for x in order) if self.labels else None
-        return derived(self, self.name, order, pos, True, labels)
+        return replace(derived(self, order, pos, True), name=self.name, labels=labels)
 
     def save(self):
         """Canonical one-line JSON (fixed key order, no whitespace variation)."""
@@ -237,24 +237,30 @@ class FiniteAlgebra:
         return f"<FiniteAlgebra {self.name} n={self.size}>"
 
 
-def derived(A, name, elements, index, chain, labels=None):
+def derived(A, elements, index, chain):
     """The algebra whose element i is `elements[i]` of the valid algebra A: a
     subuniverse, or one representative per congruence block.  Its tables, unit
     and constants are A's, read through `index` (element of A -> new
-    position); nothing is checked again.  With `chain` set the order is index
-    order and meet/join are the shared min/max tables; otherwise the order is
-    read off the derived meet."""
+    position), with no check.  With `chain` set the order is index order and
+    meet/join are the shared min/max tables; otherwise the order is read off
+    the derived meet.  Once the key is read, a registered table (`table_id`) is
+    returned under any name and labels; only a new one is built whole and
+    registered, under A's name.  Callers that report it rename it."""
     def read(t):   # from lists, so that each tuple is allocated at its exact size
         return tuple([tuple([index[t[x][y]] for y in elements]) for x in elements])
     k = len(elements)
     if chain:
         leq, (meet, join) = chain_leq(k), _chain_lattice_tables(k)
     else:
-        meet, join = read(A.meet), read(A.join)
+        meet = read(A.meet)
         leq = tuple(tuple(meet[i][j] == i for j in range(k)) for i in range(k))
+    unit, mult = index[A.unit], read(A.mult)
     constants = tuple((nm, index[v]) for nm, v in A.constants)
-    return FiniteAlgebra(str(name), k, index[A.unit], read(A.mult), chain, leq, constants,
-                         meet, join, read(A.lres), read(A.rres), labels)
+    tid = _table_ids.get(((k, unit, mult, leq, constants), chain))
+    if tid is None:   # a new table: read the rest and register it
+        tid = FiniteAlgebra(A.name, k, unit, mult, chain, leq, constants, meet,
+                            join if chain else read(A.join), read(A.lres), read(A.rres)).table_id
+    return by_table_id[tid]
 
 
 def least_element(leq, n):

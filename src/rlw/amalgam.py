@@ -20,7 +20,7 @@ from operator import itemgetter
 from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
                       NotSubalgebraClosed, SignatureMismatch, _signature, by_table_id)
 from .completion import enumerate_chains
-from .morphisms import Morphism, compose, hom_maps, homs, is_hom, morphism
+from .morphisms import Morphism, are_isomorphic, compose, hom_maps, homs, is_hom, morphism
 from .properties import handy_fixed_points, is_semilinear, mirror_fixed_points
 from .structure import (atom_indices, classify, congruences, has_cep,
                         interned_subalgebras, named_subalgebra, natural_projection,
@@ -326,12 +326,13 @@ def _is_essential(C, phi2):
 
 
 class _ExplicitClass:
-    """An explicit list that must be closed under subalgebras, deduplicated up
-    to isomorphism, with what its 1AP and EAP checks share: each leg's
-    restriction sets and the certificate maps already checked, kept for the
-    life of the object.  What depends on tables alone (subalgebras, quotient
-    maps, the maps between two members) is listed once per process, by
-    `structure` and `morphisms.hom_maps`.
+    """An explicit list that must be closed under subalgebras up to
+    isomorphism (a subalgebra whose `_iso_key` no member has is matched by
+    `are_isomorphic`), deduplicated up to isomorphism, with what its 1AP and
+    EAP checks share: each leg's restriction sets and the certificate maps
+    already checked, kept for the life of the object.  What depends on tables
+    alone (subalgebras, quotient maps, the maps between two members) is
+    listed once per process, by `structure` and `morphisms.hom_maps`.
 
     A span amalgamates in D exactly when R1 and R2 meet, as tuples over A:
     R1 = {psi1 o phi1 : psi1 in Emb(B, D)} and R2 = {psi2 o phi2 : psi2 in
@@ -346,7 +347,7 @@ class _ExplicitClass:
         keys = {_iso_key(B) for B in self.K}
         for B in self.K:
             for sub, S, _ in interned_subalgebras(B):
-                if _iso_key(S) not in keys:
+                if _iso_key(S) not in keys and not any(are_isomorphic(S, M) for M in self.K):
                     raise NotSubalgebraClosed(
                         f"{B.name} has a subalgebra on {sub} outside the class")
         for B in self.K[1:]:
@@ -445,8 +446,8 @@ def fsi_chains(V):
 
     A subalgebra isomorphic to one met before is skipped before its quotients
     are taken: those are isomorphic to quotients already listed, which come
-    first and so are the ones kept.  Only the first quotient with each table
-    (`quotient_maps`) is built and named."""
+    first and so are the ones kept.  Only the first quotient with each chain
+    table (`quotient_maps`) is named."""
     chains = {}
     seen = set()
     for g in V.generators:

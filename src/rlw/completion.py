@@ -88,8 +88,9 @@ def load_partial(text):
     if not (isinstance(eqs, list)
             and all(isinstance(eq, str) and eq.count("=") == 1 for eq in eqs)):
         raise ParseError("constraint equations must be a list of 'lhs=rhs' strings")
-    if labels is not None and not (isinstance(labels, list) and len(labels) == n):
-        raise ParseError(f"labels must be a list of {n} names")
+    if labels is not None and not (isinstance(labels, list)
+                                   and len(set(map(str, labels))) == len(labels) == n):
+        raise ParseError(f"labels must be a list of {n} distinct names")
     return PartialAlgebra(
         name=doc.get("name", "partial"),
         size=n,

@@ -219,8 +219,8 @@ def hom_maps(C, D, injective):
     """The mappings of Hom(C, D), or of Emb(C, D) when injective, sorted as
     by `homs`, once per pair of tables per process.  A chain C's maps are the
     incl_S o q_theta of the module docstring, from `quotient_maps(C)` (only
-    the identity when injective) and `subalgebra_index(D)`; a chain-coded C's
-    embeddings are read under its own id, with no quotient built."""
+    the identity when injective) and `subalgebra_index(D)`, where a quotient
+    whose table is known is looked up by its key, not built."""
     return _hom_maps(C.table_id, D.table_id, injective)
 
 
@@ -229,12 +229,9 @@ def _hom_maps(cid, did, injective):
     C, D = by_table_id[cid], by_table_id[did]
     if not C.is_totally_ordered:
         return tuple(m.mapping for m in homs(C, D, injective=injective))
-    index = subalgebra_index(D)
-    if injective and C.chain:
-        return tuple(sorted(index.get(cid, ())))
     thetas = quotient_maps(C)[:1] if injective else quotient_maps(C)
-    return tuple(sorted(tuple(incl[v] for v in q)
-                        for qid, q in thetas for incl in index.get(qid, ())))
+    return tuple(sorted(tuple(incl[v] for v in q) for qid, q in thetas
+                        for incl in subalgebra_index(D).get(qid, ())))
 
 
 def are_isomorphic(A, B):

@@ -235,7 +235,8 @@ def natural_projection(A, theta):
     if A.labels is not None:
         labels = tuple("".join(A.label(x) for x in blocks[b]) for b in order)
     name = A.name if k == A.size else f"{A.name}/~{k}"
-    return derived(A, name, [reps[b] for b in order], mapping, chainlike, labels), mapping
+    Q = derived(A, [reps[b] for b in order], mapping, chainlike)
+    return replace(Q, name=name, labels=labels), mapping
 
 
 def quotient(A, theta):
@@ -301,11 +302,11 @@ def is_subuniverse(A, subset):
 
 
 def _subalgebra(A, sub):
-    """The subalgebra on a sorted subuniverse, under A's name and without
-    labels, and its inclusion, with no check."""
-    order, chainlike = induced_order(A.leq, sub)
+    """The registered subalgebra on a sorted subuniverse (`algebra.derived`)
+    and its inclusion, with no check.  A chain-coded A lists it in order."""
+    order, chainlike = (sub, True) if A.chain else induced_order(A.leq, sub)
     pos = {x: i for i, x in enumerate(order)}
-    return derived(A, A.name, order, pos, chainlike), tuple(order)
+    return derived(A, order, pos, chainlike), tuple(order)
 
 
 def subalgebra_with_map(A, subset, name=None):
@@ -329,13 +330,10 @@ def subalgebra(A, subset, name=None):
 def interned_subalgebras(A):
     """(subuniverse, subalgebra, inclusion) for each subuniverse of A, in
     `subuniverses` order and numbered as by `subalgebra_with_map`, but
-    derive-only and with one object per table, the first seen with it under
-    any name and labels; once per table.  `named_subalgebra` names an entry."""
-    out = []
-    for sub in subuniverses(A):
-        S, inclusion = _subalgebra(A, sub)
-        out.append((sub, by_table_id[S.table_id], inclusion))
-    return tuple(out)
+    derive-only: each subalgebra is the registered one with its table, under
+    any name and labels, and is built only when its key is new; once per
+    table.  `named_subalgebra` names an entry."""
+    return tuple((sub,) + _subalgebra(A, sub) for sub in subuniverses(A))
 
 
 def named_subalgebra(A, sub, S, inclusion, name=None):

@@ -381,6 +381,21 @@ def test_class_check_requires_subalgebra_closure():
             check([make_goedel(3)])   # G_2-shaped subalgebra missing
 
 
+def test_class_check_closure_is_up_to_relabelling():
+    # B8 = 2^3 with mult = meet: its square subalgebra on {0, 1, 6, 7} is
+    # numbered 0 < 1, 6 < 7; a member that codes the same square top-first
+    # has another table, and the class is still closed up to isomorphism
+    from rlw.algebra import finite_algebra
+    B8 = finite_algebra("B8", 8, [[int(x & y == x) for y in range(8)] for x in range(8)],
+                        7, [[x & y for y in range(8)] for x in range(8)])
+    square = subalgebra(B8, (0, 1, 6, 7))
+    top_first = oracles.relabelled(square, [3, 1, 2, 0])
+    assert top_first.key() != square.key()
+    for check in (class_has_1ap, class_has_eap):
+        verdicts = [check([make_rsa(1), make_rsa(2), B8, sq])[0] for sq in (square, top_first)]
+        assert verdicts == [True, True], check.__name__
+
+
 def test_fsi_chains_goedel():
     chains = fsi_chains(variety(make_goedel(4)))
     assert [c.size for c in chains] == [1, 2, 3, 4]

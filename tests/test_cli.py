@@ -283,6 +283,8 @@ def _bad_files(tmp_path):
             "partial-constant-bool.json": dict(partial, constants={"f": True}),
             "partial-bot.json": dict(partial, constants={"bot": 1}),
             "partial-commutative.json": dict(partial, constraints={"commutative": "yes"}),
+            "partial-repeated-labels.json": dict(partial, size=3, unit=2,
+                                                 mult=[[None] * 3] * 3, labels=["a", "a", "e"]),
             "span-short-phi.json": dict(span, phi1=[0], phi2=[0, 2]),
             "span-no-phi.json": span, "not-json.json": "{",
             "span.json": dict(span, phi1=[0, 2], phi2=[0, 2]),
@@ -345,6 +347,8 @@ def _bad_files(tmp_path):
     ["refute", "--span", "{tmp}/span-not-hom.json"],        # unit not preserved
     ["refute", "--span", "{tmp}/span-not-injective.json"],
     ["complete", "{tmp}/partial-chain3.json", "--limit", "0"],
+    # labels are names: a repeated one would make equations ambiguous
+    ["complete", "{tmp}/partial-repeated-labels.json"],
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv):
     _bad_files(tmp_path)

@@ -370,6 +370,29 @@ def test_cached_subalgebras_match_checked_constructor():
     assert (len(entries), len({id(S) for _, S, _ in entries})) == (128, 8)
 
 
+def test_derived_builds_only_new_tables(monkeypatch):
+    # derived reads a table's key before it builds: Sub(G_9) has 128 members
+    # but 8 distinct tables, and once they are known the quotients of G_9
+    # add one new table only (the trivial one)
+    import rlw.algebra
+    from rlw.structure import quotient_maps
+    original, built = rlw.algebra.FiniteAlgebra, []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    G9 = make_goedel(9)
+    interned_subalgebras.cache_clear()
+    quotient_maps.cache_clear()
+    monkeypatch.setattr(rlw.algebra, "FiniteAlgebra", counting)
+    entries = interned_subalgebras(G9)
+    assert len(entries) == 128 and len({S.table_id for _, S, _ in entries}) == 8
+    assert len(built) <= 8
+    del built[:]
+    assert len(quotient_maps(G9)) == 9 and len(built) <= 1
+
+
 def test_derived_algebras_match_full_validation(monkeypatch):
     # subalgebras, quotients and as_chain read their tables from a valid
     # parent without validating again; rebuilding each from scratch must give
