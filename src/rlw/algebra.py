@@ -498,8 +498,10 @@ def read_document(text, fmt, holes=False):
           f"indices 0..{n - 1}" + (" or null" if holes else ""))
     if doc["leq"] != "chain":
         table("leq", lambda v: v in (0, 1), "0/1 entries")
-    if not isinstance(doc.get("constants") or {}, dict):
+    if not isinstance(doc.get("constants"), (dict, type(None))):
         raise ParseError("constants must be an object mapping names to indices")
+    if not isinstance(doc.get("name", ""), str):
+        raise ParseError("name must be a string")
     return doc
 
 

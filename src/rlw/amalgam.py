@@ -375,9 +375,8 @@ class _ExplicitClass:
         """(D, psi1, psi2) amalgamating the span (bi, leg, ci, phi2) of
         `_spans_of` in the class, checked by `_verify_amalgam`, or None.  The
         amalgam reported is the first D in class order, then the least common
-        restriction, then the first psi1 and psi2 in `homs` order with it:
-        the smaller of R1 and R2 is walked, and the answer does not depend on
-        which."""
+        restriction, then the first psi1 and psi2 in `homs` order with it.
+        R1 and R2 are intersected as key sets, which walks the smaller."""
         B, C = self.K[bi], self.K[ci]
         phi1 = interned_subalgebras(B)[leg][2]
         for D in self.K:
@@ -385,8 +384,7 @@ class _ExplicitClass:
             if not r1:
                 continue
             r2 = self._restrictions(C, phi2, D, not one_sided)
-            small, large = (r1, r2) if len(r1) <= len(r2) else (r2, r1)
-            common = [r for r in small if r in large]
+            common = r1.keys() & r2.keys()
             if common:
                 r = min(common)
                 _verify_amalgam(B, C, phi1, phi2, D, r1[r], r2[r], one_sided, self._checked)

@@ -54,9 +54,6 @@ class Morphism:
     def injective(self):
         return len(set(self.mapping)) == len(self.mapping)
 
-    def __call__(self, x):
-        return self.mapping[x]
-
     def image(self):
         return tuple(sorted(set(self.mapping)))
 

@@ -10,7 +10,8 @@ brute-force oracle they are cross-checked against lives in the tests
 (oracles.congruences_bruteforce).
 
 The CEP is tested through the same correspondence: theta in Con(S) extends
-to A exactly when its e-class is M & S for some CNS M of A.
+to A exactly when its e-class is M & S for some CNS M of A, so `has_cep`
+counts these traces against Con(S).
 
 Con(A), Sub(A), the subalgebras and the quotient maps depend on A's tables
 alone, so each is computed once per table (`table_id`) per process: copies
@@ -204,7 +205,8 @@ congruences.cache_clear = _congruence_blocks.cache_clear
 
 def convex_normal_subalgebras(A):
     """e-classes of all congruences, in the same order as congruences(A)."""
-    return tuple(frozenset(c.unit_class()) for c in congruences(A))
+    return tuple(frozenset(next(b for b in blocks if A.unit in b))
+                 for blocks in _congruence_blocks(A))
 
 
 def cns_generated(A, seed):
@@ -416,20 +418,10 @@ class CepResult:
 
 
 def extends(A, sub, eclass):
-    """Does some congruence of A restrict to the subuniverse sub with the
-    given e-class (elements of A)?  A congruence of a residuated lattice is
-    determined by its e-class, a convex normal subalgebra (Blount-Tsinakis
-    2003; Galatos-Jipsen-Kowalski-Ono 2007, ch. 3), and Phi restricted to sub
-    has e-class M_Phi & sub.  So theta in Con(sub) extends exactly when its
-    e-class is the trace on sub of some CNS of A."""
-    return frozenset(eclass) in cns_traces(convex_normal_subalgebras(A), sub)
-
-
-def cns_traces(cns, sub):
-    """{M & sub : M in cns}: for cns the convex normal subalgebras of A, the
-    e-classes of the congruences of the subalgebra on sub that extend to A
-    (see `extends`)."""
-    return {M.intersection(sub) for M in cns}
+    """Does some congruence Phi of A restrict to the subuniverse sub with
+    the given e-class (elements of A)?  Phi's restriction has e-class
+    M_Phi & sub, and a congruence is determined by its e-class."""
+    return frozenset(eclass) in {M.intersection(sub) for M in convex_normal_subalgebras(A)}
 
 
 def has_cep(A):
@@ -437,18 +429,20 @@ def has_cep(A):
     first (proper subuniverse, congruence) pair, in `subuniverses` and
     `congruences` order, whose e-class is not the trace of a CNS of A.
 
-    It reads `interned_subalgebras(A)` and the congruence blocks of each
-    subalgebra, both computed once per table per process, and
-    names only a witness's subalgebra.  The CNS of A are listed once, and
-    their traces (`cns_traces`) once per subuniverse."""
+    Each trace M & sub of a CNS M of A is the e-class of a congruence of the
+    subalgebra S on sub, the restriction of M's, and distinct congruences
+    have distinct e-classes; so all of Con(S) extends exactly when there are
+    |Con(S)| traces, as on the full carrier, where they are the CNS of A.
+    Only where there are fewer are S's e-classes lifted to find the witness,
+    and only a witness's subalgebra is named."""
     cns = convex_normal_subalgebras(A)
     for sub, S, back in interned_subalgebras(A):
-        if len(sub) == A.size:
-            continue
-        traces = cns_traces(cns, sub)
-        for blocks in _congruence_blocks(S):
-            eclass = next(b for b in blocks if S.unit in b)
-            if frozenset(back[x] for x in eclass) not in traces:
-                B = named_subalgebra(A, sub, S, back)
-                return CepResult(False, (sub, Congruence(blocks, B)))
+        traces = {M.intersection(sub) for M in cns}
+        con = _congruence_blocks(S)
+        if len(traces) != len(con):
+            for blocks in con:
+                eclass = next(b for b in blocks if S.unit in b)
+                if frozenset(back[x] for x in eclass) not in traces:
+                    B = named_subalgebra(A, sub, S, back)
+                    return CepResult(False, (sub, Congruence(blocks, B)))
     return CepResult(True)

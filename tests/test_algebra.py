@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -21,6 +22,13 @@ def test_goedel3_from_file():
     assert A.mult == tuple(tuple(min(i, j) for j in range(3)) for i in range(3))
     assert A.constants == (("bot", 0),)
     assert A.save() == text  # canonical serialization round trip
+
+
+def test_null_constants_mean_none():
+    doc = json.loads(make_goedel(3).save())
+    doc.pop("constants", None)
+    absent = load_algebra(json.dumps(doc))
+    assert load_algebra(json.dumps(dict(doc, constants=None))) == absent
 
 
 def test_one_element_algebra():

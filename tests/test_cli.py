@@ -291,7 +291,16 @@ def _bad_files(tmp_path):
             "span-not-hom.json": dict(span, phi1=[0, 1], phi2=[0, 2]),
             "span-not-injective.json": dict(span, A="catalog:rsa:3", B="catalog:rsa:2",
                                             C="catalog:rsa:3", phi1=[0, 1, 1],
-                                            phi2=[0, 1, 2])}
+                                            phi2=[0, 1, 2]),
+            # wrong JSON types for constants, constraints and name
+            "constants-empty-list.json": dict(g3, constants=[]),
+            "constants-zero.json": dict(g3, constants=0),
+            "constants-false.json": dict(g3, constants=False),
+            "constants-empty-string.json": dict(g3, constants=""),
+            "name-number.json": dict(g3, name=5),
+            "partial-constraints-list.json": dict(partial, constraints=[]),
+            "partial-constraints-zero.json": dict(partial, constraints=0),
+            "partial-name-list.json": dict(partial, name=["x"])}
     for name, doc in docs.items():
         (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
@@ -349,6 +358,15 @@ def _bad_files(tmp_path):
     ["complete", "{tmp}/partial-chain3.json", "--limit", "0"],
     # labels are names: a repeated one would make equations ambiguous
     ["complete", "{tmp}/partial-repeated-labels.json"],
+    # constants and constraints are objects (or absent or null), a name a string
+    ["con", "{tmp}/constants-empty-list.json"],
+    ["con", "{tmp}/constants-zero.json"],
+    ["con", "{tmp}/constants-false.json"],
+    ["con", "{tmp}/constants-empty-string.json"],
+    ["con", "{tmp}/name-number.json"],
+    ["complete", "{tmp}/partial-constraints-list.json"],
+    ["complete", "{tmp}/partial-constraints-zero.json"],
+    ["complete", "{tmp}/partial-name-list.json"],
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv):
     _bad_files(tmp_path)

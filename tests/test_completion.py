@@ -166,6 +166,13 @@ def test_partial_file_roundtrip():
         assert A.mult[1][1] == 1
 
 
+def test_null_constraints_and_absent_name():
+    doc = {"format": "rlw-partial/1", "size": 2, "leq": "chain", "unit": 1,
+           "mult": [[None, None], [None, None]], "constraints": None}
+    P = load_partial(json.dumps(doc))
+    assert P.name == "partial" and complete_partial(P).multiplicity == 1
+
+
 def test_enumeration_deterministic():
     first = [(A.unit, A.mult, A.constants) for A in enumerate_chains(5, constants=("f",))]
     second = [(A.unit, A.mult, A.constants) for A in enumerate_chains(5, constants=("f",))]

@@ -343,6 +343,26 @@ def test_has_cep_reuse_matches_per_subuniverse_oracle():
                 assert (res.holds, res.witness) == oracles.cep_by_blocks(X), X.name
 
 
+def test_cns_traces_are_distinct_subalgebra_eclasses():
+    # has_cep's count: on each subuniverse, every trace M & sub of a CNS M of
+    # A is the lifted e-class of a congruence of the subalgebra S, and
+    # distinct congruences of S have distinct e-classes, so the traces are
+    # in one-to-one correspondence with the congruences of S that extend
+    rng = random.Random(2)
+    for A in catalog_all(7) + [_b22(), oracles.square_nonsemilinear()]:
+        perm = list(A.elements)
+        rng.shuffle(perm)
+        for X in (A, oracles.relabelled(A, perm)):
+            cns = convex_normal_subalgebras(X)
+            assert cns == tuple(frozenset(c.unit_class()) for c in congruences(X))
+            for sub, S, inclusion in subalgebras(X):
+                lifted = [frozenset(inclusion[x] for x in theta.unit_class())
+                          for theta in congruences(S)]
+                assert len(set(lifted)) == len(lifted), (X.name, sub)
+                for M in cns:
+                    assert M & frozenset(sub) in lifted, (X.name, sub, sorted(M))
+
+
 def _b22():
     leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
     meet = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
