@@ -21,7 +21,7 @@ from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
                       NotSubalgebraClosed, SignatureMismatch, _signature, by_table_id)
 from .completion import enumerate_chains
 from .morphisms import Morphism, are_isomorphic, compose, hom_maps, homs, is_hom, morphism
-from .properties import handy_fixed_points, is_semilinear, mirror_fixed_points
+from .properties import check_flags, handy_fixed_points, is_semilinear, mirror_fixed_points
 from .structure import (atom_indices, classify, congruences, has_cep,
                         interned_subalgebras, named_subalgebra, natural_projection,
                         quotient_maps)
@@ -68,15 +68,19 @@ class ClassSpec:
 
     @classmethod
     def bounded(cls, bound, signature=(), require=None):
+        check_flags(require)
         return cls(bound=bound, signature=_signature(signature),
                    require=tuple(sorted((require or {}).items())))
 
-    def members(self):
+    def members(self, floor, names):
+        """The members of size >= floor that designate exactly the constants
+        `names`; every member of a bounded class designates its signature."""
         if self.algebras is not None:
-            yield from self.algebras
-            return
-        for n in range(1, self.bound + 1):
-            yield from enumerate_chains(n, dict(self.require), self.signature)
+            yield from (D for D in self.algebras
+                        if D.size >= floor and dict(D.constants).keys() == names)
+        elif set(self.signature) == names:
+            for n in range(floor, self.bound + 1):
+                yield from enumerate_chains(n, dict(self.require), self.signature)
 
     def describe(self):
         if self.algebras is not None:
@@ -127,10 +131,10 @@ def _verify_amalgam(B, C, phi1, phi2, D, psi1, psi2, one_sided, checked=None):
 
 def find_amalgam(s, K, one_sided=False):
     """Search the class for D, psi1 (injective), psi2 (injective unless
-    one_sided) with psi1 o phi1 = psi2 o phi2; first hit in canonical order."""
-    for D in K.members():
-        if dict(D.constants).keys() != dict(s.B.constants).keys():
-            continue
+    one_sided) with psi1 o phi1 = psi2 o phi2; first hit in canonical order.
+    Members too small for psi1 (or for an injective psi2) are not built."""
+    floor = s.B.size if one_sided else max(s.B.size, s.C.size)
+    for D in K.members(floor, dict(s.B.constants).keys()):
         for psi1 in homs(s.B, D, injective=True):
             pinned = compose(psi1, s.phi1)
             for psi2 in homs(s.C, D, injective=not one_sided,

@@ -87,8 +87,9 @@ def load_partial(text):
             and all(isinstance(eq, str) and eq.count("=") == 1 for eq in eqs)):
         raise ParseError("constraint equations must be a list of 'lhs=rhs' strings")
     if labels is not None and not (isinstance(labels, list)
-                                   and len(set(map(str, labels))) == len(labels) == n):
-        raise ParseError(f"labels must be a list of {n} distinct names")
+                                   and all(isinstance(x, str) for x in labels)
+                                   and len(set(labels)) == len(labels) == n):
+        raise ParseError(f"labels must be a list of {n} distinct strings")
     return PartialAlgebra(
         name=doc.get("name", "partial"),
         size=n,

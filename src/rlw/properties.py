@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import BadParameter, NotAChain
+from .terms import check_identity, parse_term
 
 
 def is_commutative(A):
@@ -209,31 +210,36 @@ FLAG_PREDICATES = {
 }
 
 
-def satisfies_flags(A, require):
-    """require: dict flag-name -> bool, {'n_potent': k}, or
-    {'equations': ('lhs=rhs', ...)} in term syntax.  Raises BadParameter for
-    an unknown flag, an n_potent that is not an int >= 0, or equations that
-    are not a list of 'lhs=rhs' strings."""
+def check_flags(require):
+    """Raise BadParameter for an unknown flag, an n_potent that is not an int
+    >= 0, or equations not a list of 'lhs=rhs' strings; ParseError for a bad term."""
     for key, want in (require or {}).items():
         if key == "n_potent":
             if type(want) is not int or want < 0:
                 raise BadParameter(f"n_potent must be an integer >= 0, got {want!r}")
-            if not is_n_potent(A, want):
-                return False
-            continue
-        if key == "equations":
-            from .terms import check_identity
+        elif key == "equations":
             if not (isinstance(want, (list, tuple))
                     and all(isinstance(eq, str) and eq.count("=") == 1 for eq in want)):
                 raise BadParameter(f"equations must be a list of 'lhs=rhs' strings, "
                                    f"got {want!r}")
             for eq in want:
-                lhs, rhs = eq.split("=")
-                if not check_identity(A, lhs, rhs):
-                    return False
-            continue
-        if key not in FLAG_PREDICATES:
+                for side in eq.split("="):
+                    parse_term(side)
+        elif key not in FLAG_PREDICATES:
             raise BadParameter(f"unknown property flag {key!r}")
-        if FLAG_PREDICATES[key](A) != bool(want):
+
+
+def satisfies_flags(A, require):
+    """require: dict flag-name -> bool, {'n_potent': k}, or
+    {'equations': ('lhs=rhs', ...)} in term syntax, checked by `check_flags`."""
+    check_flags(require)
+    for key, want in (require or {}).items():
+        if key == "n_potent":
+            ok = is_n_potent(A, want)
+        elif key == "equations":
+            ok = all(check_identity(A, *eq.split("=")) for eq in want)
+        else:
+            ok = FLAG_PREDICATES[key](A) == bool(want)
+        if not ok:
             return False
     return True

@@ -520,3 +520,29 @@ def span_amalgams(members, one_sided):
                 amalgam = D, r1[r], r2[r]
                 break
         yield s, amalgam
+
+
+def find_amalgam_every_member(s, K, one_sided):
+    """`find_amalgam` as a loop over every member of the class, in class
+    order, with no size floor: a bounded class is listed by `enumerate_chains`
+    for each size from 1 to its bound, and a member that designates other
+    constants than B is skipped there, one member at a time."""
+    from rlw.amalgam import AmalgamReport, _verify_amalgam
+    from rlw.completion import enumerate_chains
+    from rlw.morphisms import compose, homs
+    if K.algebras is not None:
+        members = K.algebras
+    else:
+        members = (D for n in range(1, K.bound + 1)
+                   for D in enumerate_chains(n, dict(K.require), K.signature))
+    for D in members:
+        if dict(D.constants).keys() != dict(s.B.constants).keys():
+            continue
+        for psi1 in homs(s.B, D, injective=True):
+            pinned = compose(psi1, s.phi1)
+            for psi2 in homs(s.C, D, injective=not one_sided,
+                             commute_with=(s.phi2, pinned), limit=1):
+                _verify_amalgam(s.B, s.C, s.phi1.mapping, s.phi2.mapping,
+                                D, psi1.mapping, psi2.mapping, one_sided)
+                return AmalgamReport("Found", (D, psi1, psi2), class_info=K.describe())
+    return AmalgamReport("NotFoundExhaustive", class_info=K.describe())

@@ -10,7 +10,7 @@ from rlw import (ClassSpec, NotAChain, NotSemilinear, NotSimple, SignatureMismat
                  replay_refutation, simple_chain_ap, span, strictly_simple_ap,
                  variety)
 from rlw.algebra import NotAHomomorphism
-from rlw.amalgam import _ExplicitClass, _Merge, _span, _spans_of
+from rlw.amalgam import _ExplicitClass, _Merge, _dedup_by_iso, _span, _spans_of
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_luk, make_rsa, make_sugihara)
 from rlw.properties import is_semilinear
@@ -149,6 +149,63 @@ def test_refuted_implies_bounded_not_found():
     s = knotted_span(1)
     K = ClassSpec.bounded(5, signature=("f",))
     assert find_amalgam(s, K).verdict == "NotFoundExhaustive"
+
+
+def _report(rep):
+    """Everything a report of `find_amalgam` says, as plain data."""
+    found = rep.amalgam and (rep.amalgam[0].name, rep.amalgam[0].unit,
+                             rep.amalgam[1].mapping, rep.amalgam[2].mapping)
+    return rep.verdict, found, rep.class_info
+
+
+def test_find_amalgam_matches_every_member_oracle(monkeypatch):
+    # building only the members that can host the span changes no report:
+    # one-sided and two-sided, on the knotted spans, fig3, the spans over the
+    # chains of catalog_all(4) (figures of up to 10 elements among them, so
+    # B or C above the bound) and explicit classes.  Each size of a bounded
+    # class is listed once per test, for both searches
+    from functools import lru_cache
+    from rlw import amalgam, completion, repro
+    enumerate_chains = completion.enumerate_chains
+    listed = lru_cache(None)(lambda n, require, sig: tuple(
+        enumerate_chains(n, dict(require), sig)))
+    memo = lambda n, require=None, constants=(): iter(
+        listed(n, tuple(sorted((require or {}).items())), tuple(constants)))
+    monkeypatch.setattr(completion, "enumerate_chains", memo)
+    monkeypatch.setattr(amalgam, "enumerate_chains", memo)
+    G3, G4 = make_goedel(3), make_goedel(4)
+    goedel = span(G3, G4, G4, [0, 1, 3], [0, 2, 3])
+    cases = [(knotted_span(w), ClassSpec.bounded(5, signature=k))
+             for w in (1, 2) for k in (("f",), ())]
+    cases.append((repro.fig3_span(), ClassSpec.bounded(6, require={"idempotent": True})))
+    cases += [(goedel, ClassSpec.explicit([make_goedel(m) for m in range(1, top)]))
+              for top in (5, 6)]
+    groups = {}
+    for A in catalog_all(4):
+        if A.is_totally_ordered:
+            groups.setdefault(tuple(sorted(dict(A.constants))), []).append(A)
+    for sig, chains in groups.items():
+        K = _dedup_by_iso(chains)
+        spans = [_span(K, *entry) for entry in _spans_of(K)]
+        cases += [(s, ClassSpec.bounded(bound, sig)) for bound in (3, 5) for s in spans]
+    assert any(max(s.B.size, s.C.size) > K.bound for s, K in cases if K.bound)
+    for s, K in cases:
+        for one_sided in (True, False):
+            assert _report(find_amalgam(s, K, one_sided)) == _report(
+                oracles.find_amalgam_every_member(s, K, one_sided)), (repr(s), K, one_sided)
+
+
+def test_bounded_class_checks_its_filter():
+    # the filter is checked when the class is made, with satisfies_flags'
+    # messages, so an error is not lost when no member is built
+    from rlw.algebra import BadParameter, ParseError
+    for require in ({"bogus": True}, {"n_potent": -1}, {"equations": "x=x"}):
+        with pytest.raises(BadParameter):
+            ClassSpec.bounded(6, require=require)
+    with pytest.raises(ParseError):
+        ClassSpec.bounded(6, require={"equations": ["x*x=x", "x*=x"]})
+    with pytest.raises(BadParameter, match="unknown property flag 'bogus'"):
+        find_amalgam(knotted_span(2), ClassSpec.bounded(6, require={"bogus": True}))
 
 
 def test_essential_spans():

@@ -191,6 +191,30 @@ def test_span_file_and_refute(tmp_path, capsys):
     assert code == 0 and "Found" in out
 
 
+@pytest.mark.parametrize("sig", [["--sig", "f"], []])
+def test_amalgamate_builds_no_member_smaller_than_the_span(tmp_path, capsys, monkeypatch,
+                                                            sig):
+    # knotted span 2 has |B| = 8 and |C| = 10, so no f-chain of size <= 6 can
+    # host it, and a class without f designates other constants than B: the
+    # verdict and the class are reported without listing a single chain
+    from rlw import amalgam, repro
+    s = repro._knotted_span(2)
+    span_path = tmp_path / "knotted-span-2.json"
+    span_path.write_text(json.dumps({
+        "format": "rlw-span/1", "A": "catalog:A2", "B": "catalog:B2", "C": "catalog:C2",
+        "phi1": list(s.phi1.mapping), "phi2": list(s.phi2.mapping)}))
+    calls = []
+    monkeypatch.setattr(amalgam, "enumerate_chains",
+                        lambda *args: calls.append(args) or iter(()))
+    code, out = run(capsys, "amalgamate", "--span", str(span_path),
+                    "--class", "bounded", "6", *sig, "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "NotFoundExhaustive"
+    assert doc["parameters"] == {"one_sided": False, "class": {
+        "kind": "bounded", "bound": 6, "signature": sig[1:], "require": {}}}
+    assert calls == []
+
+
 def test_class_check_cli(capsys):
     code, out = run(capsys, "class-check", "--1ap", "catalog:goedel:1",
                     "catalog:goedel:2", "catalog:goedel:3")
@@ -285,6 +309,9 @@ def _bad_files(tmp_path):
             "partial-commutative.json": dict(partial, constraints={"commutative": "yes"}),
             "partial-repeated-labels.json": dict(partial, size=3, unit=2,
                                                  mult=[[None] * 3] * 3, labels=["a", "a", "e"]),
+            "partial-labels-int-bool.json": dict(partial, labels=[0, True]),
+            "partial-labels-null.json": dict(partial, labels=[None, "a"]),
+            "partial-labels-list.json": dict(partial, labels=[["a"], "b"]),
             "span-short-phi.json": dict(span, phi1=[0], phi2=[0, 2]),
             "span-no-phi.json": span, "not-json.json": "{",
             "span.json": dict(span, phi1=[0, 2], phi2=[0, 2]),
@@ -367,6 +394,10 @@ def _bad_files(tmp_path):
     ["complete", "{tmp}/partial-constraints-list.json"],
     ["complete", "{tmp}/partial-constraints-zero.json"],
     ["complete", "{tmp}/partial-name-list.json"],
+    # labels are strings: 0 and true would load as the labels '0' and 'True'
+    ["complete", "{tmp}/partial-labels-int-bool.json"],
+    ["complete", "{tmp}/partial-labels-null.json"],
+    ["complete", "{tmp}/partial-labels-list.json"],
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv):
     _bad_files(tmp_path)
