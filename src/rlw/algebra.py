@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 FILE_FORMAT = "rlw-algebra/1"
+PARTIAL_FORMAT = "rlw-partial/1"
 SPAN_FORMAT = "rlw-span/1"
 CONSTANT_NAMES = ("f", "bot", "top")
 OPS = ("mult", "meet", "join", "lres", "rres")  # the five operation tables
@@ -309,16 +310,12 @@ def lattice_order(n, leq):
     """Check the order of an n-element algebra and return it as a boolean
     matrix with its meet and join tables.
 
-    `leq` is the string "chain" or an n x n 0/1 (or bool) matrix.  The matrix
-    must be a partial order in which the common lower bounds of any x, y form
-    a principal down-set, whose top is x meet y, and their common upper
-    bounds a principal up-set, whose bottom is x join y.
-    Raises ParseError / NotALattice.
+    `leq` is "chain" or a checked n x n 0/1 (or bool) matrix: a partial order in
+    which the common lower (upper) bounds of any x, y form a principal down-set
+    (up-set), whose top is x meet y (whose bottom is x join y).  Raises NotALattice.
     """
     if leq == "chain":   # a chain is always a lattice: meet and join are min and max
         return (chain_leq(n),) + _chain_lattice_tables(n)
-    if len(leq) != n or any(len(row) != n for row in leq):
-        raise ParseError("leq matrix has wrong shape")
     le = tuple(tuple(bool(v) for v in row) for row in leq)
     for x in range(n):
         if not le[x][x]:
@@ -404,7 +401,7 @@ def _constant_tuple(n, le, constants):
     for k in consts:
         if k not in CONSTANT_NAMES:
             raise ParseError(f"unknown constant name {k!r}")
-        if type(consts[k]) is not int or not 0 <= consts[k] < n:
+        if not _is_index(consts[k], n):
             raise ParseError(f"constant {k}={consts[k]!r} out of range")
     if "bot" in consts:
         b = consts["bot"]
@@ -417,34 +414,95 @@ def _constant_tuple(n, le, constants):
     return tuple((k, consts[k]) for k in CONSTANT_NAMES if k in consts)
 
 
+def _is_index(v, n):
+    return type(v) is int and 0 <= v < n
+
+
+def _is_indices(xs, n):
+    return type(xs) is list and all(_is_index(x, n) for x in xs)
+
+
+def _is_table(rows, n, top, holes=False):
+    """Whether rows is an n x n list (or tuple) of the ints 0..top, or nulls with `holes`."""
+    if type(rows) not in (list, tuple) or len(rows) != n:
+        return False
+    for row in rows:
+        if type(row) not in (list, tuple) or len(row) != n:
+            return False
+        for v in row:
+            if not (type(v) is int and 0 <= v <= top or holes and v is None):
+                return False
+    return True
+
+
+# Key tables of the JSON objects rlw reads: key -> (required, test(value, n),
+# what the value must be, a format of n), in test order, `size` (n) first.  A
+# document's `format` is checked apart; null passes only where absent is meant.
+_STR, _LIST = (lambda v, n: type(v) is str), (lambda v, n: type(v) is list)
+ALGEBRA_KEYS = {
+    "size": (True, lambda v, n: type(v) is int and v >= 1, "an integer >= 1"),
+    "leq": (True, lambda v, n: v == "chain" or _is_table(v, n, 1),
+            '"chain" or a {n} x {n} table of the integers 0 and 1'),
+    "unit": (True, _is_index, "an index below {n}"),
+    "mult": (True, lambda v, n: _is_table(v, n, n - 1), "a {n} x {n} table of indices below {n}"),
+    "name": (True, _STR, "a string"),
+    "constants": (False, lambda v, n: v is None or type(v) is dict, "an object of indices")}
+CONSTRAINT_KEYS = {"equations": (False, _LIST, "a list of 'lhs=rhs' strings"),
+                   **dict.fromkeys(("idempotent", "non_idempotent", "central", "non_central"),
+                                   (False, _is_indices, "a list of indices below {n}")),
+                   **dict.fromkeys(("commutative", "involutive_f"),
+                                   (False, lambda v, n: v is None or type(v) is bool,
+                                    "true, false or null"))}
+PARTIAL_KEYS = {**ALGEBRA_KEYS,
+                "mult": (True, lambda v, n: _is_table(v, n, n - 1, holes=True),
+                         "a {n} x {n} table of indices below {n} or null"),
+                "name": (False, _STR, "a string"),
+                "labels": (False, lambda v, n: v is None or _LIST(v, n)
+                           and all(type(x) is str for x in v) and len(set(v)) == len(v) == n,
+                           "a list of {n} distinct strings"),
+                "constraints": (False, lambda v, n: v is None or type(v) is dict
+                                and _check_keys(v, CONSTRAINT_KEYS, n, "constraint "),
+                                "an object")}
+SPAN_KEYS = {**dict.fromkeys("ABC", (True, _STR, "a path or catalog address")),
+             **dict.fromkeys(("phi1", "phi2"), (True, _LIST, "a list of indices"))}
+DOCUMENT_KEYS = {FILE_FORMAT: ALGEBRA_KEYS, PARTIAL_FORMAT: PARTIAL_KEYS, SPAN_FORMAT: SPAN_KEYS}
+
+
+def _check_keys(obj, keys, n=None, where=""):
+    """True, or ParseError for a key `keys` does not list, a missing one or a failed test."""
+    if not obj.keys() <= keys.keys():
+        raise ParseError(f"unknown {where}key {next(k for k in obj if k not in keys)!r}")
+    n = obj.get("size", n)   # tested first, so no other test reads a bad size
+    for key, (required, test, what) in keys.items():
+        if required and key not in obj:
+            raise ParseError(f"missing {where}field {key!r}")
+        if key in obj and not test(obj[key], n):
+            raise ParseError(f"{where}{key} must be " + what.format(n=n))
+    return True
+
+
 def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
     """Validate raw tables and return a FiniteAlgebra with derived tables.
 
-    The constructor for outside input: the order, the monoid laws, the
-    residuals and the constants are all checked.  Meet and join come from
+    The constructor for outside input: the shapes of size, leq, unit and mult
+    (by `ALGEBRA_KEYS`, as in a file), the order, the monoid laws, the residuals
+    and the constants are all checked.  Meet and join come from
     `lattice_order`; x\\z and z/x are the tops of {y : x*y <= z} and
     {w : w*x <= z}, and a table where any of these sets is not a principal
     down-set is not residuated.  On the "chain" tag a table whose rows and
     columns are monotone with 0 absorbing is residuated, and its residuals
     are read off those rows and columns in one pass; any other table takes
     the general path, which names the failing residual.  Algebras derived
-    from one already valid go through `derived` instead.  `leq` is either the
-    string "chain" or an n x n 0/1 (or bool) matrix.
+    from one already valid go through `derived` instead.
     Raises ParseError / NotALattice / NotAMonoid / NotResiduated / BadConstant.
     """
-    if type(size) is not int or size < 1:
-        raise ParseError(f"bad size {size!r}")
+    for key, value in (("size", size), ("leq", leq), ("unit", unit), ("mult", mult)):
+        _, test, what = ALGEBRA_KEYS[key]
+        if not test(value, size):   # size first, so no other test reads a bad size
+            raise ParseError(f"{key} must be " + what.format(n=size))
     n = size
     le, meet, join = lattice_order(n, leq)
-    if len(mult) != n or any(len(row) != n for row in mult):
-        raise ParseError("mult table has wrong shape")
     mt = tuple(map(tuple, mult))
-    for row in mt:
-        for v in row:
-            if type(v) is not int or not 0 <= v < n:
-                raise ParseError(f"mult entry {v!r} is not an index 0..{n - 1}")
-    if type(unit) is not int or not 0 <= unit < n:
-        raise ParseError(f"unit {unit!r} out of range")
 
     for x in range(n):
         if mt[unit][x] != x or mt[x][unit] != x:
@@ -468,50 +526,23 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
                          meet, join, lres, rres, labels)
 
 
-def read_document(text, fmt, holes=False):
-    """Parse an algebra document, or with `holes` a partial one whose `mult`
-    may hold nulls, and check the JSON shape of its tables; the algebra laws
-    are left to `finite_algebra`."""
+def read_document(text, fmt):
+    """Parse a `fmt` document and check it by its key table in `DOCUMENT_KEYS`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ParseError(f"missing or wrong format tag (want {fmt!r})")
-    for key in ("size", "leq", "unit", "mult"):
-        if key not in doc:
-            raise ParseError(f"missing field {key!r}")
-    n, unit = doc["size"], doc["unit"]
-    if type(n) is not int or n < 1:
-        raise ParseError(f"bad size {n!r}")
-    if type(unit) is not int or not 0 <= unit < n:
-        raise ParseError(f"unit {unit!r} out of range")
-
-    def table(key, cell_ok, what):
-        rows = doc[key]
-        if not (isinstance(rows, list) and len(rows) == n
-                and all(isinstance(r, list) and len(r) == n and all(map(cell_ok, r))
-                        for r in rows)):
-            raise ParseError(f"{key} must be a {n} x {n} table of {what}")
-
-    table("mult", lambda v: (holes and v is None) or (type(v) is int and 0 <= v < n),
-          f"indices 0..{n - 1}" + (" or null" if holes else ""))
-    if doc["leq"] != "chain":
-        table("leq", lambda v: v in (0, 1), "0/1 entries")
-    if not isinstance(doc.get("constants"), (dict, type(None))):
-        raise ParseError("constants must be an object mapping names to indices")
-    if not isinstance(doc.get("name", ""), str):
-        raise ParseError("name must be a string")
+    _check_keys({k: v for k, v in doc.items() if k != "format"}, DOCUMENT_KEYS[fmt])
     return doc
 
 
 def load_algebra(text):
     """Parse and fully validate an algebra file (UTF-8 JSON, rlw-algebra/1)."""
     doc = read_document(text, FILE_FORMAT)
-    if "name" not in doc:
-        raise ParseError("missing field 'name'")
     return finite_algebra(doc["name"], doc["size"], doc["leq"], doc["unit"],
-                          doc["mult"], doc.get("constants") or {})
+                          doc["mult"], doc.get("constants"))
 
 
 def save_algebra_file(algebra, path):

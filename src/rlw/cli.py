@@ -17,8 +17,8 @@ import sys
 import time
 
 from . import amalgam, catalog, completion, morphisms, nsum, properties, repro, structure
-from .algebra import (AlgebraError, BadParameter, SPAN_FORMAT, load_algebra,
-                      ParseError, save_algebra_file)
+from .algebra import (AlgebraError, BadParameter, SPAN_FORMAT, _is_indices, load_algebra,
+                      ParseError, read_document, save_algebra_file)
 
 MANIFEST_FORMAT = "rlw-manifest/1"
 
@@ -78,8 +78,7 @@ def _read_map(values, A, B, what):
             values = [int(v) for v in values.split(",")]
         except ValueError:
             raise ParseError(f"{what}: {values!r} is not a comma list of integers") from None
-    if not (isinstance(values, list) and len(values) == A.size
-            and all(type(v) is int and 0 <= v < B.size for v in values)):
+    if not (_is_indices(values, B.size) and len(values) == A.size):
         raise ParseError(f"{what} must list {A.size} indices 0..{B.size - 1}, "
                          f"got {values!r}")
     return morphisms.morphism(A, B, values)
@@ -251,19 +250,12 @@ def cmd_factor(args, run):
 
 def _load_span(run, path):
     with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from None
+        doc = read_document(fh.read(), SPAN_FORMAT)
     run.inputs.append({"path": path, "sha256": _sha256(json.dumps(doc, sort_keys=True))})
-    if not isinstance(doc, dict) or doc.get("format") != SPAN_FORMAT:
-        raise ParseError(f"missing or wrong span format tag (want {SPAN_FORMAT!r})")
-    if not all(isinstance(doc.get(k), str) for k in ("A", "B", "C")):
-        raise ParseError("a span names its algebras A, B and C as strings")
     base = os.path.dirname(os.path.abspath(path))
     A, B, C = (_load_ref(doc[k], base)[0] for k in ("A", "B", "C"))
-    return amalgam.Span(A, B, C, _read_map(doc.get("phi1"), A, B, "phi1"),
-                        _read_map(doc.get("phi2"), A, C, "phi2"))
+    return amalgam.Span(A, B, C, _read_map(doc["phi1"], A, B, "phi1"),
+                        _read_map(doc["phi2"], A, C, "phi2"))
 
 
 def _class_spec(args):

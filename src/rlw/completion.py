@@ -25,11 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import (AlgebraError, BadParameter, ParseError, _constant_tuple, _signature,
-                      finite_algebra, lattice_order, least_element, read_document)
+from .algebra import (PARTIAL_FORMAT, AlgebraError, BadParameter, ParseError, _constant_tuple,
+                      _signature, finite_algebra, lattice_order, least_element, read_document)
 from . import properties, terms
-
-PARTIAL_FORMAT = "rlw-partial/1"
 
 
 @dataclass
@@ -66,46 +64,25 @@ class CompletionResult:
 
 def load_partial(text):
     """Parse a partial algebra file, checking its order and constants as
-    `finite_algebra` does; the laws of the completed tables are checked on
-    each completion."""
-    doc = read_document(text, PARTIAL_FORMAT, holes=True)
-    n = doc["size"]
+    `finite_algebra` does, and its equations' terms, whose variables must be
+    labels; the laws of the completed tables are checked on each completion."""
+    doc = read_document(text, PARTIAL_FORMAT)
+    n, labels = doc["size"], doc.get("labels")
     _constant_tuple(n, lattice_order(n, doc["leq"])[0], doc.get("constants"))
-    cs = {} if doc.get("constraints") is None else doc["constraints"]
-    labels = doc.get("labels")
-    if not isinstance(cs, dict):
-        raise ParseError("constraints must be an object")
-    for key in ("commutative", "involutive_f"):
-        if not isinstance(cs.get(key), (bool, type(None))):
-            raise ParseError(f"constraint {key} must be true or false")
-    for key in ("idempotent", "non_idempotent", "central", "non_central"):
-        xs = cs.get(key, [])
-        if not (isinstance(xs, list) and all(type(x) is int and 0 <= x < n for x in xs)):
-            raise ParseError(f"constraint {key} must be a list of indices 0..{n - 1}")
-    eqs = cs.get("equations", [])
-    if not (isinstance(eqs, list)
-            and all(isinstance(eq, str) and eq.count("=") == 1 for eq in eqs)):
-        raise ParseError("constraint equations must be a list of 'lhs=rhs' strings")
-    if labels is not None and not (isinstance(labels, list)
-                                   and all(isinstance(x, str) for x in labels)
-                                   and len(set(labels)) == len(labels) == n):
-        raise ParseError(f"labels must be a list of {n} distinct strings")
+    cs = doc.get("constraints") or {}
+    equations = cs.get("equations", [])
+    properties.check_flags({"equations": equations})
+    unbound = {x for eq in equations for side in eq.split("=")
+               for x in terms.free_vars(terms.parse_term(side))} - set(labels or ())
+    if unbound:
+        raise ParseError(f"equation variables {sorted(unbound)} are not labels")
     return PartialAlgebra(
-        name=doc.get("name", "partial"),
-        size=n,
-        leq=doc["leq"],
-        unit=doc["unit"],
-        mult=[[v for v in row] for row in doc["mult"]],
-        constants=doc.get("constants") or {},
-        labels=tuple(labels) if labels else None,
-        idempotent=frozenset(cs.get("idempotent", ())),
-        non_idempotent=frozenset(cs.get("non_idempotent", ())),
-        central=frozenset(cs.get("central", ())),
-        non_central=frozenset(cs.get("non_central", ())),
-        commutative=cs.get("commutative"),
-        involutive_f=cs.get("involutive_f"),
-        equations=tuple(cs.get("equations", ())),
-    )
+        doc.get("name", "partial"), n, doc["leq"], doc["unit"], doc["mult"],
+        doc.get("constants") or {}, tuple(labels) if labels else None,
+        **{k: frozenset(cs.get(k, ())) for k in ("idempotent", "non_idempotent",
+                                                   "central", "non_central")},
+        commutative=cs.get("commutative"), involutive_f=cs.get("involutive_f"),
+        equations=tuple(equations))
 
 
 class _Search:
@@ -242,9 +219,8 @@ class _Search:
         if P.equations:
             env = {A.label(x): x for x in A.elements}
             for eq in P.equations:
-                lhs, rhs = eq.split("=")
-                if terms.eval_term(A, terms.parse_term(lhs), env) != \
-                        terms.eval_term(A, terms.parse_term(rhs), env):
+                lhs, rhs = (terms.eval_term(A, terms.parse_term(t), env) for t in eq.split("="))
+                if lhs != rhs:
                     return
         if P.require and not properties.satisfies_flags(A, P.require):
             return

@@ -327,7 +327,20 @@ def _bad_files(tmp_path):
             "name-number.json": dict(g3, name=5),
             "partial-constraints-list.json": dict(partial, constraints=[]),
             "partial-constraints-zero.json": dict(partial, constraints=0),
-            "partial-name-list.json": dict(partial, name=["x"])}
+            "partial-name-list.json": dict(partial, name=["x"]),
+            # leq cells are the ints 0 and 1, span maps JSON lists
+            "leq-float.json": dict(g3, leq=[[1, 1.0, 1], [0, 1, 1], [0, 0, 1]]),
+            "leq-bool.json": dict(g3, leq=[[True, 1, 1], [0, 1, 1], [0, 0, 1]]),
+            "span-comma-phi.json": dict(span, phi1="0,2", phi2=[0, 2]),
+            # equations are checked on load, also when no completion exists
+            "partial-contradictory-bad-term.json": dict(
+                partial, size=3, unit=2, mult=[[None, 2, None], [None] * 3, [None] * 3],
+                constraints={"equations": ["a*=a"]}),
+            "partial-contradictory-unlabelled.json": dict(
+                partial, size=3, unit=2, mult=[[None, 2, None], [None] * 3, [None] * 3],
+                labels=["a", "b", "e"], constraints={"equations": ["q*q=q"]}),
+            "partial-misspelled-constraint.json": dict(
+                partial, constraints={"non_idempotnt": [1]})}
     for name, doc in docs.items():
         (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
@@ -398,6 +411,15 @@ def _bad_files(tmp_path):
     ["complete", "{tmp}/partial-labels-int-bool.json"],
     ["complete", "{tmp}/partial-labels-null.json"],
     ["complete", "{tmp}/partial-labels-list.json"],
+    # leq cells 1.0 and true loaded as 1, a span map "0,2" as [0, 2]
+    ["con", "{tmp}/leq-float.json"],
+    ["con", "{tmp}/leq-bool.json"],
+    ["refute", "--span", "{tmp}/span-comma-phi.json"],
+    # equations of a partial with no completion were never parsed
+    ["complete", "{tmp}/partial-contradictory-bad-term.json"],
+    ["complete", "{tmp}/partial-contradictory-unlabelled.json"],
+    # unknown keys are refused, not ignored
+    ["complete", "{tmp}/partial-misspelled-constraint.json"],
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv):
     _bad_files(tmp_path)

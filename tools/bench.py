@@ -22,6 +22,10 @@ final JSON line.  Per metric it then gives, for each tree, the median and
 quartiles over that tree's runs (statistics.quantiles, n=4), and how many
 pairs the change won, in the direction BENCHMARK.json names.
 
+Source size.  For each tree the file records `src_lines`, the newlines in
+src/rlw/*.py (what `cat src/rlw/*.py | wc -l` prints), the figure ROADMAP and
+CHANGES.md track.
+
 Cold decide_ap.  For each m from 10 to 16, with and without cross_check, each
 tree times `decide_ap(variety(make_goedel(m)))` in a fresh interpreter and
 reports the seconds of the call and the process's peak RSS (ru_maxrss); the
@@ -32,6 +36,7 @@ the others three times.  Verdicts must agree.
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -85,6 +90,15 @@ def snapshot(workdir):
             os.makedirs(os.path.join(tree, os.path.dirname(path)), exist_ok=True)
             shutil.copy2(os.path.join(ROOT, path), os.path.join(tree, path))
     return tree
+
+
+def src_lines(tree):
+    """The newlines in tree's src/rlw/*.py, as `cat src/rlw/*.py | wc -l` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "rlw", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def quartiles(values):
@@ -182,8 +196,10 @@ def main(argv=None):
     try:
         trees = {"base": extract(args.base, workdir), "change": snapshot(workdir)}
         doc = {"format": "rlw-bench/1",
-               "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
+               "base": {"rev": args.base, "commit": git("rev-parse", args.base),
+                        "src_lines": src_lines(trees["base"])},
                "change": {"head": git("rev-parse", "HEAD"),
+                          "src_lines": src_lines(trees["change"]),
                           "uncommitted_changes": bool(git("status", "--porcelain", "--", "src",
                                                           "perfbench"))},
                "python": sys.version.split()[0], "cpu_count": os.cpu_count(),
