@@ -56,7 +56,8 @@ def span(A, B, C, phi1, phi2):
 class ClassSpec:
     """Either an explicit finite list of algebras or all chains of size <= bound
     over a constant signature satisfying a property filter.  `bounded` raises
-    ParseError for an unknown or repeated constant name."""
+    ParseError for an unknown or repeated constant name, and the errors of
+    `properties.check_flags` for a filter it refuses over the signature."""
     algebras: tuple | None = None
     bound: int | None = None
     signature: tuple = ()
@@ -68,8 +69,9 @@ class ClassSpec:
 
     @classmethod
     def bounded(cls, bound, signature=(), require=None):
-        check_flags(require)
-        return cls(bound=bound, signature=_signature(signature),
+        signature = _signature(signature)
+        check_flags(require, signature)
+        return cls(bound=bound, signature=signature,
                    require=tuple(sorted((require or {}).items())))
 
     def members(self, floor, names):

@@ -197,9 +197,8 @@ def _figure_partial(name):
             mult=_blank(4, [(2, 2, 3)]),
             constants={"f": 2}, labels=("bot", "e", "f", "top"),
             idempotent=frozenset({0, 1, 3}), non_idempotent=frozenset({2}),
-            commutative=True, involutive_f=True,
             equations=("f*f=top", "f\\f=e", "top\\f=bot"),
-            require={"square_increasing": True})
+            require={"commutative": True, "involutive_f": True, "square_increasing": True})
     if name == "B1":
         # bot < e < a < f < top; a = ~a, f*f = top
         return PartialAlgebra(
@@ -207,9 +206,8 @@ def _figure_partial(name):
             mult=_blank(5, [(3, 3, 4)]),
             constants={"f": 3}, labels=("bot", "e", "a", "f", "top"),
             idempotent=frozenset({0, 1, 2, 4}), non_idempotent=frozenset({3}),
-            commutative=True, involutive_f=True,
             equations=("f*f=top", "a\\f=a", "f\\f=e", "top\\f=bot"),
-            require={"square_increasing": True})
+            require={"commutative": True, "involutive_f": True, "square_increasing": True})
     if name == "C1":
         # bot < e < b < f < top; b = ~b, b*b = f, f*f = top
         return PartialAlgebra(
@@ -217,9 +215,8 @@ def _figure_partial(name):
             mult=_blank(5, [(2, 2, 3), (3, 3, 4)]),
             constants={"f": 3}, labels=("bot", "e", "b", "f", "top"),
             idempotent=frozenset({0, 1, 4}), non_idempotent=frozenset({2, 3}),
-            commutative=True, involutive_f=True,
             equations=("b*b=f", "b\\f=b", "f*f=top", "f\\f=e", "top\\f=bot"),
-            require={"square_increasing": True})
+            require={"commutative": True, "involutive_f": True, "square_increasing": True})
     if name in ("A2", "B2", "C2"):
         return _figure_mirror(name)
     raise BadParameter(f"unknown figure {name!r} (one of {FIGURES})")
@@ -235,7 +232,7 @@ def _figure_mirror(name):
             name="A2+", size=3, leq="chain", unit=2,
             mult=_blank(3, [(1, 0, 0)]),
             labels=pos_labels, idempotent=frozenset({0, 1, 2}),
-            commutative=True, equations=("a*b=b",))
+            require={"commutative": True}, equations=("a*b=b",))
     elif name == "B2":
         pos_labels = ("b", "x", "a", "e")
         pos = PartialAlgebra(
@@ -243,7 +240,7 @@ def _figure_mirror(name):
             mult=_blank(4, [(2, 1, 1), (1, 1, 0)]),
             labels=pos_labels, idempotent=frozenset({0, 2, 3}),
             non_idempotent=frozenset({1}),
-            commutative=True, equations=("a*x=x", "x*x=b"))
+            require={"commutative": True}, equations=("a*x=x", "x*x=b"))
     else:
         pos_labels = ("b", "z", "y", "a", "e")
         pos = PartialAlgebra(
@@ -251,7 +248,7 @@ def _figure_mirror(name):
             mult=_blank(5, [(3, 1, 1), (3, 2, 1), (2, 2, 0), (1, 1, 0)]),
             labels=pos_labels, idempotent=frozenset({0, 3, 4}),
             non_idempotent=frozenset({1, 2}),
-            commutative=True, equations=("a*z=z", "a*y=z", "y*y=b", "z*z=b"))
+            require={"commutative": True}, equations=("a*z=z", "a*y=z", "y*y=b", "z*z=b"))
     res = complete_partial(pos)
     if res.multiplicity != 1:
         raise NoCompletion(f"positive cone of {name} is not uniquely determined "
@@ -278,8 +275,8 @@ def _figure_mirror(name):
         name=name, size=n, leq="chain", unit=n - 1,
         mult=mult, constants={"f": 0}, labels=labels,
         idempotent=idem, non_idempotent=nonidem,
-        commutative=True, involutive_f=True,
-        equations=pos.equations, require={"integral": True})
+        equations=pos.equations,
+        require={"commutative": True, "involutive_f": True, "integral": True})
 
 
 def figure_completions(name):

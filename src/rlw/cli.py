@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import amalgam, catalog, completion, morphisms, nsum, properties, repro, structure
-from .algebra import (AlgebraError, BadParameter, SPAN_FORMAT, _is_indices, load_algebra,
+from .algebra import (AlgebraError, SPAN_FORMAT, _is_indices, load_algebra,
                       ParseError, read_document, save_algebra_file)
 
 MANIFEST_FORMAT = "rlw-manifest/1"
@@ -120,20 +120,9 @@ def cmd_complete(args, run):
                    [A.save() for A in res.algebras])
 
 
-def _flags(names):
-    """The --prop names as a property filter; each must name a boolean flag
-    of `properties.FLAG_PREDICATES`."""
-    for name in names:
-        if name not in properties.FLAG_PREDICATES:
-            raise BadParameter(f"--prop {name!r} is not one of "
-                               f"{', '.join(properties.FLAG_PREDICATES)}")
-    return dict.fromkeys(names, True)
-
-
 def cmd_enumerate(args, run):
-    require = _flags(args.prop)
     sig = tuple(s for s in (args.sig or "").split(",") if s)
-    out = list(completion.enumerate_chains(args.size, require, sig))
+    out = list(completion.enumerate_chains(args.size, dict.fromkeys(args.prop, True), sig))
     run.parameters = {"size": args.size, "prop": args.prop, "sig": list(sig)}
     run.verdict = f"{len(out)} chains"
     run.affirmative = True
@@ -268,9 +257,8 @@ def _class_spec(args):
         if len(args.klass) != 2 or not args.klass[1].isdigit():
             raise ParseError("--class bounded takes one integer bound")
         bound = int(args.klass[1])
-        require = _flags(args.prop)
         sig = tuple(s for s in (args.sig or "").split(",") if s)
-        return amalgam.ClassSpec.bounded(bound, sig, require)
+        return amalgam.ClassSpec.bounded(bound, sig, dict.fromkeys(args.prop, True))
     raise ParseError("--class must start with 'list' or 'bounded'")
 
 

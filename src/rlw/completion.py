@@ -6,20 +6,21 @@ left and upper neighbours of a cell are always decided first:
 
   * unit row/column and the absorbing row/column of the least element are
     pre-filled (residuals cannot exist otherwise);
-  * on a chain, a cell is tried only with the values of its monotone window:
-    no less than any decided cell before it in its row or column, and no
-    greater than any after it.  These are exactly the values the
-    monotonicity check accepts there, so that check runs only on a tied
-    mirror cell, and on other orders, where every value is tried;
+  * monotonicity is the window of a cell: the values no less than any
+    decided cell before it in its row or column, and no greater than any
+    after it (on a chain, a range of indices).  A free cell is tried only
+    with the values of its window, and a given or tied mirror cell is
+    placed only if its value is in its window;
   * associativity is enforced incrementally: setting m[i][j] checks every
     triple whose four lookups just became available, those that read m[i][j]
     twice included, since the cell is placed before it is checked (a product
     index maps each value to the pairs producing it);
   * centrality/commutativity ties force the mirror cell.
 
-Constraint flags that cannot be propagated cheaply (non-central witnesses,
-equations, involutivity, profile filters) are checked on completed tables,
-and every completed table passes full validation before it is returned.
+Every demand is checked once before the search (`complete_partial`).  Those
+that cannot be propagated cheaply (non-central witnesses, equations, the
+property filter `require`) are then checked on completed tables, and every
+completed table passes full validation before it is returned.
 """
 from __future__ import annotations
 
@@ -43,10 +44,8 @@ class PartialAlgebra:
     non_idempotent: frozenset = frozenset()
     central: frozenset = frozenset()
     non_central: frozenset = frozenset()
-    commutative: bool | None = None
-    involutive_f: bool | None = None
     equations: tuple = ()           # strings in term syntax over labels
-    require: dict = field(default_factory=dict)
+    require: dict = field(default_factory=dict)   # property filter (`properties.check_flags`)
 
 
 @dataclass(frozen=True)
@@ -64,25 +63,19 @@ class CompletionResult:
 
 def load_partial(text):
     """Parse a partial algebra file, checking its order and constants as
-    `finite_algebra` does, and its equations' terms, whose variables must be
-    labels; the laws of the completed tables are checked on each completion."""
+    `finite_algebra` does.  The constraints `commutative` and `involutive_f`
+    go into `require`; `complete_partial` checks every demand before its search."""
     doc = read_document(text, PARTIAL_FORMAT)
     n, labels = doc["size"], doc.get("labels")
     _constant_tuple(n, lattice_order(n, doc["leq"])[0], doc.get("constants"))
     cs = doc.get("constraints") or {}
-    equations = cs.get("equations", [])
-    properties.check_flags({"equations": equations})
-    unbound = {x for eq in equations for side in eq.split("=")
-               for x in terms.free_vars(terms.parse_term(side))} - set(labels or ())
-    if unbound:
-        raise ParseError(f"equation variables {sorted(unbound)} are not labels")
     return PartialAlgebra(
         doc.get("name", "partial"), n, doc["leq"], doc["unit"], doc["mult"],
         doc.get("constants") or {}, tuple(labels) if labels else None,
         **{k: frozenset(cs.get(k, ())) for k in ("idempotent", "non_idempotent",
                                                    "central", "non_central")},
-        commutative=cs.get("commutative"), involutive_f=cs.get("involutive_f"),
-        equations=tuple(equations))
+        equations=tuple(cs.get("equations", ())),
+        require={k: cs[k] for k in ("commutative", "involutive_f") if cs.get(k) is not None})
 
 
 class _Search:
@@ -100,39 +93,26 @@ class _Search:
         self.m = [[None] * n for _ in range(n)]
         self.pairs_for = [[] for _ in range(n)]   # value -> [(i, j)] with m[i][j] = value
         # ties: mirror cell forced equal (commutative globally, or central element)
-        self.tied = P.commutative is True
+        self.tied = P.require.get("commutative") is True
         self.central = set(P.central)
         e, bot = P.unit, least_element(self.leq, n)
-        forced = [(i, j, v) for i, row in enumerate(P.mult)
-                  for j, v in enumerate(row) if v is not None]
-        forced += [c for x in range(n) for c in ((e, x, x), (x, e, x))]
+        # the unit and bottom rows and columns and the idempotent diagonal are
+        # monotone in any order, so only the given cells, placed after them,
+        # are checked against their windows
+        known = [c for x in range(n) for c in ((e, x, x), (x, e, x))]
         if bot is not None:   # the least element absorbs
-            forced += [c for x in range(n) for c in ((bot, x, bot), (x, bot, bot))]
-        forced += [(x, x, x) for x in P.idempotent]
-        if all(self._set(i, j, v) for i, j, v in forced):
+            known += [c for x in range(n) for c in ((bot, x, bot), (x, bot, bot))]
+        known += [(x, x, x) for x in P.idempotent]
+        given = [(i, j, v) for i, row in enumerate(P.mult)
+                 for j, v in enumerate(row) if v is not None]
+        if (all(self._set(i, j, v, in_window=True) for i, j, v in known)
+                and all(self._set(i, j, v) for i, j, v in given)):
             order = sorted(((i, j) for i in range(n) for j in range(n)),
                            key=lambda c: (max(c), c[0], c[1]))
             self.cells = [c for c in order if self.m[c[0]][c[1]] is None]
             self._dfs(0)
 
     # -- incremental constraint checks --------------------------------------
-
-    def _mono_ok(self, i, j, v):
-        m, leq, n = self.m, self.leq, self.n
-        for k in range(n):
-            w = m[k][j]
-            if w is not None:
-                if leq[k][i] and not leq[w][v]:
-                    return False
-                if leq[i][k] and not leq[v][w]:
-                    return False
-            w = m[i][k]
-            if w is not None:
-                if leq[k][j] and not leq[w][v]:
-                    return False
-                if leq[j][k] and not leq[v][w]:
-                    return False
-        return True
 
     def _assoc_ok(self, i, j, v):
         m = self.m
@@ -161,17 +141,11 @@ class _Search:
                     return False
         return True
 
-    def _cell_ok(self, i, j, v, mono=True):
-        if i == j:
-            if i in self.P.non_idempotent and v == i:
-                return False
-            if i in self.P.idempotent and v != i:
-                return False
-        return (not mono or self._mono_ok(i, j, v)) and self._assoc_ok(i, j, v)
-
     def _set(self, i, j, v, trail=None, in_window=False):
         """Place v at (i,j) plus the tied mirror; False on conflict.  With
-        `in_window`, v is known monotone at (i,j)."""
+        `in_window`, v is known to be in the window of (i,j); any other
+        placement is first checked against its own window, but for the mirror
+        of a commutative table, which stays symmetric: its window is (i,j)'s."""
         queue = [(i, j, v)]
         if self.tied or i in self.central or j in self.central:
             queue.append((j, i, v))
@@ -181,13 +155,15 @@ class _Search:
                 if cur != w:
                     return False
                 continue
+            if (q > 0 and not self.tied or not in_window) and w not in self._window(a, b):
+                return False
             # placed before the check, so that the triples that read this
             # cell twice are checked too; on False, _dfs unsets the trail
             self.m[a][b] = w
             self.pairs_for[w].append((a, b))
             if trail is not None:
                 trail.append((a, b))
-            if not self._cell_ok(a, b, w, mono=q > 0 or not in_window):
+            if a == b == w and w in self.P.non_idempotent or not self._assoc_ok(a, b, w):
                 return False
         return True
 
@@ -206,15 +182,9 @@ class _Search:
                                [list(row) for row in self.m], P.constants, P.labels)
         except AlgebraError:
             return
-        for c in P.central:
-            if not properties.is_central(A, c):
-                return
-        for c in P.non_central:
-            if properties.is_central(A, c):
-                return
-        if P.commutative is not None and properties.is_commutative(A) != P.commutative:
+        if any(properties.is_central(A, c) != (c in P.central) for c in P.central | P.non_central):
             return
-        if P.involutive_f is not None and properties.is_involutive_f(A) != P.involutive_f:
+        if P.require and not properties.satisfies_flags(A, P.require):
             return
         if P.equations:
             env = {A.label(x): x for x in A.elements}
@@ -222,8 +192,6 @@ class _Search:
                 lhs, rhs = (terms.eval_term(A, terms.parse_term(t), env) for t in eq.split("="))
                 if lhs != rhs:
                     return
-        if P.require and not properties.satisfies_flags(A, P.require):
-            return
         self.out.append(A)
 
     def _dfs(self, idx):
@@ -237,7 +205,7 @@ class _Search:
         i, j = self.cells[idx]
         for v in self._window(i, j):
             trail = []
-            if self._set(i, j, v, trail, in_window=self.chain):
+            if self._set(i, j, v, trail, in_window=True):
                 self._dfs(idx + 1)
             self._unset(trail)
             if self.limit is not None and len(self.out) >= self.limit:
@@ -246,23 +214,32 @@ class _Search:
         self.nodes += self.n
 
     def _window(self, i, j):
-        """The values to try at the undecided cell (i,j): on a chain those
-        between the decided cells before it and after it in its row and
-        column, else all."""
-        n = self.n
-        if not self.chain:
-            return range(n)
-        row, col = self.m[i], [r[j] for r in self.m]
-        lo = max([w for w in row[:j] + col[:i] if w is not None], default=0)
-        hi = min([w for w in row[j + 1:] + col[i + 1:] if w is not None], default=n - 1)
-        return range(lo, hi + 1)
+        """The values monotone at the undecided cell (i,j): no less than any
+        decided cell before it in its row and column, and no greater than any
+        after it, in the order of P."""
+        n, m = self.n, self.m
+        if self.chain:
+            row, col = m[i], [r[j] for r in m]
+            lo = max([w for w in row[:j] + col[:i] if w is not None], default=0)
+            hi = min([w for w in row[j + 1:] + col[i + 1:] if w is not None], default=n - 1)
+            return range(lo, hi + 1)
+        leq, ks = self.leq, range(n)
+        below = [m[k][j] for k in ks if leq[k][i]] + [m[i][k] for k in ks if leq[k][j]]
+        above = [m[k][j] for k in ks if leq[i][k]] + [m[i][k] for k in ks if leq[j][k]]
+        return [v for v in ks if all(w is None or leq[w][v] for w in below)
+                and all(w is None or leq[v][w] for w in above)]
 
 
 def complete_partial(P, limit=None):
     """All completions of the partial algebra (up to `limit`), canonically
-    sorted by multiplication table.  Raises BadParameter for a limit below 1."""
+    sorted by multiplication table.  Raises BadParameter for a limit below 1,
+    and before the search the errors of `properties.check_flags` for P.require
+    and of `terms.check_equations` for P.equations over P's labels."""
     if limit is not None and limit < 1:
         raise BadParameter(f"limit must be >= 1, got {limit}")
+    properties.check_flags(P.require, P.constants)
+    terms.check_equations(P.equations, P.constants, P.require.get("commutative") is True,
+                          P.labels or ())
     s = _Search(P, limit=limit)
     algebras = tuple(sorted(s.out, key=lambda A: (A.mult, A.constants)))
     return CompletionResult(algebras, s.nodes)
@@ -273,29 +250,30 @@ def enumerate_chains(n, require=None, constants=()):
     the property filter, exactly once per (table, constants) assignment.
 
     Yields in deterministic order: unit position ascending, multiplication
-    tables in row-major lexicographic order, then f placement.  bot/top, when in the signature, are
-    pinned to the endpoints.  An unknown or repeated constant name raises
-    ParseError.
+    tables in row-major lexicographic order, then f placement.  bot/top, when
+    in the signature, are pinned to the endpoints.  An unknown or repeated
+    constant name raises ParseError, and a filter `properties.check_flags`
+    refuses over the signature raises before any chain is built.
     """
     require = dict(require or {})
     if n < 1:
         raise ParseError("size must be >= 1")
     sig = _signature(constants)
-    pre, post = {}, {}
-    for key, want in require.items():
-        if key in ("idempotent", "commutative", "integral") and want:
-            pre[key] = True
-        else:
-            post[key] = want
-    units = range(n - 1, n) if pre.get("integral") or n == 1 else range(1, n)
+    properties.check_flags(require, sig)
+    # flags the search builds in; commutative stays in the member filter
+    # beside equations, whose '->' needs it
+    pre = {k for k in ("idempotent", "commutative", "integral") if require.get(k) is True}
+    post = {k: v for k, v in require.items()
+            if k not in pre or k == "commutative" and "equations" in require}
+    units = range(n - 1, n) if "integral" in pre or n == 1 else range(1, n)
     pinned = {nm: v for nm, v in (("bot", 0), ("top", n - 1)) if nm in sig}
     options = [dict(pinned, f=pos) for pos in range(n)] if "f" in sig else [pinned]
     for e in units:
         P = PartialAlgebra(
             name="tmp", size=n, leq="chain", unit=e,
             mult=[[None] * n for _ in range(n)],
-            idempotent=frozenset(range(n)) if pre.get("idempotent") else frozenset(),
-            commutative=True if pre.get("commutative") else None,
+            idempotent=frozenset(range(n)) if "idempotent" in pre else frozenset(),
+            require={"commutative": True} if "commutative" in pre else {},
         )
         for k, A in enumerate(complete_partial(P).algebras):
             for consts in options:

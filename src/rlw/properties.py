@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import BadParameter, NotAChain
-from .terms import check_identity, parse_term
+from .terms import check_equations, check_identity
 
 
 def is_commutative(A):
@@ -174,72 +174,68 @@ class PropertyProfile:
     involutive_f: bool | None
 
 
-def property_profile(A):
-    has_f = A.has_constant("f")
-    return PropertyProfile(
-        commutative=is_commutative(A),
-        idempotent=is_idempotent(A),
-        integral=is_integral(A),
-        bounded=is_bounded(A),
-        semilinear=is_semilinear(A),
-        square_increasing=satisfies_knotted(A, 1, 2),
-        square_decreasing=satisfies_knotted(A, 2, 1),
-        n_potent=n_potent_degree(A),
-        admissible=is_admissible(A) if A.is_totally_ordered else None,
-        lower_involutive=is_lower_involutive(A),
-        cyclic_f=is_cyclic_f(A) if has_f else None,
-        left_involutive_f=is_left_involutive_f(A) if has_f else None,
-        right_involutive_f=is_right_involutive_f(A) if has_f else None,
-        involutive_f=is_involutive_f(A) if has_f else None,
-    )
-
-
-# flag name -> predicate, for enumerate/class filters
-FLAG_PREDICATES = {
-    "commutative": is_commutative,
-    "idempotent": is_idempotent,
-    "integral": is_integral,
-    "bounded": is_bounded,
-    "semilinear": is_semilinear,
-    "square_increasing": lambda A: satisfies_knotted(A, 1, 2),
-    "square_decreasing": lambda A: satisfies_knotted(A, 2, 1),
-    "lower_involutive": is_lower_involutive,
-    "admissible": is_admissible,
-    "cyclic_f": is_cyclic_f,
-    "involutive_f": is_involutive_f,
+# Every entry of the profile, in its field order, with its predicate and what
+# it needs: "f" designated, or a "chain" (totally ordered); where that is
+# missing, the profile reads None (and `check_flags` refuses a filter that
+# names an f-entry over constants without f).
+PROFILE = {
+    "commutative": (is_commutative, None),
+    "idempotent": (is_idempotent, None),
+    "integral": (is_integral, None),
+    "bounded": (is_bounded, None),
+    "semilinear": (is_semilinear, None),
+    "square_increasing": (lambda A: satisfies_knotted(A, 1, 2), None),
+    "square_decreasing": (lambda A: satisfies_knotted(A, 2, 1), None),
+    "n_potent": (n_potent_degree, None),
+    "admissible": (is_admissible, "chain"),
+    "lower_involutive": (is_lower_involutive, None),
+    "cyclic_f": (is_cyclic_f, "f"),
+    "left_involutive_f": (is_left_involutive_f, "f"),
+    "right_involutive_f": (is_right_involutive_f, "f"),
+    "involutive_f": (is_involutive_f, "f"),
 }
 
+# flag name -> predicate, for enumerate/class filters: every boolean entry
+FLAG_PREDICATES = {key: pred for key, (pred, _) in PROFILE.items() if key != "n_potent"}
 
-def check_flags(require):
-    """Raise BadParameter for an unknown flag, an n_potent that is not an int
-    >= 0, or equations not a list of 'lhs=rhs' strings; ParseError for a bad term."""
+
+def property_profile(A):
+    has = {None: True, "f": A.has_constant("f"), "chain": A.is_totally_ordered}
+    return PropertyProfile(*[pred(A) if has[need] else None for pred, need in PROFILE.values()])
+
+
+def check_flags(require, constants=()):
+    """Raise BadParameter for an unknown flag, a boolean flag that is not a
+    bool, a flag that needs f when `constants` (the designated names) lack it,
+    or an n_potent that is not an int >= 0; and the errors of
+    `terms.check_equations` for equations, commutative if the filter says so."""
     for key, want in (require or {}).items():
         if key == "n_potent":
             if type(want) is not int or want < 0:
                 raise BadParameter(f"n_potent must be an integer >= 0, got {want!r}")
         elif key == "equations":
-            if not (isinstance(want, (list, tuple))
-                    and all(isinstance(eq, str) and eq.count("=") == 1 for eq in want)):
-                raise BadParameter(f"equations must be a list of 'lhs=rhs' strings, "
-                                   f"got {want!r}")
-            for eq in want:
-                for side in eq.split("="):
-                    parse_term(side)
+            check_equations(want, constants, commutative=require.get("commutative") is True)
         elif key not in FLAG_PREDICATES:
-            raise BadParameter(f"unknown property flag {key!r}")
+            raise BadParameter(f"unknown property flag {key!r} (one of "
+                               f"{', '.join(FLAG_PREDICATES)}, n_potent, equations)")
+        elif type(want) is not bool:
+            raise BadParameter(f"{key} must be true or false, got {want!r}")
+        elif PROFILE[key][1] == "f" and "f" not in constants:
+            raise BadParameter(f"{key} needs the constant f, which is not designated")
 
 
 def satisfies_flags(A, require):
     """require: dict flag-name -> bool, {'n_potent': k}, or
-    {'equations': ('lhs=rhs', ...)} in term syntax, checked by `check_flags`."""
-    check_flags(require)
-    for key, want in (require or {}).items():
+    {'equations': ('lhs=rhs', ...)} in term syntax, checked by `check_flags`
+    against A's constants.  Equations are evaluated last, so that '->' meets
+    only algebras the commutative flag admits."""
+    if not require:
+        return True
+    check_flags(require, dict(A.constants))
+    for key, want in require.items():
         if key == "n_potent":
-            ok = is_n_potent(A, want)
-        elif key == "equations":
-            ok = all(check_identity(A, *eq.split("=")) for eq in want)
-        else:
-            ok = FLAG_PREDICATES[key](A) == bool(want)
-        if not ok:
+            if not is_n_potent(A, want):
+                return False
+        elif key != "equations" and FLAG_PREDICATES[key](A) != want:
             return False
-    return True
+    return all(check_identity(A, *eq.split("=")) for eq in require.get("equations", ()))

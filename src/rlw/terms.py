@@ -13,9 +13,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import ParseError
+from .algebra import BadParameter, ParseError
 
-CORE_OPS = ("*", "/\\", "\\/", "\\", "/")
 CONSTS = ("e", "f", "bot", "top")
 
 
@@ -88,13 +87,14 @@ def wedge(t):
     return meet(wedge_l(t), wedge_r(t))
 
 
-def free_vars(t):
-    if t.op == "var":
-        return {t.name}
-    out = set()
+def subterms(t):
+    yield t
     for a in t.args:
-        out |= free_vars(a)
-    return out
+        yield from subterms(a)
+
+
+def free_vars(t):
+    return {s.name for s in subterms(t) if s.op == "var"}
 
 
 def term_to_str(t):
@@ -210,6 +210,27 @@ class _Parser:
 
 def parse_term(text):
     return _Parser(_tokenize(text)).parse()
+
+
+def check_equations(equations, constants, commutative, labels=None):
+    """Check 'lhs=rhs' strings before any algebra they constrain is built:
+    BadParameter unless `equations` is a list (or tuple) of them; ParseError
+    for a bad term, a constant other than e that is not designated (named in
+    `constants`) or a label, and '->' unless `commutative`.  With `labels` the
+    equations are about named elements, and every variable must be a label;
+    without, they are identities in free variables."""
+    if not (isinstance(equations, (list, tuple))
+            and all(isinstance(eq, str) and eq.count("=") == 1 for eq in equations)):
+        raise BadParameter(f"equations must be a list of 'lhs=rhs' strings, got {equations!r}")
+    names = {"e", *constants, *(labels or ())}
+    for eq in equations:
+        for t in (u for side in eq.split("=") for u in subterms(parse_term(side))):
+            if t.op == "const" and t.name not in names:
+                raise ParseError(f"equation {eq!r}: constant {t.name!r} is not designated")
+            if t.op == "->" and not commutative:
+                raise ParseError(f"equation {eq!r}: '->' needs commutative: true")
+            if t.op == "var" and labels is not None and t.name not in labels:
+                raise ParseError(f"equation {eq!r}: variable {t.name!r} is not a label")
 
 
 @lru_cache(maxsize=4096)

@@ -37,6 +37,26 @@ def law_violation(n, unit, mult):
     return None
 
 
+def mono_ok(m, leq, i, j, v):
+    """Whether the partial table m, with v at (i, j), is monotone at that
+    cell under the order leq: every decided cell of its row and column that
+    lies before it (after it) holds a value below (above) v."""
+    for k in range(len(m)):
+        w = m[k][j]
+        if w is not None:
+            if leq[k][i] and not leq[w][v]:
+                return False
+            if leq[i][k] and not leq[v][w]:
+                return False
+        w = m[i][k]
+        if w is not None:
+            if leq[k][j] and not leq[w][v]:
+                return False
+            if leq[j][k] and not leq[v][w]:
+                return False
+    return True
+
+
 def brute_chains(n):
     """All valid residuated chains of size n as (unit, mult) pairs, by
     filtering every conceivable table.  Only feasible for n <= 3-4."""

@@ -206,6 +206,15 @@ def test_bounded_class_checks_its_filter():
         ClassSpec.bounded(6, require={"equations": ["x*x=x", "x*=x"]})
     with pytest.raises(BadParameter, match="unknown property flag 'bogus'"):
         find_amalgam(knotted_span(2), ClassSpec.bounded(6, require={"bogus": True}))
+    # whatever members the span lets the search build: an f-property needs
+    # f in the signature, and '->' needs commutative: true
+    with pytest.raises(BadParameter, match="needs the constant f"):
+        ClassSpec.bounded(5, require={"involutive_f": True})
+    with pytest.raises(ParseError, match="'->' needs commutative: true"):
+        ClassSpec.bounded(6, signature=("f",), require={"equations": ["x->y=x->y"]})
+    K = ClassSpec.bounded(6, signature=("f",),
+                          require={"commutative": True, "equations": ["x->y=x->y"]})
+    assert find_amalgam(knotted_span(2), K).verdict == "NotFoundExhaustive"
 
 
 def test_essential_spans():

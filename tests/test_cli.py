@@ -340,7 +340,25 @@ def _bad_files(tmp_path):
                 partial, size=3, unit=2, mult=[[None, 2, None], [None] * 3, [None] * 3],
                 labels=["a", "b", "e"], constraints={"equations": ["q*q=q"]}),
             "partial-misspelled-constraint.json": dict(
-                partial, constraints={"non_idempotnt": [1]})}
+                partial, constraints={"non_idempotnt": [1]}),
+            # demands that name what the partial does not have, on a partial
+            # with completions and on one without
+            "partial-top-constant.json": dict(
+                partial, size=3, unit=2, mult=[[None] * 3] * 3,
+                constraints={"equations": ["top=top"]}),
+            "partial-contradictory-top-constant.json": dict(
+                partial, size=3, unit=2, mult=[[None, 2, None], [None] * 3, [None] * 3],
+                constraints={"equations": ["top=top"]}),
+            "partial-involutive-no-f.json": dict(partial, constraints={"involutive_f": True}),
+            "partial-contradictory-involutive-no-f.json": dict(
+                partial, size=3, unit=2, mult=[[None, 2, None], [None] * 3, [None] * 3],
+                constraints={"involutive_f": True}),
+            "partial-arrow-not-commutative.json": dict(
+                partial, size=3, unit=2, mult=[[None] * 3] * 3, labels=["a", "b", "e"],
+                constraints={"equations": ["a->b=a->b"]}),
+            "knotted-span-1.json": {"format": "rlw-span/1", "A": "catalog:A1",
+                                    "B": "catalog:B1", "C": "catalog:C1",
+                                    "phi1": [0, 1, 3, 4], "phi2": [0, 1, 3, 4]}}
     for name, doc in docs.items():
         (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
@@ -420,6 +438,17 @@ def _bad_files(tmp_path):
     ["complete", "{tmp}/partial-contradictory-unlabelled.json"],
     # unknown keys are refused, not ignored
     ["complete", "{tmp}/partial-misspelled-constraint.json"],
+    # every demand is checked before the search, whether or not a completion
+    # or a member exists: constants must be designated (or labels), an
+    # f-property needs f, and '->' needs commutative: true
+    ["complete", "{tmp}/partial-top-constant.json"],
+    ["complete", "{tmp}/partial-contradictory-top-constant.json"],
+    ["complete", "{tmp}/partial-involutive-no-f.json"],
+    ["complete", "{tmp}/partial-contradictory-involutive-no-f.json"],
+    ["complete", "{tmp}/partial-arrow-not-commutative.json"],
+    ["amalgamate", "--span", "{tmp}/knotted-span-1.json", "--class", "bounded", "5",
+     "--prop", "involutive_f"],
+    ["enumerate", "--size", "2", "--prop", "cyclic_f"],
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv):
     _bad_files(tmp_path)

@@ -154,6 +154,17 @@ def test_contradictory_partial_has_no_completion():
     assert complete_partial(P).multiplicity == 0
 
 
+def test_given_cells_checked_against_their_windows():
+    # 2*1 = 2 exceeds e*1 = 1 below it in column 1, and 1*2 = 2 exceeds 1*e = 1
+    # after it in row 1: the search does not start
+    for cell in ((2, 1), (1, 2)):
+        mult = [[None] * 4 for _ in range(4)]
+        mult[cell[0]][cell[1]] = 2
+        res = complete_partial(PartialAlgebra(name="bad", size=4, leq="chain", unit=3,
+                                              mult=mult))
+        assert (res.multiplicity, res.nodes) == (0, 0), cell
+
+
 def test_partial_file_roundtrip():
     text = ('{"format":"rlw-partial/1","name":"p","size":3,"leq":"chain",'
             '"unit":2,"mult":[[null,null,null],[null,null,null],'
@@ -234,8 +245,9 @@ def test_f_chains_of_size_5_pinned():
 
 
 class _WindowCheck(_Search):
-    """Records, at each visited cell, the chain window next to the values
-    `_mono_ok` accepts there with the cell placed."""
+    """Records each window the search computes (at a visited cell, or to
+    check a given or tied cell) next to the values `oracles.mono_ok` accepts
+    there with the cell placed."""
 
     def __init__(self, P):
         self.visits = []
@@ -246,7 +258,7 @@ class _WindowCheck(_Search):
         accepted = []
         for v in range(self.n):
             self.m[i][j] = v
-            if self._mono_ok(i, j, v):
+            if oracles.mono_ok(self.m, self.leq, i, j, v):
                 accepted.append(v)
         self.m[i][j] = None
         self.visits.append((list(window), accepted))
@@ -255,12 +267,63 @@ class _WindowCheck(_Search):
 
 def test_window_is_what_mono_ok_accepts():
     for n in range(1, 6):
-        for constraints in ({}, {"commutative": True}, {"central": frozenset({n // 2})}):
+        for constraints in ({}, {"require": {"commutative": True}},
+                            {"central": frozenset({n // 2})}):
             for e in range(1, n) if n > 1 else (0,):
                 s = _WindowCheck(_empty_chain(n, e, **constraints))
                 assert s.visits or n < 3, (n, constraints, e)
                 for window, accepted in s.visits:
                     assert window == accepted, (n, constraints, e)
+    # a matrix order: the square 0 < a, b < 1, unit at each element above 0
+    leq = [list(map(int, row)) for row in oracles.boolean_square().leq]
+    for require in ({}, {"commutative": True}):
+        for e in (1, 2, 3):
+            s = _WindowCheck(PartialAlgebra(name="sq", size=4, leq=leq, unit=e,
+                                            mult=[[None] * 4 for _ in range(4)],
+                                            require=require))
+            assert s.visits, (require, e)
+            for window, accepted in s.visits:
+                assert window == accepted, (require, e)
+
+
+def test_demands_checked_before_the_search(monkeypatch):
+    # a demand that names what the partial or the signature lacks is refused
+    # before any cell is placed, whether or not a completion exists
+    import rlw.completion
+    from rlw.algebra import BadParameter
+    monkeypatch.setattr(rlw.completion, "_Search", None)
+    free = [[None] * 3 for _ in range(3)]
+    contradictory = [[None, 2, None], [None] * 3, [None] * 3]
+    for mult in (free, contradictory):
+        for demands, error in (({"equations": ("top=top",)}, ParseError),
+                               ({"equations": ("q*q=q",)}, ParseError),
+                               ({"equations": ("a->b=a",)}, ParseError),
+                               ({"equations": ("a*f=a",), "constants": {"bot": 0}}, ParseError),
+                               ({"require": {"involutive_f": True}}, BadParameter),
+                               ({"require": {"cyclic_f": False}}, BadParameter)):
+            P = PartialAlgebra(name="p", size=3, leq="chain", unit=2, mult=mult,
+                               labels=("a", "b", "e"), **demands)
+            with pytest.raises(error):
+                complete_partial(P)
+    with pytest.raises(BadParameter, match="needs the constant f"):
+        next(enumerate_chains(2, {"cyclic_f": True}))
+    with pytest.raises(ParseError, match="'->' needs commutative: true"):
+        next(enumerate_chains(2, {"equations": ["x->y=y->x"]}))
+
+
+def test_equation_constants_may_be_labels_or_designated():
+    # a label shadows a constant name; e is always there
+    for demands in ({"labels": ("bot", "top", "e")},
+                    {"constants": {"top": 2}, "labels": ("a", "b", "e")}):
+        P = PartialAlgebra(name="p", size=3, leq="chain", unit=2,
+                           mult=[[None] * 3 for _ in range(3)],
+                           equations=("top*e=top",), **demands)
+        assert complete_partial(P).multiplicity == 2
+    P = PartialAlgebra(name="p", size=3, leq="chain", unit=2,
+                       mult=[[None] * 3 for _ in range(3)],
+                       labels=("a", "b", "e"), equations=("b->a=a",),
+                       require={"commutative": True})
+    assert complete_partial(P).multiplicity == 1
 
 
 def test_unknown_or_repeated_constant_names_rejected():

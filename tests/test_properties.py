@@ -5,9 +5,10 @@ from rlw import (BadParameter, NotAChain, is_admissible, is_semilinear, property
                  satisfies_knotted)
 from rlw.catalog import (catalog_all, make_com, make_dmm, make_figure,
                          make_goedel, make_luk, make_rsa, make_sugihara)
-from rlw.properties import (handy_fixed_points, is_lower_involutive,
-                            is_n_potent, n_potent_degree, satisfies_flags,
-                            wedge_value)
+from rlw.algebra import ParseError
+from rlw.properties import (FLAG_PREDICATES, PROFILE, PropertyProfile, check_flags,
+                            handy_fixed_points, is_lower_involutive, is_n_potent,
+                            n_potent_degree, satisfies_flags, wedge_value)
 
 
 def test_s3_profile():
@@ -124,7 +125,8 @@ def test_luk_involutive(A):
 @pytest.mark.parametrize("require", [
     {"n_potent": True}, {"n_potent": "2"}, {"n_potent": 2.0}, {"n_potent": -1},
     {"equations": True}, {"equations": "x=x"}, {"equations": ["x"]},
-    {"equations": ["x=y=z"]}, {"equations": [1]}, {"no-such-flag": True}])
+    {"equations": ["x=y=z"]}, {"equations": [1]}, {"no-such-flag": True},
+    {"commutative": "no"}])
 def test_satisfies_flags_rejects_malformed_filters(require):
     with pytest.raises(BadParameter):
         satisfies_flags(make_goedel(3), require)
@@ -134,3 +136,33 @@ def test_satisfies_flags_n_potent_and_equations():
     G3 = make_goedel(3)
     assert satisfies_flags(G3, {"n_potent": 1, "equations": ["x*x=x", "x*y=y*x"]})
     assert not satisfies_flags(make_luk(3, "mv"), {"n_potent": 1})
+
+
+def test_profile_table_wires_every_entry_once():
+    # one table, in field order, read by the profile and by the filters
+    fields = list(PropertyProfile.__dataclass_fields__)
+    assert list(PROFILE) == fields
+    assert list(FLAG_PREDICATES) == [k for k in fields if k != "n_potent"]
+    L3 = make_luk(3, "mv")
+    p = property_profile(L3)
+    for key in FLAG_PREDICATES:
+        assert satisfies_flags(L3, {key: getattr(p, key)}), key
+
+
+def test_check_flags_refuses_what_the_signature_lacks():
+    for key in ("cyclic_f", "left_involutive_f", "right_involutive_f", "involutive_f"):
+        for want in (True, False):
+            with pytest.raises(BadParameter, match="needs the constant f"):
+                check_flags({key: want})
+            check_flags({key: want}, ("f",))
+    # equation constants must be e or designated
+    with pytest.raises(ParseError, match="'top' is not designated"):
+        check_flags({"equations": ["x*top=top"]}, ("f",))
+    check_flags({"equations": ["x*top=top", "x*e=x"]}, ("top",))
+    # '->' only with commutative: true in the same filter
+    for require in ({"equations": ["x->y=x\\y"]},
+                    {"commutative": False, "equations": ["x->y=x\\y"]}):
+        with pytest.raises(ParseError, match="'->' needs commutative: true"):
+            check_flags(require)
+    check_flags({"equations": ["x->y=x\\y"], "commutative": True})
+    assert satisfies_flags(make_goedel(3), {"equations": ["x->y=x\\y"], "commutative": True})
