@@ -112,6 +112,16 @@ class NoCompletion(AlgebraError):
     pass
 
 
+@dataclass(frozen=True)
+class Check:
+    """A yes/no answer, true when it holds, with a witness when it does not."""
+    holds: bool
+    witness: object = None
+
+    def __bool__(self):
+        return self.holds
+
+
 _table_ids = {}   # (key(), chain) -> table id
 by_table_id = []  # table id -> the first algebra whose `table_id` was read
 
@@ -144,8 +154,13 @@ class FiniteAlgebra:
     def elements(self):
         return range(self.size)
 
+    @property
+    def signature(self):
+        """The designated constant names, in f, bot, top order."""
+        return tuple(k for k, _ in self.constants)
+
     def has_constant(self, nm):
-        return any(k == nm for k, _ in self.constants)
+        return nm in self.signature
 
     def constant(self, nm):
         for k, v in self.constants:
@@ -530,7 +545,7 @@ def read_document(text, fmt):
     """Parse a `fmt` document and check it by its key table in `DOCUMENT_KEYS`."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deep
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ParseError(f"missing or wrong format tag (want {fmt!r})")

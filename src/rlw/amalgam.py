@@ -20,9 +20,10 @@ from operator import itemgetter
 from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
                       NotSubalgebraClosed, SignatureMismatch, _signature, by_table_id)
 from .completion import enumerate_chains
-from .morphisms import Morphism, are_isomorphic, compose, hom_maps, homs, is_hom, morphism
+from .morphisms import (Morphism, are_isomorphic, compose, hom_maps, homs, is_hom, morphism,
+                        separating_atom)
 from .properties import check_flags, handy_fixed_points, is_semilinear, mirror_fixed_points
-from .structure import (atom_indices, classify, congruences, has_cep,
+from .structure import (classify, congruences, has_cep,
                         interned_subalgebras, named_subalgebra, natural_projection,
                         quotient_maps)
 
@@ -74,13 +75,13 @@ class ClassSpec:
         return cls(bound=bound, signature=signature,
                    require=tuple(sorted((require or {}).items())))
 
-    def members(self, floor, names):
+    def members(self, floor, signature):
         """The members of size >= floor that designate exactly the constants
-        `names`; every member of a bounded class designates its signature."""
+        `signature` names; every member of a bounded class designates its own."""
         if self.algebras is not None:
             yield from (D for D in self.algebras
-                        if D.size >= floor and dict(D.constants).keys() == names)
-        elif set(self.signature) == names:
+                        if D.size >= floor and D.signature == signature)
+        elif set(self.signature) == set(signature):
             for n in range(floor, self.bound + 1):
                 yield from enumerate_chains(n, dict(self.require), self.signature)
 
@@ -136,7 +137,7 @@ def find_amalgam(s, K, one_sided=False):
     one_sided) with psi1 o phi1 = psi2 o phi2; first hit in canonical order.
     Members too small for psi1 (or for an injective psi2) are not built."""
     floor = s.B.size if one_sided else max(s.B.size, s.C.size)
-    for D in K.members(floor, dict(s.B.constants).keys()):
+    for D in K.members(floor, s.B.signature):
         for psi1 in homs(s.B, D, injective=True):
             pinned = compose(psi1, s.phi1)
             for psi2 in homs(s.C, D, injective=not one_sided,
@@ -325,12 +326,6 @@ def _span(K, bi, leg, ci, phi2):
     return Span(A, B, C, Morphism(A, B, incl), Morphism(A, C, phi2))
 
 
-def _is_essential(C, phi2):
-    """`is_essential` of the embedding phi2 into C, given as a mapping."""
-    return all(len(set(map(block_of.__getitem__, phi2))) < len(phi2)
-               for _, block_of in atom_indices(C))
-
-
 class _ExplicitClass:
     """An explicit list that must be closed under subalgebras up to
     isomorphism (a subalgebra whose `_iso_key` no member has is matched by
@@ -357,7 +352,7 @@ class _ExplicitClass:
                     raise NotSubalgebraClosed(
                         f"{B.name} has a subalgebra on {sub} outside the class")
         for B in self.K[1:]:
-            if dict(B.constants).keys() != dict(self.K[0].constants).keys():
+            if B.signature != self.K[0].signature:
                 raise SignatureMismatch(
                     f"{self.K[0].name} and {B.name} designate different constants")
         self._restricted = {}  # (X, phi, D) table ids and mapping, injective -> R
@@ -405,7 +400,7 @@ class _ExplicitClass:
         for entry in _spans_of(self.K):
             bi, _, ci, phi2 = entry
             B, C = self.K[bi], self.K[ci]
-            if not one_sided and not _is_essential(C, phi2):
+            if not one_sided and separating_atom(C, phi2) is not None:
                 continue
             yield entry, (len(phi2) in (B.size, C.size)
                           or self._amalgam(*entry, one_sided) is not None)

@@ -27,14 +27,22 @@ def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _read_text(path):
+    """The text of a UTF-8 file; ParseError for bytes that are not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_ref(spec, base=""):
     """The algebra at a catalog:/figure: address or a file path (relative
     paths taken from `base`), with the text its manifest hash is taken of."""
     if spec.startswith(("catalog:", "figure:")):
         A = catalog.resolve_catalog_name(spec)
         return A, A.save()
-    with open(os.path.join(base, spec), encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(os.path.join(base, spec))
     return load_algebra(text), text
 
 
@@ -105,8 +113,7 @@ def cmd_catalog(args, run):
 
 
 def cmd_complete(args, run):
-    with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(args.file)
     run.inputs.append({"path": args.file, "sha256": _sha256(text)})
     P = completion.load_partial(text)
     limit = None if args.all else args.limit
@@ -238,8 +245,7 @@ def cmd_factor(args, run):
 
 
 def _load_span(run, path):
-    with open(path, encoding="utf-8") as fh:
-        doc = read_document(fh.read(), SPAN_FORMAT)
+    doc = read_document(_read_text(path), SPAN_FORMAT)
     run.inputs.append({"path": path, "sha256": _sha256(json.dumps(doc, sort_keys=True))})
     base = os.path.dirname(os.path.abspath(path))
     A, B, C = (_load_ref(doc[k], base)[0] for k in ("A", "B", "C"))

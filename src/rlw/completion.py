@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import (PARTIAL_FORMAT, AlgebraError, BadParameter, ParseError, _constant_tuple,
-                      _signature, finite_algebra, lattice_order, least_element, read_document)
+                      _signature, finite_algebra, induced_order, lattice_order, least_element,
+                      read_document)
 from . import properties, terms
 
 
@@ -81,8 +82,9 @@ def load_partial(text):
 class _Search:
     """The completions of P, up to `limit`, found on construction in `out`."""
 
-    def __init__(self, P: PartialAlgebra, limit=None):
+    def __init__(self, P: PartialAlgebra, limit=None, equations=()):
         self.P = P
+        self.equations = equations   # P.equations parsed, by `terms.check_equations`
         self.n = P.size
         self.leq = lattice_order(P.size, P.leq)[0]
         self.chain = P.leq == "chain"
@@ -186,12 +188,11 @@ class _Search:
             return
         if P.require and not properties.satisfies_flags(A, P.require):
             return
-        if P.equations:
+        if self.equations:
             env = {A.label(x): x for x in A.elements}
-            for eq in P.equations:
-                lhs, rhs = (terms.eval_term(A, terms.parse_term(t), env) for t in eq.split("="))
-                if lhs != rhs:
-                    return
+            if any(terms.eval_term(A, lhs, env) != terms.eval_term(A, rhs, env)
+                   for lhs, rhs in self.equations):
+                return
         self.out.append(A)
 
     def _dfs(self, idx):
@@ -234,13 +235,15 @@ def complete_partial(P, limit=None):
     """All completions of the partial algebra (up to `limit`), canonically
     sorted by multiplication table.  Raises BadParameter for a limit below 1,
     and before the search the errors of `properties.check_flags` for P.require
-    and of `terms.check_equations` for P.equations over P's labels."""
+    over P's constants and order and of `terms.check_equations` for
+    P.equations over P's labels."""
     if limit is not None and limit < 1:
         raise BadParameter(f"limit must be >= 1, got {limit}")
-    properties.check_flags(P.require, P.constants)
-    terms.check_equations(P.equations, P.constants, P.require.get("commutative") is True,
-                          P.labels or ())
-    s = _Search(P, limit=limit)
+    total = P.leq == "chain" or induced_order(lattice_order(P.size, P.leq)[0], range(P.size))[1]
+    properties.check_flags(P.require, P.constants, total)
+    equations = terms.check_equations(P.equations, P.constants,
+                                      P.require.get("commutative") is True, P.labels or ())
+    s = _Search(P, limit, equations)
     algebras = tuple(sorted(s.out, key=lambda A: (A.mult, A.constants)))
     return CompletionResult(algebras, s.nodes)
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import (OPS, FiniteAlgebra, NotAHomomorphism, NotAnEmbedding,
+from .algebra import (OPS, Check, FiniteAlgebra, NotAHomomorphism, NotAnEmbedding,
                       SignatureMismatch, by_table_id, ops_to_check)
 from .structure import (Congruence, atom_indices, congruence_leq, congruences,
                         natural_projection, quotient_maps, subalgebra_index)
@@ -71,7 +71,7 @@ def compose(outer, inner):
 
 def is_hom(B, D, mapping):
     """Does the map preserve all five operations, the unit, and constants?"""
-    if dict(B.constants).keys() != dict(D.constants).keys():
+    if B.signature != D.signature:
         return False
     if mapping[B.unit] != D.unit:
         return False
@@ -107,7 +107,7 @@ def homs(B, D, injective=False, commute_with=None, limit=None):
     maps psi with psi o phi = chi.  Same signature required.  A limit (>= 1)
     keeps the first `limit` maps only.
     """
-    if dict(B.constants).keys() != dict(D.constants).keys():
+    if B.signature != D.signature:
         raise SignatureMismatch(
             f"{B.name} and {D.name} designate different constants")
     n, m = B.size, D.size
@@ -233,7 +233,7 @@ def _hom_maps(cid, did, injective):
 
 def are_isomorphic(A, B):
     """An isomorphism A -> B, or None."""
-    if A.size != B.size or dict(A.constants).keys() != dict(B.constants).keys():
+    if A.size != B.size or A.signature != B.signature:
         return None
     if A.key() == B.key():
         return Morphism(A, B, tuple(A.elements))
@@ -241,28 +241,26 @@ def are_isomorphic(A, B):
     return found[0] if found else None
 
 
-@dataclass(frozen=True)
-class EssentialCheck:
-    essential: bool
-    witness: object = None   # a congruence of the target that misses the image
-
-    def __bool__(self):
-        return self.essential
+def separating_atom(C, image):
+    """The blocks of the first atom of Con(C), in `congruences` order, that
+    keeps the distinct elements `image` apart, or None.  The atoms are
+    listed once per table (`atom_indices`)."""
+    for blocks, block_of in atom_indices(C):
+        if len(set(map(block_of.__getitem__, image))) == len(image):
+            return blocks
+    return None
 
 
 def is_essential(phi):
     """phi is essential iff every nontrivial congruence of the target
-    identifies two distinct image points; checked on the atoms of Con.
-    Raises NotAnEmbedding unless phi is injective; phi is taken to be a
-    homomorphism (see `morphism()`).  The atoms are listed once per table
-    (`atom_indices`); a Congruence is built for a witness only."""
+    identifies two distinct image points; checked on the atoms of Con, with
+    the first atom that misses the image as the `Check` witness.  Raises
+    NotAnEmbedding unless phi is injective; phi is taken to be a
+    homomorphism (see `morphism()`)."""
     if not phi.injective:
         raise NotAnEmbedding(f"{phi} is not an embedding")
-    img = phi.image()
-    for blocks, block_of in atom_indices(phi.target):
-        if len({block_of[x] for x in img}) == len(img):
-            return EssentialCheck(False, Congruence(blocks, phi.target))
-    return EssentialCheck(True)
+    blocks = separating_atom(phi.target, phi.mapping)
+    return Check(True) if blocks is None else Check(False, Congruence(blocks, phi.target))
 
 
 def essentialize(phi):

@@ -5,7 +5,7 @@ the negation constant are None when f is not designated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 from .algebra import BadParameter, NotAChain
 from .terms import check_equations, check_identity
@@ -119,12 +119,11 @@ def is_admissible(A):
     """a\\e != e and e/a != e for every a != e (totally ordered A only)."""
     if not A.is_totally_ordered:
         raise NotAChain(f"{A.name} is not totally ordered")
-    e = A.unit
-    return all(A.lres[a][e] != e and A.rres[e][a] != e
-               for a in A.elements if a != e)
+    return admissibility_witness(A) is None
 
 
 def admissibility_witness(A):
+    """The first a != e with a\\e = e or e/a = e, or None."""
     e = A.unit
     for a in A.elements:
         if a != e and (A.lres[a][e] == e or A.rres[e][a] == e):
@@ -156,28 +155,10 @@ def is_central(A, c):
     return all(A.mult[c][x] == A.mult[x][c] for x in A.elements)
 
 
-@dataclass(frozen=True)
-class PropertyProfile:
-    commutative: bool
-    idempotent: bool
-    integral: bool
-    bounded: bool
-    semilinear: bool
-    square_increasing: bool
-    square_decreasing: bool
-    n_potent: int | None
-    admissible: bool | None        # None when not totally ordered
-    lower_involutive: bool
-    cyclic_f: bool | None          # f-flags are None when f is undesignated
-    left_involutive_f: bool | None
-    right_involutive_f: bool | None
-    involutive_f: bool | None
-
-
 # Every entry of the profile, in its field order, with its predicate and what
 # it needs: "f" designated, or a "chain" (totally ordered); where that is
-# missing, the profile reads None (and `check_flags` refuses a filter that
-# names an f-entry over constants without f).
+# missing, the profile reads None, and `check_flags` refuses a filter that
+# names the entry.
 PROFILE = {
     "commutative": (is_commutative, None),
     "idempotent": (is_idempotent, None),
@@ -195,6 +176,8 @@ PROFILE = {
     "involutive_f": (is_involutive_f, "f"),
 }
 
+PropertyProfile = make_dataclass("PropertyProfile", PROFILE, frozen=True)
+
 # flag name -> predicate, for enumerate/class filters: every boolean entry
 FLAG_PREDICATES = {key: pred for key, (pred, _) in PROFILE.items() if key != "n_potent"}
 
@@ -204,17 +187,19 @@ def property_profile(A):
     return PropertyProfile(*[pred(A) if has[need] else None for pred, need in PROFILE.values()])
 
 
-def check_flags(require, constants=()):
+def check_flags(require, constants=(), total=True):
     """Raise BadParameter for an unknown flag, a boolean flag that is not a
-    bool, a flag that needs f when `constants` (the designated names) lack it,
-    or an n_potent that is not an int >= 0; and the errors of
-    `terms.check_equations` for equations, commutative if the filter says so."""
+    bool, a flag that needs f when `constants` (the designated names) lack it
+    or a chain when the order is not `total`, or an n_potent that is not an
+    int >= 0; and the errors of `terms.check_equations` for equations,
+    commutative if the filter says so.  Returns the equations parsed."""
+    equations = ()
     for key, want in (require or {}).items():
         if key == "n_potent":
             if type(want) is not int or want < 0:
                 raise BadParameter(f"n_potent must be an integer >= 0, got {want!r}")
         elif key == "equations":
-            check_equations(want, constants, commutative=require.get("commutative") is True)
+            equations = check_equations(want, constants, require.get("commutative") is True)
         elif key not in FLAG_PREDICATES:
             raise BadParameter(f"unknown property flag {key!r} (one of "
                                f"{', '.join(FLAG_PREDICATES)}, n_potent, equations)")
@@ -222,6 +207,9 @@ def check_flags(require, constants=()):
             raise BadParameter(f"{key} must be true or false, got {want!r}")
         elif PROFILE[key][1] == "f" and "f" not in constants:
             raise BadParameter(f"{key} needs the constant f, which is not designated")
+        elif PROFILE[key][1] == "chain" and not total:
+            raise BadParameter(f"{key} needs a total order, and the order given is not total")
+    return equations
 
 
 def satisfies_flags(A, require):
@@ -231,11 +219,11 @@ def satisfies_flags(A, require):
     only algebras the commutative flag admits."""
     if not require:
         return True
-    check_flags(require, dict(A.constants))
+    equations = check_flags(require, A.signature)
     for key, want in require.items():
         if key == "n_potent":
             if not is_n_potent(A, want):
                 return False
         elif key != "equations" and FLAG_PREDICATES[key](A) != want:
             return False
-    return all(check_identity(A, *eq.split("=")) for eq in require.get("equations", ()))
+    return all(check_identity(A, lhs, rhs) for lhs, rhs in equations)

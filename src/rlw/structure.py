@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, wraps
 
-from .algebra import (OPS, FiniteAlgebra, NotASubuniverse, by_table_id, derived,
+from .algebra import (OPS, Check, FiniteAlgebra, NotASubuniverse, by_table_id, derived,
                       induced_order, ops_to_check)
 
 
@@ -408,15 +408,6 @@ def classify(A):
     return Classification(fsi, si, simple, strictly, mono)
 
 
-@dataclass(frozen=True)
-class CepResult:
-    holds: bool
-    witness: tuple | None = None   # (subuniverse, Congruence of the subalgebra)
-
-    def __bool__(self):
-        return self.holds
-
-
 def extends(A, sub, eclass):
     """Does some congruence Phi of A restrict to the subuniverse sub with
     the given e-class (elements of A)?  Phi's restriction has e-class
@@ -427,7 +418,8 @@ def extends(A, sub, eclass):
 def has_cep(A):
     """Exhaustive congruence extension property check with witness: the
     first (proper subuniverse, congruence) pair, in `subuniverses` and
-    `congruences` order, whose e-class is not the trace of a CNS of A.
+    `congruences` order, whose e-class is not the trace of a CNS of A, as
+    the `Check` witness (subuniverse, Congruence of the subalgebra).
 
     Each trace M & sub of a CNS M of A is the e-class of a congruence of the
     subalgebra S on sub, the restriction of M's, and distinct congruences
@@ -444,5 +436,5 @@ def has_cep(A):
                 eclass = next(b for b in blocks if S.unit in b)
                 if frozenset(back[x] for x in eclass) not in traces:
                     B = named_subalgebra(A, sub, S, back)
-                    return CepResult(False, (sub, Congruence(blocks, B)))
-    return CepResult(True)
+                    return Check(False, (sub, Congruence(blocks, B)))
+    return Check(True)

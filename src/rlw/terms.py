@@ -13,9 +13,9 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import BadParameter, ParseError
+from .algebra import CONSTANT_NAMES, BadParameter, Check, ParseError
 
-CONSTS = ("e", "f", "bot", "top")
+CONSTS = ("e",) + CONSTANT_NAMES
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,6 @@ class Term:
     op: str            # "var", "const", or an operation symbol (incl. "->")
     name: str = ""
     args: tuple = ()
-
-    def __repr__(self):
-        return term_to_str(self)
 
 
 def var(name):
@@ -42,49 +39,27 @@ def binop(op, left, right):
     return Term(op, args=(left, right))
 
 
-def mul(a, b):
-    return binop("*", a, b)
-
-
-def meet(a, b):
-    return binop("/\\", a, b)
-
-
-def join(a, b):
-    return binop("\\/", a, b)
-
-
-def under(a, b):
-    return binop("\\", a, b)
-
-
-def over(a, b):
-    return binop("/", a, b)
-
-
 def power(t, n):
-    if n < 0:
-        raise ParseError("negative power")
     out = const("e")
     for _ in range(n):
-        out = mul(out, t) if out != const("e") else t
-    return out if n else const("e")
+        out = binop("*", out, t) if out != const("e") else t
+    return out
 
 
 def neg(t):
-    return under(t, const("f"))
+    return binop("\\", t, const("f"))
 
 
 def wedge_l(t):
-    return over(const("e"), t)
+    return binop("/", const("e"), t)
 
 
 def wedge_r(t):
-    return under(t, const("e"))
+    return binop("\\", t, const("e"))
 
 
 def wedge(t):
-    return meet(wedge_l(t), wedge_r(t))
+    return binop("/\\", wedge_l(t), wedge_r(t))
 
 
 def subterms(t):
@@ -95,13 +70,6 @@ def subterms(t):
 
 def free_vars(t):
     return {s.name for s in subterms(t) if s.op == "var"}
-
-
-def term_to_str(t):
-    if t.op == "var" or t.op == "const":
-        return t.name
-    a, b = (term_to_str(x) for x in t.args)
-    return f"({a} {t.op} {b})"
 
 
 _TOKEN = re.compile(r"\s*(/\\|\\/|->|\^|[*\\/()~]|[A-Za-z_][A-Za-z0-9_']*|\d+)")
@@ -147,14 +115,14 @@ class _Parser:
         t = self.meet_()
         while self.peek() == "\\/":
             self.take()
-            t = join(t, self.meet_())
+            t = binop("\\/", t, self.meet_())
         return t
 
     def meet_(self):
         t = self.resid()
         while self.peek() == "/\\":
             self.take()
-            t = meet(t, self.resid())
+            t = binop("/\\", t, self.resid())
         return t
 
     def resid(self):
@@ -169,7 +137,7 @@ class _Parser:
         t = self.unary()
         while self.peek() == "*":
             self.take()
-            t = mul(t, self.unary())
+            t = binop("*", t, self.unary())
         return t
 
     def unary(self):
@@ -218,31 +186,32 @@ def check_equations(equations, constants, commutative, labels=None):
     for a bad term, a constant other than e that is not designated (named in
     `constants`) or a label, and '->' unless `commutative`.  With `labels` the
     equations are about named elements, and every variable must be a label;
-    without, they are identities in free variables."""
+    without, they are identities in free variables.  Returns the parsed
+    (lhs, rhs) pairs, in order."""
     if not (isinstance(equations, (list, tuple))
             and all(isinstance(eq, str) and eq.count("=") == 1 for eq in equations)):
         raise BadParameter(f"equations must be a list of 'lhs=rhs' strings, got {equations!r}")
     names = {"e", *constants, *(labels or ())}
+    pairs = []
     for eq in equations:
-        for t in (u for side in eq.split("=") for u in subterms(parse_term(side))):
-            if t.op == "const" and t.name not in names:
-                raise ParseError(f"equation {eq!r}: constant {t.name!r} is not designated")
-            if t.op == "->" and not commutative:
-                raise ParseError(f"equation {eq!r}: '->' needs commutative: true")
-            if t.op == "var" and labels is not None and t.name not in labels:
-                raise ParseError(f"equation {eq!r}: variable {t.name!r} is not a label")
+        sides = []
+        for side in eq.split("="):   # each side parsed, then checked
+            sides.append(parse_term(side))
+            for t in subterms(sides[-1]):
+                if t.op == "const" and t.name not in names:
+                    raise ParseError(f"equation {eq!r}: constant {t.name!r} is not designated")
+                if t.op == "->" and not commutative:
+                    raise ParseError(f"equation {eq!r}: '->' needs commutative: true")
+                if t.op == "var" and labels is not None and t.name not in labels:
+                    raise ParseError(f"equation {eq!r}: variable {t.name!r} is not a label")
+        pairs.append(tuple(sides))
+    return pairs
 
 
 @lru_cache(maxsize=4096)
 def _commutative_mult(mult):
     n = len(mult)
     return all(mult[x][y] == mult[y][x] for x in range(n) for y in range(n))
-
-
-def _const_value(A, name):
-    if name == "e":
-        return A.unit
-    return A.constant(name)
 
 
 def eval_term(A, t, env):
@@ -256,7 +225,7 @@ def eval_term(A, t, env):
         # label of an undesignated least element); labels are truthful
         if t.name in env:
             return env[t.name]
-        return _const_value(A, t.name)
+        return A.unit if t.name == "e" else A.constant(t.name)
     a = eval_term(A, t.args[0], env)
     b = eval_term(A, t.args[1], env)
     if t.op == "*":
@@ -277,24 +246,15 @@ def eval_term(A, t, env):
     raise ParseError(f"unknown operation {t.op!r}")
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    holds: bool
-    witness: dict | None = None
-
-    def __bool__(self):
-        return self.holds
-
-
 def check_identity(A, lhs, rhs, relation="eq"):
-    """Exhaustively check lhs ~ rhs over all assignments; witness on failure."""
+    """Exhaustively check lhs = rhs ("eq") or lhs <= rhs ("le"); witness on failure."""
     if isinstance(lhs, str):
         lhs = parse_term(lhs)
     if isinstance(rhs, str):
         rhs = parse_term(rhs)
-    if relation in ("eq", "≈", "="):
+    if relation == "eq":
         ok = lambda a, b: a == b
-    elif relation in ("le", "≤", "<="):
+    elif relation == "le":
         ok = lambda a, b: A.leq[a][b]
     else:
         raise ParseError(f"unknown relation {relation!r}")
@@ -302,5 +262,5 @@ def check_identity(A, lhs, rhs, relation="eq"):
     for vals in itertools.product(A.elements, repeat=len(names)):
         env = dict(zip(names, vals))
         if not ok(eval_term(A, lhs, env), eval_term(A, rhs, env)):
-            return IdentityCheck(False, env)
-    return IdentityCheck(True)
+            return Check(False, env)
+    return Check(True)

@@ -393,14 +393,15 @@ def simple_chain_iso_span(A):
 def has_cep_per_subuniverse(A):
     """`has_cep` with Con(S) taken by closure for every proper subuniverse,
     congruences and witness on each subalgebra's own algebra."""
-    from rlw.structure import CepResult, congruences, extends, subalgebras
+    from rlw.algebra import Check
+    from rlw.structure import congruences, extends, subalgebras
     for sub, B, back in subalgebras(A):
         if len(sub) == A.size:
             continue
         for theta in congruences(B):
             if not extends(A, sub, [back[x] for x in theta.unit_class()]):
-                return CepResult(False, (sub, theta))
-    return CepResult(True)
+                return Check(False, (sub, theta))
+    return Check(True)
 
 
 class _UF:

@@ -361,6 +361,9 @@ def _bad_files(tmp_path):
                                     "phi1": [0, 1, 3, 4], "phi2": [0, 1, 3, 4]}}
     for name, doc in docs.items():
         (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    # bytes that are not UTF-8, and JSON nested deeper than the parser recurses
+    (tmp_path / "bad-bytes.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "deep-nesting.json").write_text("[" * 200000)
 
 
 @pytest.mark.parametrize("argv", [
@@ -449,6 +452,11 @@ def _bad_files(tmp_path):
     ["amalgamate", "--span", "{tmp}/knotted-span-1.json", "--class", "bounded", "5",
      "--prop", "involutive_f"],
     ["enumerate", "--size", "2", "--prop", "cyclic_f"],
+    # files that are not UTF-8 or nest too deeply: one error line, no traceback
+    ["con", "{tmp}/bad-bytes.json"],
+    ["complete", "{tmp}/bad-bytes.json"],
+    ["refute", "--span", "{tmp}/bad-bytes.json"],
+    ["con", "{tmp}/deep-nesting.json"],
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv):
     _bad_files(tmp_path)

@@ -311,6 +311,28 @@ def test_demands_checked_before_the_search(monkeypatch):
         next(enumerate_chains(2, {"equations": ["x->y=y->x"]}))
 
 
+def test_chain_demand_needs_a_total_order():
+    # admissibility is defined on chains: on the Boolean square's order the
+    # demand is refused before the search, with a completion (the square
+    # itself) and without one (a*b set to the top, above a); on a chain it
+    # is taken
+    from rlw.algebra import BadParameter
+    leq = [[int(b) for b in row] for row in oracles.boolean_square().leq]
+    free = [[None] * 4 for _ in range(4)]
+    contradictory = [[None] * 4, [None, None, 3, None], [None] * 4, [None] * 4]
+    for mult, exists in ((free, True), (contradictory, False)):
+        P = PartialAlgebra(name="p", size=4, leq=leq, unit=3, mult=mult)
+        assert (complete_partial(P).multiplicity > 0) == exists
+        for want in (True, False):
+            P.require = {"admissible": want}
+            with pytest.raises(BadParameter, match="admissible needs a total order"):
+                complete_partial(P)
+    P = PartialAlgebra(name="p", size=3, leq="chain", unit=1, mult=[[None] * 3 for _ in range(3)],
+                       require={"admissible": True})
+    assert complete_partial(P).multiplicity > 0
+    assert list(enumerate_chains(3, {"admissible": True}))
+
+
 def test_equation_constants_may_be_labels_or_designated():
     # a label shadows a constant name; e is always there
     for demands in ({"labels": ("bot", "top", "e")},

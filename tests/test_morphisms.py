@@ -132,7 +132,7 @@ def test_is_essential():
     triv = subalgebra(make_rsa(2), (1,), name="T")
     phi = morphism(triv, make_rsa(3), (2,))
     res = is_essential(phi)
-    assert not res.essential and res.witness is not None
+    assert not res.holds and res.witness is not None
 
 
 def test_identity_essential():

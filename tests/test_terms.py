@@ -1,6 +1,6 @@
 import pytest
 
-from rlw import ParseError, check_identity, eval_term, parse_term
+from rlw import ParseError, check_identity, enumerate_chains, eval_term, parse_term
 from rlw.catalog import make_figure, make_goedel, make_sugihara
 from rlw.terms import free_vars
 
@@ -76,3 +76,24 @@ def test_missing_constant_in_term():
 
 def test_free_vars():
     assert free_vars(parse_term("x * (y \\ x) /\\ e")) == {"x", "y"}
+
+
+def test_eval_residuals_and_shorthands_against_tables():
+    # x/y, x\y and the shorthands that expand to them, on a chain with f
+    # where x\y and y/x differ, against direct reads of its tables
+    A = next(A for A in enumerate_chains(4, {"commutative": False}, ("f",))
+             if A.name == "chain4u2n2f0")
+    e, f = A.unit, A.constant("f")
+    assert any(A.lres[x][y] != A.rres[y][x] for x in A.elements for y in A.elements)
+    for x in A.elements:
+        env = {"x": x}
+        value = lambda text: eval_term(A, parse_term(text), env)
+        assert value("x^l") == A.rres[e][x]
+        assert value("x^r") == A.lres[x][e]
+        assert value("x^w") == A.meet[A.rres[e][x]][A.lres[x][e]]
+        assert value("~x") == A.lres[x][f]
+        assert value("x^3") == A.mult[A.mult[x][x]][x]
+        for y in A.elements:
+            env["y"] = y
+            assert value("x/y") == A.rres[x][y]
+            assert value("x\\y") == A.lres[x][y]

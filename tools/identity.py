@@ -19,7 +19,12 @@ record per line, in a fixed order.  The families:
             {}, {idempotent} and {commutative};
   profiles  property_profile of every catalog_all(9) algebra, in its own
             coding and as a matrix order with its elements in reverse;
-  ap        decide_ap(cross_check=True) on the 36 ap-ladder rungs.
+  ap        decide_ap(cross_check=True) on the 36 ap-ladder rungs;
+  structure on every catalog_all(9) algebra in both codings of `profiles`:
+            has_cep with its witness, convex_normal_subalgebras, each
+            subalgebra (name, labels, key, inclusion) with is_essential of its
+            inclusion, the natural_projection of each congruence (name,
+            labels, key, map), and check_identity of x*y=y*x and x*x=x.
 
 For each family it prints the md5 of each tree's records and, where they
 differ, the first record that differs.  Exit status 0 when every family is
@@ -37,15 +42,19 @@ import tempfile
 
 from bench import extract, snapshot
 
-FAMILIES = ("cli", "repro", "figures", "chains", "profiles", "ap")
+FAMILIES = ("cli", "repro", "figures", "chains", "profiles", "ap", "structure")
 DUMP = r"""
 import dataclasses, json, os, subprocess, sys, tempfile
 sys.path.insert(0, "perfbench")
 import workloads
-from rlw import algebra, amalgam, catalog, completion, properties, repro
+from rlw import algebra, amalgam, catalog, completion, morphisms, properties, repro, structure, terms
 
 def emit(record):
     print(json.dumps(record, sort_keys=True))
+
+def codings(A):   # A as coded, and as a matrix order with its elements in reverse
+    R = algebra.load_algebra(workloads.relabelled_text(A, list(reversed(range(A.size)))))
+    return (("own", A), ("reversed matrix", R))
 
 def cli(argv, env):
     with tempfile.TemporaryDirectory() as workdir:
@@ -78,14 +87,31 @@ elif family == "chains":
                     emit([n, sig, require, A.name, A.unit, A.mult, A.constants])
 elif family == "profiles":
     for A in catalog.catalog_all(9):
-        perm = list(reversed(range(A.size)))
-        R = algebra.load_algebra(workloads.relabelled_text(A, perm))
-        for coding, X in (("own", A), ("reversed matrix", R)):
+        for coding, X in codings(A):
             emit([A.name, coding, dataclasses.asdict(properties.property_profile(X))])
 elif family == "ap":
     for name, gens in workloads.ladder_rungs():
         emit([name, workloads._ap_summary(
             amalgam.decide_ap(amalgam.variety(*gens), cross_check=True))])
+elif family == "structure":
+    for A in catalog.catalog_all(9):
+        for coding, X in codings(A):
+            at = [A.name, coding]
+            cep = structure.has_cep(X)
+            emit([*at, "has_cep", cep.holds,
+                  cep.witness and [sorted(cep.witness[0]), cep.witness[1].blocks]])
+            emit([*at, "cns", [sorted(M) for M in structure.convex_normal_subalgebras(X)]])
+            for sub, S, inclusion in structure.subalgebras(X):
+                emit([*at, "subalgebra", S.name, S.labels, S.key(), inclusion])
+                res = morphisms.is_essential(morphisms.Morphism(S, X, inclusion))
+                # bool(res): older revisions name the flag `essential`, not `holds`
+                emit([*at, "is_essential", bool(res), res.witness and res.witness.blocks])
+            for theta in structure.congruences(X):
+                Q, projection = structure.natural_projection(X, theta)
+                emit([*at, "natural_projection", Q.name, Q.labels, Q.key(), projection])
+            for lhs, rhs in (("x*y", "y*x"), ("x*x", "x")):
+                res = terms.check_identity(X, lhs, rhs)
+                emit([*at, "check_identity", lhs, rhs, res.holds, res.witness])
 else:
     raise SystemExit(f"unknown family {family!r}")
 """
