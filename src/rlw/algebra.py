@@ -188,10 +188,7 @@ class FiniteAlgebra:
 
     @property
     def is_totally_ordered(self):
-        if self.chain:
-            return True
-        n = self.size
-        return all(self.leq[x][y] or self.leq[y][x] for x in range(n) for y in range(n))
+        return self.chain or is_total(self.leq, self.elements)
 
     def label(self, x):
         if self.labels is not None:
@@ -284,11 +281,21 @@ def least_element(leq, n):
     return next((x for x in range(n) if all(leq[x][y] for y in range(n))), None)
 
 
+def is_total(leq, items):
+    """Whether the 0/1 matrix `leq` orders the items totally."""
+    return all(leq[x][y] or leq[y][x] for x in items for y in items)
+
+
+def is_commutative(A):
+    n = A.size
+    return all(A.mult[x][y] == A.mult[y][x] for x in range(n) for y in range(n))
+
+
 def induced_order(leq, items):
     """The items in the order `leq` induces on them when that order is total,
     else in ascending index order; returns (order, total)."""
     items = sorted(items)
-    total = all(leq[x][y] or leq[y][x] for x in items for y in items)
+    total = is_total(leq, items)
     if total:
         items = sorted(items, key=lambda x: sum(leq[y][x] for y in items))
     return items, total

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .algebra import (OPS, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
+from .algebra import (OPS, Check, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
                       NotSubalgebraClosed, SignatureMismatch, _signature, by_table_id)
 from .completion import enumerate_chains
 from .morphisms import (Morphism, are_isomorphic, compose, hom_maps, homs, is_hom, morphism,
@@ -406,17 +406,17 @@ class _ExplicitClass:
                           or self._amalgam(*entry, one_sided) is not None)
 
     def check(self, one_sided):
-        """1AP (one_sided) or EAP: (True, None) or (False, first failing span).
+        """1AP (one_sided) or EAP: a Check witnessed by the first failing span.
         The EAP takes essential spans only and asks for two-sided amalgams."""
         for entry, ok in self.span_verdicts(one_sided):
             if not ok:
-                return False, _span(self.K, *entry)
-        return True, None
+                return Check(False, _span(self.K, *entry))
+        return Check(True)
 
 
 def class_has_1ap(K):
     """One-sided amalgamation property of an explicit, subalgebra-closed list;
-    returns (True, None) or (False, witness span)."""
+    a Check whose witness is the first failing span."""
     return _ExplicitClass(K).check(one_sided=True)
 
 
@@ -499,15 +499,15 @@ def decide_ap(V, cross_check=False):
             sub, theta = cep.witness
             return ApVerdict(False, "cep_failure", chains,
                              cep_witness=(A, sub, theta.blocks))
-    ok, witness = K.check(one_sided=True)
+    one = K.check(one_sided=True)
     cross = None
     if cross_check:
-        ok_e, witness_e = K.check(one_sided=False)
-        if ok_e != ok:
+        eap = K.check(one_sided=False)
+        if eap.holds != one.holds:
             raise AssertionError("1AP and EAP routes disagree")
-        cross = {"eap": ok_e, "eap_witness": repr(witness_e) if witness_e else None}
-    return ApVerdict(ok, None if ok else "span_failure", chains, span_witness=witness,
-                     cross_check=cross)
+        cross = {"eap": eap.holds, "eap_witness": repr(eap.witness) if eap.witness else None}
+    return ApVerdict(one.holds, None if one.holds else "span_failure", chains,
+                     span_witness=one.witness, cross_check=cross)
 
 
 def simple_chain_ap(A):

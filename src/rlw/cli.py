@@ -47,14 +47,12 @@ def _load_ref(spec, base=""):
 
 
 class Run:
-    """Collects inputs, parameters, verdicts, and certificates for a command."""
+    """Collects the inputs, parameters and certificates of a command."""
 
-    def __init__(self, args):
-        self.command = args._command_line
+    def __init__(self, command):
+        self.command = command
         self.inputs = []
         self.parameters = {}
-        self.verdict = None
-        self.affirmative = None
         self.certificates = {}
         self.t0 = time.perf_counter()
 
@@ -63,20 +61,11 @@ class Run:
         self.inputs.append({"path": spec, "sha256": _sha256(text)})
         return A
 
-    def manifest(self):
+    def manifest(self, verdict):
         return {"format": MANIFEST_FORMAT, "command": self.command,
                 "inputs": self.inputs, "parameters": self.parameters,
-                "verdict": self.verdict, "certificates": self.certificates,
+                "verdict": verdict, "certificates": self.certificates,
                 "wall_time_s": round(time.perf_counter() - self.t0, 6)}
-
-
-def _finish(run, args, human_lines):
-    if getattr(args, "json", False):
-        print(json.dumps(run.manifest(), sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-    return 0 if run.affirmative else 1
 
 
 def _read_map(values, A, B, what):
@@ -97,19 +86,24 @@ def _morphism_cert(m):
             "mapping": list(m.mapping)}
 
 
+def _span_cert(s):
+    return {"B": s.B.name, "C": s.C.name,
+            "phi1": list(s.phi1.mapping), "phi2": list(s.phi2.mapping)}
+
+
 # -- subcommands --------------------------------------------------------------
+# Each fills run.parameters and run.certificates and returns
+# (verdict, affirmative, lines); `main` writes the manifest or the lines.
 
 def cmd_catalog(args, run):
     A = catalog.make_entry(args.family, *args.params)
     run.parameters = {"family": args.family, "params": args.params}
-    run.verdict = "ok"
-    run.affirmative = True
     run.certificates["algebra"] = json.loads(A.save())
     if args.family in catalog.FIGURES:
         run.certificates["completions"] = catalog.figure_completions(args.family).multiplicity
     if args.out:
         save_algebra_file(A, args.out)
-    return _finish(run, args, [A.save()])
+    return "ok", True, [A.save()]
 
 
 def cmd_complete(args, run):
@@ -119,58 +113,49 @@ def cmd_complete(args, run):
     limit = None if args.all else args.limit
     res = completion.complete_partial(P, limit=limit)
     run.parameters = {"limit": limit}
-    run.verdict = f"{res.multiplicity} completions"
-    run.affirmative = res.multiplicity > 0
     run.certificates["completions"] = [json.loads(A.save()) for A in res.algebras]
     run.certificates["nodes"] = res.nodes
-    return _finish(run, args, [f"{res.multiplicity} completions"] +
-                   [A.save() for A in res.algebras])
+    verdict = f"{res.multiplicity} completions"
+    return verdict, res.multiplicity > 0, [verdict] + [A.save() for A in res.algebras]
 
 
 def cmd_enumerate(args, run):
     sig = tuple(s for s in (args.sig or "").split(",") if s)
     out = list(completion.enumerate_chains(args.size, dict.fromkeys(args.prop, True), sig))
     run.parameters = {"size": args.size, "prop": args.prop, "sig": list(sig)}
-    run.verdict = f"{len(out)} chains"
-    run.affirmative = True
     run.certificates["count"] = len(out)
-    return _finish(run, args, [f"{len(out)} chains"] + [A.save() for A in out])
+    verdict = f"{len(out)} chains"
+    return verdict, True, [verdict] + [A.save() for A in out]
 
 
 def cmd_con(args, run):
     A = run.load(args.file)
     con = structure.congruences(A)
-    run.verdict = f"{len(con)} congruences"
-    run.affirmative = True
     run.certificates["congruences"] = [[list(b) for b in c.blocks] for c in con]
     run.certificates["cns"] = [sorted(s) for s in structure.convex_normal_subalgebras(A)]
     lines = [f"{len(con)} congruences of {A.name}"]
     lines += ["  " + repr(c) for c in con]
-    return _finish(run, args, lines)
+    return f"{len(con)} congruences", True, lines
 
 
 def cmd_sub(args, run):
     A = run.load(args.file)
     subs = structure.subuniverses(A)
-    run.verdict = f"{len(subs)} subuniverses"
-    run.affirmative = True
     run.certificates["subuniverses"] = [list(s) for s in subs]
-    return _finish(run, args, [f"{len(subs)} subuniverses of {A.name}"] +
-                   [f"  {list(s)}" for s in subs])
+    return (f"{len(subs)} subuniverses", True,
+            [f"{len(subs)} subuniverses of {A.name}"] + [f"  {list(s)}" for s in subs])
 
 
 def cmd_cep(args, run):
     A = run.load(args.file)
     res = structure.has_cep(A)
-    run.verdict = "has CEP" if res.holds else "CEP fails"
-    run.affirmative = res.holds
-    if not res.holds:
-        sub, theta = res.witness
-        run.certificates["witness"] = {"subalgebra": list(sub),
-                                       "theta": [list(b) for b in theta.blocks]}
-        return _finish(run, args, [f"{A.name}: CEP fails, witness subalgebra "
-                                   f"{list(sub)} with {theta!r}"])
-    return _finish(run, args, [f"{A.name}: has the CEP"])
+    if res.holds:
+        return "has CEP", True, [f"{A.name}: has the CEP"]
+    sub, theta = res.witness
+    run.certificates["witness"] = {"subalgebra": list(sub),
+                                   "theta": [list(b) for b in theta.blocks]}
+    return "CEP fails", False, [f"{A.name}: CEP fails, witness subalgebra "
+                                f"{list(sub)} with {theta!r}"]
 
 
 def cmd_hom(args, run):
@@ -183,31 +168,25 @@ def cmd_hom(args, run):
                    _read_map(args.commute[2], A, D, "CHI"))
     out = morphisms.homs(B, D, injective=args.injective, commute_with=commute)
     run.parameters = {"injective": args.injective}
-    run.verdict = f"{len(out)} homomorphisms"
-    run.affirmative = len(out) > 0
     run.certificates["homs"] = [_morphism_cert(m) for m in out]
-    return _finish(run, args, [f"{len(out)} homomorphisms"] +
-                   [f"  {list(m.mapping)}" for m in out])
+    verdict = f"{len(out)} homomorphisms"
+    return verdict, len(out) > 0, [verdict] + [f"  {list(m.mapping)}" for m in out]
 
 
 def cmd_iso(args, run):
     A = run.load(args.A)
     B = run.load(args.B)
     iso = morphisms.are_isomorphic(A, B)
-    run.verdict = "isomorphic" if iso else "not isomorphic"
-    run.affirmative = iso is not None
-    if iso:
-        run.certificates["iso"] = _morphism_cert(iso)
-        return _finish(run, args, [f"isomorphic via {list(iso.mapping)}"])
-    return _finish(run, args, ["not isomorphic"])
+    if iso is None:
+        return "not isomorphic", False, ["not isomorphic"]
+    run.certificates["iso"] = _morphism_cert(iso)
+    return "isomorphic", True, [f"isomorphic via {list(iso.mapping)}"]
 
 
 def cmd_classify(args, run):
     A = run.load(args.file)
     cls = structure.classify(A)
     profile = properties.property_profile(A)
-    run.verdict = "classified"
-    run.affirmative = True
     run.certificates["classification"] = {
         "fsi": cls.fsi, "si": cls.si, "simple": cls.simple,
         "strictly_simple": cls.strictly_simple,
@@ -216,32 +195,28 @@ def cmd_classify(args, run):
     lines = [f"{A.name}: fsi={cls.fsi} si={cls.si} simple={cls.simple} "
              f"strictly_simple={cls.strictly_simple}"]
     lines.append("profile: " + ", ".join(f"{k}={v}" for k, v in vars(profile).items()))
-    return _finish(run, args, lines)
+    return "classified", True, lines
 
 
 def cmd_nsum(args, run):
     comps = [run.load(f) for f in args.files]
     glued = nsum.nested_sum(comps)
-    run.verdict = "ok"
-    run.affirmative = True
     run.certificates["algebra"] = json.loads(glued.save())
     if args.out:
         save_algebra_file(glued, args.out)
-    return _finish(run, args, [glued.save()])
+    return "ok", True, [glued.save()]
 
 
 def cmd_factor(args, run):
     A = run.load(args.file)
     parts = nsum.factor_nested_sum(A)
-    run.verdict = f"{len(parts)} components"
-    run.affirmative = True
     run.certificates["components"] = [json.loads(X.save()) for X in parts]
     run.certificates["assembly"] = [X.name for X in parts]
     if args.out:
         for i, X in enumerate(parts):
             save_algebra_file(X, f"{args.out}.{i}.json")
-    return _finish(run, args, [f"{len(parts)} components"] +
-                   [X.save() for X in parts])
+    verdict = f"{len(parts)} components"
+    return verdict, True, [verdict] + [X.save() for X in parts]
 
 
 def _load_span(run, path):
@@ -273,93 +248,76 @@ def cmd_amalgamate(args, run):
     K = _class_spec(args)
     rep = amalgam.find_amalgam(s, K, one_sided=args.one_sided)
     run.parameters = {"one_sided": args.one_sided, "class": rep.class_info}
-    run.verdict = rep.verdict
-    run.affirmative = rep.found
-    if rep.found:
-        D, psi1, psi2 = rep.amalgam
-        run.certificates["amalgam"] = {"D": json.loads(D.save()),
-                                       "psi1": _morphism_cert(psi1),
-                                       "psi2": _morphism_cert(psi2)}
-        return _finish(run, args, [f"Found: D={D.name}, psi1={list(psi1.mapping)}, "
-                                   f"psi2={list(psi2.mapping)}"])
-    info = rep.class_info or {}
-    note = f" (bound {info['bound']})" if info.get("kind") == "bounded" else ""
-    return _finish(run, args, [rep.verdict + note])
+    if not rep.found:
+        info = rep.class_info or {}
+        note = f" (bound {info['bound']})" if info.get("kind") == "bounded" else ""
+        return rep.verdict, False, [rep.verdict + note]
+    D, psi1, psi2 = rep.amalgam
+    run.certificates["amalgam"] = {"D": json.loads(D.save()),
+                                   "psi1": _morphism_cert(psi1),
+                                   "psi2": _morphism_cert(psi2)}
+    return rep.verdict, True, [f"Found: D={D.name}, psi1={list(psi1.mapping)}, "
+                               f"psi2={list(psi2.mapping)}"]
 
 
 def cmd_refute(args, run):
     s = _load_span(run, args.span)
     rep = amalgam.refute_chain_amalgam(s, mirror_rule=args.mirror_rule)
     run.parameters = {"mirror_rule": args.mirror_rule}
-    run.verdict = rep.verdict
-    # Refuted is a certified negative verdict (exit 1 with the trace)
-    run.affirmative = rep.verdict != "Refuted"
     run.certificates["trace"] = [list(st) for st in rep.trace]
-    if rep.verdict == "Refuted":
+    # Refuted is a certified negative verdict (exit 1 with the trace)
+    refuted = rep.verdict == "Refuted"
+    if refuted:
         run.certificates["replayed"] = amalgam.replay_refutation(s, rep)
     lines = [rep.verdict] + ["  " + " ".join(str(x) for x in st) for st in rep.trace]
-    return _finish(run, args, lines)
+    return rep.verdict, not refuted, lines
 
 
 def cmd_decide_ap(args, run):
     gens = [run.load(f) for f in args.generators]
     V = amalgam.variety(*gens)
-    if args.fast_path == "auto" and len(gens) == 1:
-        A = gens[0]
-        if amalgam.strictly_simple_ap(A) is not None:
-            run.verdict = "AP"
-            run.affirmative = True
-            run.certificates["fast_path"] = "strictly_simple"
-            return _finish(run, args, ["AP (strictly simple generator)"])
+    if (args.fast_path == "auto" and len(gens) == 1
+            and amalgam.strictly_simple_ap(gens[0]) is not None):
+        run.certificates["fast_path"] = "strictly_simple"
+        return "AP", True, ["AP (strictly simple generator)"]
     res = amalgam.decide_ap(V, cross_check=args.cross_check)
     run.parameters = {"cross_check": args.cross_check}
-    run.verdict = res.verdict
-    run.affirmative = res.has_ap
     run.certificates["chains"] = [c.name for c in res.chains]
+    lines = [f"{res.verdict} for {V!r}"]
     if res.reason == "cep_failure":
         A, sub, blocks = res.cep_witness
         run.certificates["cep_witness"] = {"chain": A.name, "subalgebra": list(sub),
                                            "theta": [list(b) for b in blocks]}
     if res.reason == "span_failure":
         s = res.span_witness
-        run.certificates["span_witness"] = {
-            "A": s.A.size, "B": s.B.name, "C": s.C.name,
-            "phi1": list(s.phi1.mapping), "phi2": list(s.phi2.mapping)}
+        run.certificates["span_witness"] = {"A": s.A.size, **_span_cert(s)}
+        lines.append(f"  witness span: {s!r}")
     if res.cross_check:
         run.certificates["cross_check"] = res.cross_check
-    lines = [f"{res.verdict} for {V!r}"]
-    if res.span_witness is not None:
-        lines.append(f"  witness span: {res.span_witness!r}")
-    return _finish(run, args, lines)
+    return res.verdict, res.has_ap, lines
 
 
 def cmd_class_check(args, run):
     algebras = [run.load(f) for f in args.files]
     check = amalgam.class_has_1ap if args.mode == "1ap" else amalgam.class_has_eap
-    ok, witness = check(algebras)
+    res = check(algebras)
     run.parameters = {"mode": args.mode}
-    run.verdict = "holds" if ok else "fails"
-    run.affirmative = ok
-    if witness is not None:
-        run.certificates["witness"] = {
-            "B": witness.B.name, "C": witness.C.name,
-            "phi1": list(witness.phi1.mapping), "phi2": list(witness.phi2.mapping)}
-    lines = [f"{args.mode.upper()} {run.verdict}"]
-    if witness is not None:
-        lines.append(f"  witness span: {witness!r}")
-    return _finish(run, args, lines)
+    verdict = "holds" if res.holds else "fails"
+    lines = [f"{args.mode.upper()} {verdict}"]
+    if res.witness is not None:
+        run.certificates["witness"] = _span_cert(res.witness)
+        lines.append(f"  witness span: {res.witness!r}")
+    return verdict, res.holds, lines
 
 
 def cmd_repro(args, run):
     run.parameters = {"target": args.target, "bound": repro.search_bound(),
                       "seed": repro.repro_seed()}
     rep = repro.run_repro(args.target)
-    run.verdict = "pass" if rep.ok else "fail"
-    run.affirmative = rep.ok
     run.certificates = rep.certificates
-    lines = [f"repro {args.target}: {'PASS' if rep.ok else 'FAIL'} "
-             f"({rep.seconds:.1f}s)"] + ["  " + l for l in rep.lines]
-    return _finish(run, args, lines)
+    verdict = "pass" if rep.ok else "fail"
+    return verdict, rep.ok, ([f"repro {args.target}: {verdict.upper()} ({rep.seconds:.1f}s)"]
+                             + ["  " + l for l in rep.lines])
 
 
 def make_parser():
@@ -448,16 +406,18 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    args._command_line = argv
-    run = Run(args)
+    run = Run(argv)
     try:
-        return args.fn(args, run)
+        verdict, affirmative, lines = args.fn(args, run)
+        print(json.dumps(run.manifest(verdict), sort_keys=True) if args.json
+              else "\n".join(lines))
     except BrokenPipeError:   # reader gone: send the flush at exit to devnull, not stderr
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if affirmative else 1
 
 
 if __name__ == "__main__":

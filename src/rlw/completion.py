@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import (PARTIAL_FORMAT, AlgebraError, BadParameter, ParseError, _constant_tuple,
-                      _signature, finite_algebra, induced_order, lattice_order, least_element,
+                      _signature, finite_algebra, is_total, lattice_order, least_element,
                       read_document)
 from . import properties, terms
 
@@ -239,7 +239,7 @@ def complete_partial(P, limit=None):
     P.equations over P's labels."""
     if limit is not None and limit < 1:
         raise BadParameter(f"limit must be >= 1, got {limit}")
-    total = P.leq == "chain" or induced_order(lattice_order(P.size, P.leq)[0], range(P.size))[1]
+    total = P.leq == "chain" or is_total(lattice_order(P.size, P.leq)[0], range(P.size))
     properties.check_flags(P.require, P.constants, total)
     equations = terms.check_equations(P.equations, P.constants,
                                       P.require.get("commutative") is True, P.labels or ())

@@ -7,13 +7,8 @@ from __future__ import annotations
 
 from dataclasses import make_dataclass
 
-from .algebra import BadParameter, NotAChain
+from .algebra import BadParameter, NotAChain, is_commutative
 from .terms import check_equations, check_identity
-
-
-def is_commutative(A):
-    n = A.size
-    return all(A.mult[x][y] == A.mult[y][x] for x in range(n) for y in range(n))
 
 
 def is_idempotent(A):

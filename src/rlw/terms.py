@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .algebra import CONSTANT_NAMES, BadParameter, Check, ParseError
+from .algebra import CONSTANT_NAMES, BadParameter, Check, ParseError, is_commutative
 
 CONSTS = ("e",) + CONSTANT_NAMES
 
@@ -196,22 +195,19 @@ def check_equations(equations, constants, commutative, labels=None):
     for eq in equations:
         sides = []
         for side in eq.split("="):   # each side parsed, then checked
-            sides.append(parse_term(side))
-            for t in subterms(sides[-1]):
-                if t.op == "const" and t.name not in names:
-                    raise ParseError(f"equation {eq!r}: constant {t.name!r} is not designated")
-                if t.op == "->" and not commutative:
-                    raise ParseError(f"equation {eq!r}: '->' needs commutative: true")
-                if t.op == "var" and labels is not None and t.name not in labels:
-                    raise ParseError(f"equation {eq!r}: variable {t.name!r} is not a label")
+            try:
+                sides.append(parse_term(side))
+                for t in subterms(sides[-1]):
+                    if t.op == "const" and t.name not in names:
+                        raise ParseError(f"equation {eq!r}: constant {t.name!r} is not designated")
+                    if t.op == "->" and not commutative:
+                        raise ParseError(f"equation {eq!r}: '->' needs commutative: true")
+                    if t.op == "var" and labels is not None and t.name not in labels:
+                        raise ParseError(f"equation {eq!r}: variable {t.name!r} is not a label")
+            except RecursionError:
+                raise ParseError(f"equation {eq[:40]!r}... is nested too deep") from None
         pairs.append(tuple(sides))
     return pairs
-
-
-@lru_cache(maxsize=4096)
-def _commutative_mult(mult):
-    n = len(mult)
-    return all(mult[x][y] == mult[y][x] for x in range(n) for y in range(n))
 
 
 def eval_term(A, t, env):
@@ -236,7 +232,7 @@ def eval_term(A, t, env):
         return A.join[a][b]
     if t.op == "->":
         # sugar for \ on commutative algebras only
-        if not _commutative_mult(A.mult):
+        if not is_commutative(A):
             raise ParseError("'->' is only defined on commutative algebras")
         return A.lres[a][b]
     if t.op == "\\":

@@ -236,17 +236,15 @@ def test_span_enumeration_order():
 
 def test_class_checks_goedel():
     chains3 = [make_goedel(m) for m in (1, 2, 3)]
-    ok, _ = class_has_1ap(chains3)
-    assert ok
-    ok_e, _ = class_has_eap(chains3)
-    assert ok_e
+    assert class_has_1ap(chains3).holds
+    assert class_has_eap(chains3).holds
     chains4 = [make_goedel(m) for m in (1, 2, 3, 4)]
-    ok, witness = class_has_1ap(chains4)
-    assert not ok
+    res = class_has_1ap(chains4)
+    assert not res.holds
+    witness = res.witness
     assert witness.A.size == 3 and witness.C.size == 4
     assert witness.phi1.mapping == (0, 1, 3) and witness.phi2.mapping == (0, 2, 3)
-    ok_e, _ = class_has_eap(chains4)
-    assert not ok_e
+    assert not class_has_eap(chains4).holds
 
 
 def _through_first_failure(verdicts):
@@ -458,7 +456,7 @@ def test_class_check_closure_is_up_to_relabelling():
     top_first = oracles.relabelled(square, [3, 1, 2, 0])
     assert top_first.key() != square.key()
     for check in (class_has_1ap, class_has_eap):
-        verdicts = [check([make_rsa(1), make_rsa(2), B8, sq])[0] for sq in (square, top_first)]
+        verdicts = [check([make_rsa(1), make_rsa(2), B8, sq]).holds for sq in (square, top_first)]
         assert verdicts == [True, True], check.__name__
 
 

@@ -356,6 +356,13 @@ def _bad_files(tmp_path):
             "partial-arrow-not-commutative.json": dict(
                 partial, size=3, unit=2, mult=[[None] * 3] * 3, labels=["a", "b", "e"],
                 constraints={"equations": ["a->b=a->b"]}),
+            # equations nested deeper than the parser and the checks recurse
+            **{f"partial-deep-{kind}.json": dict(
+                partial, size=3, unit=2, mult=[[None] * 3] * 3, labels=["a", "b", "e"],
+                constraints={"equations": [eq]})
+               for kind, eq in (("parens", "(" * 3000 + "a" + ")" * 3000 + "=a"),
+                                ("product", "*".join(["a"] * 5000) + "=a"),
+                                ("negation", "~" * 3000 + "a=a"))},
             "knotted-span-1.json": {"format": "rlw-span/1", "A": "catalog:A1",
                                     "B": "catalog:B1", "C": "catalog:C1",
                                     "phi1": [0, 1, 3, 4], "phi2": [0, 1, 3, 4]}}
@@ -457,6 +464,9 @@ def _bad_files(tmp_path):
     ["complete", "{tmp}/bad-bytes.json"],
     ["refute", "--span", "{tmp}/bad-bytes.json"],
     ["con", "{tmp}/deep-nesting.json"],
+    ["complete", "{tmp}/partial-deep-parens.json"],
+    ["complete", "{tmp}/partial-deep-product.json"],
+    ["complete", "{tmp}/partial-deep-negation.json"],
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv):
     _bad_files(tmp_path)

@@ -133,6 +133,6 @@ def test_recoded_member_is_deduplicated():
     assert class_has_1ap(chains + [R]) == class_has_1ap(chains)
     chains4 = [make_goedel(m) for m in (1, 2, 3, 4)]
     R4 = oracles.relabelled(chains4[3], [1, 3, 0, 2])
-    ok, witness = class_has_1ap(chains4 + [R4])
-    assert not ok
-    assert repr(witness) == repr(class_has_1ap(chains4)[1])
+    res = class_has_1ap(chains4 + [R4])
+    assert not res.holds
+    assert repr(res.witness) == repr(class_has_1ap(chains4).witness)

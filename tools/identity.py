@@ -12,6 +12,8 @@ record per line, in a fixed order.  The families:
 
   cli       the 35 CLI_CALLS of perfbench/workloads.py, each in its own process
             with --json: exit code, manifest without wall_time_s, stderr;
+  cli-text  the same calls without --json: exit code, stdout with repro's
+            "(0.1s)" masked, stderr;
   repro     `rlw repro T --json` for every target at RLW_BOUND=7, likewise;
   figures   figure_completions of every figure: nodes and the completed
             tables with their names and labels;
@@ -42,9 +44,9 @@ import tempfile
 
 from bench import extract, snapshot
 
-FAMILIES = ("cli", "repro", "figures", "chains", "profiles", "ap", "structure")
+FAMILIES = ("cli", "cli-text", "repro", "figures", "chains", "profiles", "ap", "structure")
 DUMP = r"""
-import dataclasses, json, os, subprocess, sys, tempfile
+import dataclasses, json, os, re, subprocess, sys, tempfile
 sys.path.insert(0, "perfbench")
 import workloads
 from rlw import algebra, amalgam, catalog, completion, morphisms, properties, repro, structure, terms
@@ -56,11 +58,14 @@ def codings(A):   # A as coded, and as a matrix order with its elements in rever
     R = algebra.load_algebra(workloads.relabelled_text(A, list(reversed(range(A.size)))))
     return (("own", A), ("reversed matrix", R))
 
-def cli(argv, env):
+def run_cli(argv, env):
     with tempfile.TemporaryDirectory() as workdir:
         workloads.write_cli_files(workdir)
-        proc = subprocess.run([sys.executable, "-m", "rlw.cli", *argv, "--json"], cwd=workdir,
+        return subprocess.run([sys.executable, "-m", "rlw.cli", *argv], cwd=workdir,
                               env=env, capture_output=True, text=True)
+
+def cli(argv, env):
+    proc = run_cli([*argv, "--json"], env)
     manifest = json.loads(proc.stdout) if proc.returncode in (0, 1) else proc.stdout
     if isinstance(manifest, dict):
         manifest.pop("wall_time_s")
@@ -72,6 +77,11 @@ env["PYTHONPATH"] = os.path.abspath("src")
 if family == "cli":
     for label, argv, *_ in workloads.CLI_CALLS:
         emit([label, cli(argv, env)])
+elif family == "cli-text":
+    for label, argv, *_ in workloads.CLI_CALLS:
+        proc = run_cli(argv, env)
+        emit([label, argv, proc.returncode, re.sub(r"\(\d+\.\d+s\)", "(s)", proc.stdout),
+              proc.stderr])
 elif family == "repro":
     for target in repro.TARGETS:
         emit(cli(["repro", target], dict(env, RLW_BOUND="7")))
