@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .algebra import (OPS, Check, FiniteAlgebra, NotAChain, NotSemilinear, NotSimple,
-                      NotSubalgebraClosed, SignatureMismatch, _signature, by_table_id)
+from .algebra import (OPS, BadParameter, Check, FiniteAlgebra, NotAChain, NotSemilinear,
+                      NotSimple, NotSubalgebraClosed, SignatureMismatch, _signature,
+                      by_table_id)
 from .completion import enumerate_chains
 from .morphisms import (Morphism, are_isomorphic, compose, hom_maps, homs, is_hom, morphism,
                         separating_atom)
@@ -57,7 +58,8 @@ def span(A, B, C, phi1, phi2):
 class ClassSpec:
     """Either an explicit finite list of algebras or all chains of size <= bound
     over a constant signature satisfying a property filter.  `bounded` raises
-    ParseError for an unknown or repeated constant name, and the errors of
+    BadParameter for a bound that is not an integer >= 1, ParseError for an
+    unknown or repeated constant name, and the errors of
     `properties.check_flags` for a filter it refuses over the signature."""
     algebras: tuple | None = None
     bound: int | None = None
@@ -70,6 +72,8 @@ class ClassSpec:
 
     @classmethod
     def bounded(cls, bound, signature=(), require=None):
+        if type(bound) is not int or bound < 1:
+            raise BadParameter(f"bound must be an integer >= 1, got {bound!r}")
         signature = _signature(signature)
         check_flags(require, signature)
         return cls(bound=bound, signature=signature,

@@ -12,7 +12,6 @@ Families (canonical ascending coding, constants as in the definitions):
 from __future__ import annotations
 
 from .algebra import BadParameter, NoCompletion, finite_algebra
-from .completion import PartialAlgebra, complete_partial
 
 FAMILIES = ("goedel", "rsa", "sugihara", "com", "luk", "dmm")
 FIGURES = ("cepfail", "strictsimp", "idem-B", "idem-C",
@@ -143,7 +142,8 @@ def make_family(family, *params):
 #
 # Node conventions: filled = idempotent, open = not idempotent; round =
 # central, square = not central.  Only node flags and printed equations are
-# transcribed; the completion search supplies the remaining table entries.
+# transcribed; the completion search supplies the remaining table entries,
+# and is imported only here, so that the families load without it.
 
 def _blank(n, entries=()):
     mult = [[None] * n for _ in range(n)]
@@ -153,6 +153,7 @@ def _blank(n, entries=()):
 
 
 def _figure_partial(name):
+    from .completion import PartialAlgebra
     if name == "cepfail":
         # bot < c < b < a < e;  c = c*a, bot = a*c
         return PartialAlgebra(
@@ -226,6 +227,7 @@ def _figure_mirror(name):
     """Fig. 6 algebras: complete the positive cone [b, e] from its printed
     labels, then define the rest by the caption rules c*(~d) = ~(c -> d) and
     (~c)*(~d) = f.  The result is returned as a fully specified partial."""
+    from .completion import PartialAlgebra, complete_partial
     if name == "A2":
         pos_labels = ("b", "a", "e")
         pos = PartialAlgebra(
@@ -281,6 +283,7 @@ def _figure_mirror(name):
 
 def figure_completions(name):
     """CompletionResult for a figure's transcribed partial algebra."""
+    from .completion import complete_partial
     return complete_partial(_figure_partial(name))
 
 

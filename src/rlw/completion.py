@@ -188,11 +188,9 @@ class _Search:
             return
         if P.require and not properties.satisfies_flags(A, P.require):
             return
-        if self.equations:
-            env = {A.label(x): x for x in A.elements}
-            if any(terms.eval_term(A, lhs, env) != terms.eval_term(A, rhs, env)
-                   for lhs, rhs in self.equations):
-                return
+        if self.equations and not terms.equations_hold(A, self.equations,
+                                                       {A.label(x): x for x in A.elements}):
+            return
         self.out.append(A)
 
     def _dfs(self, idx):

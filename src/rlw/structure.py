@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, wraps
 
-from .algebra import (OPS, Check, FiniteAlgebra, NotASubuniverse, by_table_id, derived,
-                      induced_order, ops_to_check)
+from .algebra import (OPS, Check, FiniteAlgebra, NotASubuniverse, _is_index, by_table_id,
+                      derived, induced_order, ops_to_check)
 
 
 def _canon_blocks(rep, n):
@@ -299,8 +299,10 @@ def subuniverses(A):
 
 
 def is_subuniverse(A, subset):
-    """The one closure test (its closure adds the unit and the constants)."""
-    return subuniverse_closure(A, subset) == frozenset(subset)
+    """The one closure test (its closure adds the unit and the constants);
+    false for a subset with an entry that is not an element index of A."""
+    return (all(_is_index(x, A.size) for x in subset)
+            and subuniverse_closure(A, subset) == frozenset(subset))
 
 
 def _subalgebra(A, sub):

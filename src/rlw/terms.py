@@ -175,8 +175,31 @@ class _Parser:
         return var(tok)
 
 
+MAX_DEPTH = 256   # levels of a term's tree; the walks over a term recurse once per level
+
+
+class _TooDeep(ParseError):
+    """A term nested deeper than the parser or MAX_DEPTH allow."""
+
+
+def _depth(t):
+    depth, level = 0, (t,)
+    while level:
+        depth += 1
+        level = [a for s in level for a in s.args]
+    return depth
+
+
 def parse_term(text):
-    return _Parser(_tokenize(text)).parse()
+    """The term `text` spells; ParseError for bad syntax, and for nesting
+    deeper than the recursive-descent parser follows or than MAX_DEPTH."""
+    try:
+        t = _Parser(_tokenize(text)).parse()
+        if _depth(t) <= MAX_DEPTH:
+            return t
+    except RecursionError:
+        pass
+    raise _TooDeep(f"term {text[:40]!r}... is nested too deep")
 
 
 def check_equations(equations, constants, commutative, labels=None):
@@ -197,21 +220,39 @@ def check_equations(equations, constants, commutative, labels=None):
         for side in eq.split("="):   # each side parsed, then checked
             try:
                 sides.append(parse_term(side))
-                for t in subterms(sides[-1]):
-                    if t.op == "const" and t.name not in names:
-                        raise ParseError(f"equation {eq!r}: constant {t.name!r} is not designated")
-                    if t.op == "->" and not commutative:
-                        raise ParseError(f"equation {eq!r}: '->' needs commutative: true")
-                    if t.op == "var" and labels is not None and t.name not in labels:
-                        raise ParseError(f"equation {eq!r}: variable {t.name!r} is not a label")
-            except RecursionError:
+            except _TooDeep:
                 raise ParseError(f"equation {eq[:40]!r}... is nested too deep") from None
+            for t in subterms(sides[-1]):
+                if t.op == "const" and t.name not in names:
+                    raise ParseError(f"equation {eq!r}: constant {t.name!r} is not designated")
+                if t.op == "->" and not commutative:
+                    raise ParseError(f"equation {eq!r}: '->' needs commutative: true")
+                if t.op == "var" and labels is not None and t.name not in labels:
+                    raise ParseError(f"equation {eq!r}: variable {t.name!r} is not a label")
         pairs.append(tuple(sides))
     return pairs
 
 
+def _check_arrows(A, terms):
+    """ParseError if a term uses '->', sugar for \\ on commutative algebras
+    only, and A is not commutative; A is tested once, and only then."""
+    if any(s.op == "->" for t in terms for s in subterms(t)) and not is_commutative(A):
+        raise ParseError("'->' is only defined on commutative algebras")
+
+
 def eval_term(A, t, env):
     """Value of term t in algebra A under env (variable name -> element)."""
+    _check_arrows(A, (t,))
+    return _value(A, t, env)
+
+
+def equations_hold(A, pairs, env):
+    """Whether lhs = rhs in A under env for each parsed (lhs, rhs) pair."""
+    _check_arrows(A, [t for pair in pairs for t in pair])
+    return all(_value(A, lhs, env) == _value(A, rhs, env) for lhs, rhs in pairs)
+
+
+def _value(A, t, env):
     if t.op == "var":
         if t.name not in env:
             raise ParseError(f"unbound variable {t.name!r}")
@@ -222,20 +263,15 @@ def eval_term(A, t, env):
         if t.name in env:
             return env[t.name]
         return A.unit if t.name == "e" else A.constant(t.name)
-    a = eval_term(A, t.args[0], env)
-    b = eval_term(A, t.args[1], env)
+    a = _value(A, t.args[0], env)
+    b = _value(A, t.args[1], env)
     if t.op == "*":
         return A.mult[a][b]
     if t.op == "/\\":
         return A.meet[a][b]
     if t.op == "\\/":
         return A.join[a][b]
-    if t.op == "->":
-        # sugar for \ on commutative algebras only
-        if not is_commutative(A):
-            raise ParseError("'->' is only defined on commutative algebras")
-        return A.lres[a][b]
-    if t.op == "\\":
+    if t.op in ("\\", "->"):   # '->' checked by `_check_arrows`
         return A.lres[a][b]
     if t.op == "/":
         return A.rres[a][b]
@@ -254,9 +290,10 @@ def check_identity(A, lhs, rhs, relation="eq"):
         ok = lambda a, b: A.leq[a][b]
     else:
         raise ParseError(f"unknown relation {relation!r}")
+    _check_arrows(A, (lhs, rhs))
     names = sorted(free_vars(lhs) | free_vars(rhs))
     for vals in itertools.product(A.elements, repeat=len(names)):
         env = dict(zip(names, vals))
-        if not ok(eval_term(A, lhs, env), eval_term(A, rhs, env)):
+        if not ok(_value(A, lhs, env), _value(A, rhs, env)):
             return Check(False, env)
     return Check(True)

@@ -217,6 +217,14 @@ def test_bounded_class_checks_its_filter():
     assert find_amalgam(knotted_span(2), K).verdict == "NotFoundExhaustive"
 
 
+@pytest.mark.parametrize("bound", [-2, 0, 2.5, True, "6"])
+def test_bounded_class_refuses_a_bad_bound(bound):
+    # an empty class would make every search NotFoundExhaustive
+    from rlw.algebra import BadParameter
+    with pytest.raises(BadParameter, match="bound must be an integer >= 1"):
+        ClassSpec.bounded(bound)
+
+
 def test_essential_spans():
     s1 = knotted_span(1)
     assert is_essential(s1.phi2)

@@ -476,6 +476,15 @@ def test_malformed_input_exit_2(tmp_path, capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_repro_unknown_target_exit_2(capsys):
+    # run_repro is the one check of a target name: one error line, no usage text
+    code = main(["repro", "nosuch"])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 2 and captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: unknown repro target 'nosuch'")
+
+
 @pytest.mark.parametrize("name,value,target", [
     ("RLW_BOUND", "abc", "fig6"), ("RLW_BOUND", "-1", "fig6"), ("RLW_BOUND", "0", "fig3"),
     ("RLW_BOUND", "2.5", "godel"), ("RLW_SEED", "x", "godel"), ("RLW_SEED", "", "comdecomp")])

@@ -249,6 +249,15 @@ def test_subuniverses_examples():
                         subalgebra(A, s)
 
 
+@pytest.mark.parametrize("subset", [[0, 5], [-1, 2], [0, 1.0], [True, 2]])
+def test_subalgebra_refuses_what_is_not_an_element(subset):
+    # an entry that is not an element index of A is no subuniverse, not an IndexError
+    G3 = make_goedel(3)
+    assert not is_subuniverse(G3, subset)
+    with pytest.raises(NotASubuniverse):
+        subalgebra(G3, subset)
+
+
 def test_subuniverses_match_closure_from_scratch():
     # the semi-naive closure (min and max skipped on chains) lists the same
     # subuniverses as closing each s + {x} from scratch under all five

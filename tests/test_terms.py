@@ -97,3 +97,32 @@ def test_eval_residuals_and_shorthands_against_tables():
             env["y"] = y
             assert value("x/y") == A.rres[x][y]
             assert value("x\\y") == A.lres[x][y]
+
+
+def test_arrow_tests_commutativity_once_per_check(monkeypatch):
+    # '->' is tested against the algebra once per check_identity, not at every
+    # '->' node under every assignment, and only when a term uses it
+    import rlw.terms
+    calls = []
+    real = rlw.terms.is_commutative
+    monkeypatch.setattr(rlw.terms, "is_commutative", lambda A: calls.append(A) or real(A))
+    C2 = make_figure("C2")
+    assert check_identity(C2, "x->(y->z)", "(x*y)->z")
+    assert len(calls) == 1
+    assert check_identity(C2, "x*y", "y*x")
+    assert len(calls) == 1
+    with pytest.raises(ParseError, match="only defined on commutative algebras"):
+        check_identity(make_figure("strictsimp"), "x->y", "x->y")
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "x" + ")" * 3000, "*".join(["x"] * 5000),
+                                  "~" * 3000 + "x", "x^5000"])
+def test_deep_terms_are_parse_errors(text):
+    # nesting the parser cannot follow, or deeper than MAX_DEPTH levels that
+    # evaluation would recurse through, is refused where the text is parsed
+    with pytest.raises(ParseError, match="nested too deep"):
+        parse_term(text)
+    with pytest.raises(ParseError, match="nested too deep"):
+        check_identity(make_goedel(3), text, "x")
+    assert check_identity(make_goedel(3), "x^200", "x")

@@ -26,6 +26,14 @@ Source size.  For each tree the file records `src_lines`, the newlines in
 src/rlw/*.py (what `cat src/rlw/*.py | wc -l` prints), the figure ROADMAP and
 CHANGES.md track.
 
+Start-up.  For each tree, the seconds of fresh processes that run
+`python -c pass`, `python -c "import rlw.cli"` and
+`python -m rlw.cli con catalog:goedel:3 --json`, with that tree's src on
+PYTHONPATH and bytecode writing off, as in the benchmark; 25 rounds, each
+running every command on both trees, alternating which tree runs first.  It
+records each command's seconds and their median and quartiles per tree: the
+interpreter, import and command layers under the cli-calls figure.
+
 Cold decide_ap.  For each m from 10 to 16, with and without cross_check, each
 tree times `decide_ap(variety(make_goedel(m)))` in a fresh interpreter and
 reports the seconds of the call and the process's peak RSS (ru_maxrss); the
@@ -47,11 +55,16 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRIC_LINE = re.compile(r"^\s+(\S+)\s+(\S+) \S+\s+\(median of (\d+), quartiles (\S+) \.\. (\S+)\)$")
 LADDER = range(10, 17)
 REPEATS = {m: 9 if m < 13 else 3 for m in LADDER}
+STARTUP = {"interpreter": ["-c", "pass"],
+           "import rlw.cli": ["-c", "import rlw.cli"],
+           "con catalog:goedel:3": ["-m", "rlw.cli", "con", "catalog:goedel:3", "--json"]}
+STARTUP_ROUNDS = 25
 COLD = """
 import json, resource, sys, time
 from rlw import decide_ap, variety
@@ -150,6 +163,22 @@ def bench_workload(trees, workload, pairs, seconds, better):
     return {"seconds": seconds, "runs": runs, "summary": summary, "incorrect_runs": incorrect}
 
 
+def startup(trees):
+    seconds = {(side, label): [] for side in trees for label in STARTUP}
+    for k in range(STARTUP_ROUNDS):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        for label, args in STARTUP.items():
+            for side in order:
+                env = dict(os.environ, PYTHONPATH=os.path.join(trees[side], "src"),
+                           PYTHONDONTWRITEBYTECODE="1")
+                start = time.perf_counter()
+                subprocess.run([sys.executable, *args], env=env, cwd=trees[side], check=True,
+                               stdout=subprocess.DEVNULL)
+                seconds[side, label].append(time.perf_counter() - start)
+    return [{"tree": side, "command": label, "seconds": got, **quartiles(got)}
+            for (side, label), got in seconds.items()]
+
+
 def cold_ladder(trees):
     rows = {(side, m, cc): [] for side in trees for m in LADDER for cc in (False, True)}
     for k in range(max(REPEATS.values())):
@@ -207,6 +236,7 @@ def main(argv=None):
         for w in (w["name"] for w in spec["workloads"]):
             doc["workloads"][w] = bench_workload(trees, w, counts.get(w, args.pairs),
                                                  spec["run_seconds"], better)
+        doc["startup"] = startup(trees)
         doc["cold_decide_ap"] = cold_ladder(trees)
     finally:
         shutil.rmtree(workdir)
