@@ -4,21 +4,24 @@ Elements of an algebra of size n are the indices 0..n-1.  The order is either
 the tag "chain" (index order is the algebra order) or a boolean matrix.  Index
 order is read as the algebra order only under the "chain" tag: everything else
 compares through `leq`, so a totally ordered algebra given as a matrix may
-number its elements in any order.  Outside input (files, partial completions,
-catalog tables, nested sums) is validated by `finite_algebra`, which derives
-the lattice and residual tables (never stored in files).  Algebras derived
+number its elements in any order.  Outside input (files, catalog tables,
+nested sums) is validated by `finite_algebra`, which derives the lattice and
+residual tables (never stored in files).  A table whose monoid laws are
+already checked (a completed partial table, a submonoid of a valid chain)
+goes through `from_monoid`, the derivation `finite_algebra` ends with, which
+still decides residuation and checks the constants.  Algebras derived
 from a valid one (subalgebras, quotients, `as_chain`) go through `derived`,
 which reads their key first and all five tables only for a new table, and
 number their elements by `induced_order`: in the algebra order when that is
 total (tagged "chain"), else in ascending index order.
 
-`finite_algebra` reads each table it derives off principal sets: x meet y is
-the top of the common lower bounds of x and y, x join y the bottom of their
-common upper bounds, x\\z the top of {y : x*y <= z} and z/x the top of
-{w : w*x <= z}.  The order is a lattice, and the multiplication residuated,
-exactly when each of these sets is principal: a principal down-set (an up-set
-for joins).  See Galatos, Jipsen, Kowalski and Ono, Residuated Lattices
-(2007).
+`lattice_order` and `from_monoid` read each table they derive off principal
+sets: x meet y is the top of the common lower bounds of x and y, x join y the
+bottom of their common upper bounds, x\\z the top of {y : x*y <= z} and z/x
+the top of {w : w*x <= z}.  The order is a lattice, and the multiplication
+residuated, exactly when each of these sets is principal: a principal
+down-set (an up-set for joins).  See Galatos, Jipsen, Kowalski and Ono,
+Residuated Lattices (2007).
 """
 from __future__ import annotations
 
@@ -508,14 +511,10 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
 
     The constructor for outside input: the shapes of size, leq, unit and mult
     (by `ALGEBRA_KEYS`, as in a file), the order, the monoid laws, the residuals
-    and the constants are all checked.  Meet and join come from
-    `lattice_order`; x\\z and z/x are the tops of {y : x*y <= z} and
-    {w : w*x <= z}, and a table where any of these sets is not a principal
-    down-set is not residuated.  On the "chain" tag a table whose rows and
-    columns are monotone with 0 absorbing is residuated, and its residuals
-    are read off those rows and columns in one pass; any other table takes
-    the general path, which names the failing residual.  Algebras derived
-    from one already valid go through `derived` instead.
+    and the constants are all checked; the checks of the order and the monoid
+    laws are made here, and the rest by `from_monoid`, which derives the
+    remaining tables.  Algebras derived from one already valid go through
+    `derived` instead.
     Raises ParseError / NotALattice / NotAMonoid / NotResiduated / BadConstant.
     """
     for key, value in (("size", size), ("leq", leq), ("unit", unit), ("mult", mult)):
@@ -523,7 +522,7 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
         if not test(value, size):   # size first, so no other test reads a bad size
             raise ParseError(f"{key} must be " + what.format(n=size))
     n = size
-    le, meet, join = lattice_order(n, leq)
+    lattice = lattice_order(n, leq)
     mt = tuple(map(tuple, mult))
 
     for x in range(n):
@@ -534,9 +533,26 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
             for z in range(n):
                 if mt[mt[x][y]][z] != mt[x][mt[y][z]]:
                     raise NotAMonoid(f"associativity fails at ({x},{y},{z})")
+    return from_monoid(name, n, leq, lattice, unit, mt, constants, labels)
 
-    tables = _chain_residual_tables(n, mt) if leq == "chain" else None
-    lres, rres = tables or _residual_tables(n, le, mt)
+
+def from_monoid(name, n, leq, lattice, unit, mult, constants=None, labels=None):
+    """The FiniteAlgebra of a table `mult` (a tuple of tuples) already known
+    to be a monoid with unit `unit` on the order `leq`, whose
+    `lattice_order(n, leq)` is `lattice`: only residuation, the constants and
+    the labels are checked, as they are derived.  Meet and join are the
+    lattice's; x\\z and z/x are the tops of {y : x*y <= z} and
+    {w : w*x <= z}, and a table where any of these sets is not a principal
+    down-set is not residuated.  On the "chain" tag a table whose rows and
+    columns are monotone with 0 absorbing is residuated, and its residuals
+    are read off those rows and columns in one pass; any other table takes
+    the general path, which names the failing residual.  For tables built by
+    a search or restriction that has checked the monoid laws itself.
+    Raises NotResiduated / ParseError / BadConstant.
+    """
+    le, meet, join = lattice
+    tables = _chain_residual_tables(n, mult) if leq == "chain" else None
+    lres, rres = tables or _residual_tables(n, le, mult)
 
     const_tuple = _constant_tuple(n, le, constants)
     if labels is not None:
@@ -544,7 +560,7 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
         if len(labels) != n:
             raise ParseError("labels have wrong length")
 
-    return FiniteAlgebra(str(name), n, unit, mt, leq == "chain", le, const_tuple,
+    return FiniteAlgebra(str(name), n, unit, mult, leq == "chain", le, const_tuple,
                          meet, join, lres, rres, labels)
 
 

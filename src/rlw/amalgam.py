@@ -10,20 +10,24 @@ order.
 The class checks read the maps between members off `morphisms.hom_maps`,
 listed once per pair of tables, take spans as index tuples and maps as
 mappings, and build a `Span` for a reported witness only (`_span`);
-`find_amalgam` searches with `homs`.
+`find_amalgam` searches with `homs`, and of a bounded class of chains builds
+only the chains that extend B: each placement of B in a chain is a partial
+table, completed by `completion.complete_partial`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import itemgetter
 
 from .algebra import (OPS, BadParameter, Check, FiniteAlgebra, NotAChain, NotSemilinear,
                       NotSimple, NotSubalgebraClosed, SignatureMismatch, _signature,
-                      by_table_id)
-from .completion import enumerate_chains
+                      by_table_id, induced_order)
+from .completion import chain_flags, chain_partial, chain_units, chains_at, complete_partial
 from .morphisms import (Morphism, are_isomorphic, compose, hom_maps, homs, is_hom, morphism,
                         separating_atom)
-from .properties import check_flags, handy_fixed_points, is_semilinear, mirror_fixed_points
+from .properties import (check_flags, handy_fixed_points, is_semilinear, mirror_fixed_points,
+                         satisfies_flags)
 from .structure import (classify, congruences, has_cep,
                         interned_subalgebras, named_subalgebra, natural_projection,
                         quotient_maps)
@@ -80,14 +84,10 @@ class ClassSpec:
                    require=tuple(sorted((require or {}).items())))
 
     def members(self, floor, signature):
-        """The members of size >= floor that designate exactly the constants
-        `signature` names; every member of a bounded class designates its own."""
-        if self.algebras is not None:
-            yield from (D for D in self.algebras
-                        if D.size >= floor and D.signature == signature)
-        elif set(self.signature) == set(signature):
-            for n in range(floor, self.bound + 1):
-                yield from enumerate_chains(n, dict(self.require), self.signature)
+        """The members of an explicit class of size >= floor that designate
+        exactly the constants `signature` names.  A bounded class is not
+        listed: `find_amalgam` completes only the chains that extend B."""
+        yield from (D for D in self.algebras if D.size >= floor and D.signature == signature)
 
     def describe(self):
         if self.algebras is not None:
@@ -138,19 +138,100 @@ def _verify_amalgam(B, C, phi1, phi2, D, psi1, psi2, one_sided, checked=None):
 
 def find_amalgam(s, K, one_sided=False):
     """Search the class for D, psi1 (injective), psi2 (injective unless
-    one_sided) with psi1 o phi1 = psi2 o phi2; first hit in canonical order.
-    Members too small for psi1 (or for an injective psi2) are not built."""
+    one_sided) with psi1 o phi1 = psi2 o phi2: the first D in class order,
+    then the first psi1 in `homs` order and the first psi2 with it.  Members
+    too small for psi1 (or for an injective psi2) are not built.  Of a
+    bounded class only the chains that extend B are completed
+    (`_pinned_amalgams`), and only the first (size, unit) where one is an
+    amalgam is listed, to name it."""
     floor = s.B.size if one_sided else max(s.B.size, s.C.size)
-    for D in K.members(floor, s.B.signature):
+    if K.algebras is not None:
+        found = _first_amalgam(s, K.members(floor, s.B.signature), one_sided)
+    else:
+        found = _bounded_amalgam(s, K, floor, one_sided)
+    if found is None:
+        return AmalgamReport("NotFoundExhaustive", class_info=K.describe())
+    return AmalgamReport("Found", found, class_info=K.describe())
+
+
+def _first_amalgam(s, members, one_sided):
+    """(D, psi1, psi2) for the first of the members D that amalgamates s,
+    with the first psi1 in `homs` order that has a psi2, or None."""
+    for D in members:
         for psi1 in homs(s.B, D, injective=True):
             pinned = compose(psi1, s.phi1)
             for psi2 in homs(s.C, D, injective=not one_sided,
                              commute_with=(s.phi2, pinned), limit=1):
                 _verify_amalgam(s.B, s.C, s.phi1.mapping, s.phi2.mapping,
                                 D, psi1.mapping, psi2.mapping, one_sided)
-                return AmalgamReport("Found", (D, psi1, psi2),
-                                     class_info=K.describe())
-    return AmalgamReport("NotFoundExhaustive", class_info=K.describe())
+                return D, psi1, psi2
+    return None
+
+
+def _bounded_amalgam(s, K, floor, one_sided):
+    """`_first_amalgam` over the chains of size >= floor of the bounded class
+    K, in `enumerate_chains` order.  The first (size, unit) where
+    `_pinned_amalgams` finds amalgams is listed, and only its members among
+    them are searched: those are exactly its members that amalgamate s, so
+    the report is the one of the whole class.  None when B designates other
+    constants than K's members."""
+    if set(K.signature) != set(s.B.signature):
+        return None
+    require = dict(K.require)
+    pre, post = chain_flags(require)
+    for n in range(floor, K.bound + 1):
+        for e in chain_units(n, pre):
+            hits = _pinned_amalgams(s, n, e, pre, post, one_sided)
+            if hits:
+                members = (D for D in chains_at(n, e, require, K.signature)
+                           if (D.mult, D.constants) in hits)
+                found = _first_amalgam(s, members, one_sided)
+                if found is None:
+                    raise AssertionError(f"the amalgam at size {n}, unit {e} is not a member")
+                return found
+    return None
+
+
+def _placements(B, n, e):
+    """Every strictly increasing map of B's order into the chain 0 < ... < n-1
+    that sends B's unit to e, its bot to 0 and its top to n - 1, as a tuple
+    over B's elements; none when B is not totally ordered."""
+    order, total = induced_order(B.leq, B.elements)
+    if not total:
+        return
+    pins = [(B.unit, e)] + [(B.constant(nm), v) for nm, v in (("bot", 0), ("top", n - 1))
+                            if B.has_constant(nm)]
+    for image in combinations(range(n), B.size):
+        p = [0] * B.size
+        for x, v in zip(order, image):
+            p[x] = v
+        if all(p[x] == v for x, v in pins):
+            yield tuple(p)
+
+
+def _pinned_amalgams(s, n, e, pre, post, one_sided):
+    """(mult, constants) of each chain of size n and unit e in the class (a
+    completion of `chain_partial(n, e, pre)` that passes the member filter
+    `post`) that amalgamates s.  psi1 is an embedding of chains, so strictly
+    increasing: one of the `_placements` of B, each of which pins D's table
+    on its image and D's constants, and only the completions of those
+    partials are built.  A completion is kept when its placement is a
+    homomorphism (the residuals are not pinned) and some psi2 commutes with
+    it; `complete_partial` is exhaustive, so every amalgam is kept."""
+    B, hits = s.B, set()
+    for p1 in _placements(B, n, e):
+        P = chain_partial(n, e, pre)
+        for x in B.elements:
+            for y in B.elements:
+                P.mult[p1[x]][p1[y]] = p1[B.mult[x][y]]
+        P.constants = {nm: p1[v] for nm, v in B.constants}
+        chi = tuple(p1[v] for v in s.phi1.mapping)
+        for D in complete_partial(P).algebras:
+            if (satisfies_flags(D, post) and is_hom(B, D, p1)
+                    and homs(s.C, D, injective=not one_sided,
+                             commute_with=(s.phi2, Morphism(s.A, D, chi)), limit=1)):
+                hits.add((D.mult, D.constants))
+    return hits
 
 
 # -- the chain refuter --------------------------------------------------------

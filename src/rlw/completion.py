@@ -19,15 +19,19 @@ left and upper neighbours of a cell are always decided first:
 
 Every demand is checked once before the search (`complete_partial`).  Those
 that cannot be propagated cheaply (non-central witnesses, equations, the
-property filter `require`) are then checked on completed tables, and every
-completed table passes full validation before it is returned.
+property filter `require`) are then checked on completed tables.  A completed
+table has had its unit row and column, its monotonicity and every
+associativity triple checked cell by cell, so it is a monoid on the given
+order; `algebra.from_monoid` derives its residuals, dropping a table that is
+not residuated (none on a chain, where monotone with 0 absorbing suffices),
+and checks its constants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .algebra import (PARTIAL_FORMAT, AlgebraError, BadParameter, ParseError, _constant_tuple,
-                      _signature, finite_algebra, is_total, lattice_order, least_element,
+                      _signature, from_monoid, is_total, lattice_order, least_element,
                       read_document)
 from . import properties, terms
 
@@ -86,7 +90,8 @@ class _Search:
         self.P = P
         self.equations = equations   # P.equations parsed, by `terms.check_equations`
         self.n = P.size
-        self.leq = lattice_order(P.size, P.leq)[0]
+        self.lattice = lattice_order(P.size, P.leq)
+        self.leq = self.lattice[0]
         self.chain = P.leq == "chain"
         self.limit = limit
         self.nodes = 0
@@ -180,8 +185,8 @@ class _Search:
     def _finish(self):
         P = self.P
         try:
-            A = finite_algebra(P.name, self.n, P.leq, P.unit,
-                               [list(row) for row in self.m], P.constants, P.labels)
+            A = from_monoid(P.name, self.n, P.leq, self.lattice, P.unit,
+                            tuple(map(tuple, self.m)), P.constants, P.labels)
         except AlgebraError:
             return
         if any(properties.is_central(A, c) != (c in P.central) for c in P.central | P.non_central):
@@ -246,6 +251,49 @@ def complete_partial(P, limit=None):
     return CompletionResult(algebras, s.nodes)
 
 
+def chain_flags(require):
+    """(pre, post) for a property filter of `enumerate_chains`: the flags the
+    search builds in, and the rest, checked on each member.  commutative stays
+    in the member filter beside equations, whose '->' needs it."""
+    pre = {k for k in ("idempotent", "commutative", "integral") if require.get(k) is True}
+    post = {k: v for k, v in require.items()
+            if k not in pre or k == "commutative" and "equations" in require}
+    return pre, post
+
+
+def chain_units(n, pre):
+    """The unit positions of the chains of size n, in enumeration order: the
+    top alone under integral, else any element above the bottom."""
+    return range(n - 1, n) if "integral" in pre or n == 1 else range(1, n)
+
+
+def chain_partial(n, e, pre):
+    """The partial chain that `enumerate_chains` completes at size n and unit
+    e: no cell given, the built-in flags `pre` as the idempotent diagonal and
+    the commutative tie."""
+    return PartialAlgebra(
+        name="tmp", size=n, leq="chain", unit=e,
+        mult=[[None] * n for _ in range(n)],
+        idempotent=frozenset(range(n)) if "idempotent" in pre else frozenset(),
+        require={"commutative": True} if "commutative" in pre else {},
+    )
+
+
+def chains_at(n, e, require, sig):
+    """The members of `enumerate_chains(n, require, sig)` with unit e, in its
+    order and under its names; `require` and `sig` are taken as checked."""
+    pre, post = chain_flags(require)
+    pinned = {nm: v for nm, v in (("bot", 0), ("top", n - 1)) if nm in sig}
+    options = [dict(pinned, f=pos) for pos in range(n)] if "f" in sig else [pinned]
+    for k, A in enumerate(complete_partial(chain_partial(n, e, pre)).algebras):
+        for consts in options:
+            # A is derived once per table; only the constants are new
+            suffix = "".join(f"{k2}{v2}" for k2, v2 in sorted(consts.items()))
+            out = A.with_constants(f"chain{n}u{e}n{k}{suffix}", consts)
+            if properties.satisfies_flags(out, post):
+                yield out
+
+
 def enumerate_chains(n, require=None, constants=()):
     """Every residuated chain of size n over the given constant set satisfying
     the property filter, exactly once per (table, constants) assignment.
@@ -261,26 +309,5 @@ def enumerate_chains(n, require=None, constants=()):
         raise ParseError("size must be >= 1")
     sig = _signature(constants)
     properties.check_flags(require, sig)
-    # flags the search builds in; commutative stays in the member filter
-    # beside equations, whose '->' needs it
-    pre = {k for k in ("idempotent", "commutative", "integral") if require.get(k) is True}
-    post = {k: v for k, v in require.items()
-            if k not in pre or k == "commutative" and "equations" in require}
-    units = range(n - 1, n) if "integral" in pre or n == 1 else range(1, n)
-    pinned = {nm: v for nm, v in (("bot", 0), ("top", n - 1)) if nm in sig}
-    options = [dict(pinned, f=pos) for pos in range(n)] if "f" in sig else [pinned]
-    for e in units:
-        P = PartialAlgebra(
-            name="tmp", size=n, leq="chain", unit=e,
-            mult=[[None] * n for _ in range(n)],
-            idempotent=frozenset(range(n)) if "idempotent" in pre else frozenset(),
-            require={"commutative": True} if "commutative" in pre else {},
-        )
-        for k, A in enumerate(complete_partial(P).algebras):
-            for consts in options:
-                # A passed full validation in _Search._finish; only the
-                # constants are new
-                suffix = "".join(f"{k2}{v2}" for k2, v2 in sorted(consts.items()))
-                out = A.with_constants(f"chain{n}u{e}n{k}{suffix}", consts)
-                if properties.satisfies_flags(out, post):
-                    yield out
+    for e in chain_units(n, chain_flags(require)[0]):
+        yield from chains_at(n, e, require, sig)

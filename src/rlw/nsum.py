@@ -3,13 +3,17 @@
 The sum glues a chain-indexed family of chains at the shared unit: later
 components nest into the gap around e left by earlier ones, an element of an
 earlier component absorbs every element of a later one, and residuals are
-re-derived from the glued product (the construction of valid chains always
-validates; admissibility governs whether components are recoverable, so the
-factorizer's split policy depends on it).
+re-derived from the glued product (the glued table is validated from scratch
+by `finite_algebra`; admissibility governs whether components are
+recoverable, so the factorizer's split policy depends on it).  A candidate
+component of the factorizer is a submonoid of a valid chain, so it is
+associative with the unit of the chain; only its residuals are derived and
+checked (`algebra.from_monoid`).
 """
 from __future__ import annotations
 
-from .algebra import AlgebraError, NotAChain, NotAdmissible, finite_algebra
+from .algebra import (AlgebraError, NotAChain, NotAdmissible, finite_algebra, from_monoid,
+                      lattice_order)
 from .properties import admissibility_witness, is_admissible, is_integral
 from .morphisms import are_isomorphic
 
@@ -77,18 +81,22 @@ def nested_sum(components):
 
 
 def _restrict(A, subset, name):
-    """Chain on a multiplicatively closed subset containing the unit; None if
-    the restriction is not a valid residuated chain."""
+    """Chain on a subset of the chain A containing its unit; None if the
+    subset is not multiplicatively closed or the restriction is not
+    residuated.  A closed subset is a submonoid, so only residuation is left
+    to check."""
     sub = sorted(subset)
     posn = {x: i for i, x in enumerate(sub)}
     for x in sub:
         for y in sub:
             if A.mult[x][y] not in posn:
                 return None
-    mult = [[posn[A.mult[x][y]] for y in sub] for x in sub]
+    # from lists, so that each tuple is allocated at its exact size
+    mult = tuple([tuple([posn[A.mult[x][y]] for y in sub]) for x in sub])
+    k = len(sub)
     try:
-        return finite_algebra(name, len(sub), "chain", posn[A.unit], mult, {},
-                              [A.label(x) for x in sub])
+        return from_monoid(name, k, "chain", lattice_order(k, "chain"), posn[A.unit], mult,
+                           {}, [A.label(x) for x in sub])
     except AlgebraError:
         return None
 

@@ -1,6 +1,6 @@
 """Acceptance criteria, one test (and one printed pass/fail line) each.
 
-Bounded searches honour RLW_BOUND (default 7, the full bound).  Criterion 8's
+Bounded searches honour RLW_BOUND (8 unless set, by conftest).  Criterion 8's
 literal one-sided reading is asserted under strict xfail: the collapse
 homomorphism makes it unattainable (see the decisions ledger); its sound
 two-sided variant is criterion 8s.

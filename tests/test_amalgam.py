@@ -159,20 +159,21 @@ def _report(rep):
 
 
 def test_find_amalgam_matches_every_member_oracle(monkeypatch):
-    # building only the members that can host the span changes no report:
-    # one-sided and two-sided, on the knotted spans, fig3, the spans over the
-    # chains of catalog_all(4) (figures of up to 10 elements among them, so
-    # B or C above the bound) and explicit classes.  Each size of a bounded
-    # class is listed once per test, for both searches
+    # completing only the chains that extend B, and listing only the first
+    # (size, unit) with an amalgam, changes no report: one-sided and
+    # two-sided, on the knotted spans, fig3, the spans over the chains of
+    # catalog_all(4) (figures of up to 10 elements among them, so B or C above
+    # the bound), explicit classes, spans with a matrix-coded B or C, with
+    # bot, top and f, over filtered classes, and out of a B that is not a
+    # chain.  The oracle lists each size of a bounded class once per test
     from functools import lru_cache
-    from rlw import amalgam, completion, repro
+    from rlw import completion, repro
     enumerate_chains = completion.enumerate_chains
     listed = lru_cache(None)(lambda n, require, sig: tuple(
         enumerate_chains(n, dict(require), sig)))
     memo = lambda n, require=None, constants=(): iter(
         listed(n, tuple(sorted((require or {}).items())), tuple(constants)))
     monkeypatch.setattr(completion, "enumerate_chains", memo)
-    monkeypatch.setattr(amalgam, "enumerate_chains", memo)
     G3, G4 = make_goedel(3), make_goedel(4)
     goedel = span(G3, G4, G4, [0, 1, 3], [0, 2, 3])
     cases = [(knotted_span(w), ClassSpec.bounded(5, signature=k))
@@ -184,15 +185,47 @@ def test_find_amalgam_matches_every_member_oracle(monkeypatch):
     for A in catalog_all(4):
         if A.is_totally_ordered:
             groups.setdefault(tuple(sorted(dict(A.constants))), []).append(A)
+    # bot and top, with and without f
+    groups[("bot", "top")] = [G.with_constants(G.name, {"bot": 0, "top": G.size - 1})
+                              for G in groups[("bot",)]]
+    groups[("bot", "f", "top")] = [L.with_constants(L.name, dict(L.constants, top=L.size - 1))
+                                   for L in groups[("bot", "f")]]
+    spans = {}
     for sig, chains in groups.items():
         K = _dedup_by_iso(chains)
-        spans = [_span(K, *entry) for entry in _spans_of(K)]
-        cases += [(s, ClassSpec.bounded(bound, sig)) for bound in (3, 5) for s in spans]
+        spans[sig] = [_span(K, *entry) for entry in _spans_of(K)]
+        cases += [(s, ClassSpec.bounded(bound, sig)) for bound in (3, 5) for s in spans[sig]]
+    # B or C coded by a matrix in another numbering
+    recoded = [(knotted_span(1), None), (goedel, None),
+               (repro.fig3_span(), {"idempotent": True})]
+    for s, require in recoded + [(s, None) for s in spans[()][::25]]:
+        perm_B = list(reversed(s.B.elements))
+        perm_C = [(x + 1) % s.C.size for x in s.C.elements]
+        B, C = oracles.relabelled(s.B, perm_B), oracles.relabelled(s.C, perm_C)
+        K = ClassSpec.bounded(5, s.B.signature, require)
+        cases += [(span(s.A, B, s.C, [perm_B[b] for b in s.phi1.mapping], s.phi2.mapping), K),
+                  (span(s.A, s.B, C, s.phi1.mapping, [perm_C[c] for c in s.phi2.mapping]), K)]
+    # filters built into the search, and two checked on members only
+    for require in ({"idempotent": True}, {"commutative": True}, {"integral": True},
+                    {"square_decreasing": True}, {"integral": False}):
+        cases += [(s, ClassSpec.bounded(5, (), require)) for s in spans[()][::6]]
+    # B not a chain: no placement, so no member is an amalgam
+    square = oracles.boolean_square()
+    triv = subalgebra(square, (square.unit,), name="T")
+    cases.append((span(triv, square, make_rsa(2), [square.unit], [1]), ClassSpec.bounded(4)))
     assert any(max(s.B.size, s.C.size) > K.bound for s, K in cases if K.bound)
+    reports = []
     for s, K in cases:
         for one_sided in (True, False):
-            assert _report(find_amalgam(s, K, one_sided)) == _report(
-                oracles.find_amalgam_every_member(s, K, one_sided)), (repr(s), K, one_sided)
+            got = _report(find_amalgam(s, K, one_sided))
+            assert got == _report(oracles.find_amalgam_every_member(s, K, one_sided)), (
+                repr(s), K, one_sided)
+            reports.append((one_sided, got))
+    # among them a one-sided amalgam whose psi2 is not injective; and the B
+    # that is not a chain has no amalgam, one-sided or two-sided
+    assert any(one_sided and found and len(set(found[3])) < len(found[3])
+               for one_sided, (_, found, _) in reports)
+    assert [verdict for _, (verdict, _, _) in reports[-2:]] == ["NotFoundExhaustive"] * 2
 
 
 def test_bounded_class_checks_its_filter():

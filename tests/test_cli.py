@@ -198,14 +198,16 @@ def test_amalgamate_builds_no_member_smaller_than_the_span(tmp_path, capsys, mon
     # host it, and a class without f designates other constants than B: the
     # verdict and the class are reported without listing a single chain
     from rlw import amalgam, repro
+    from rlw.completion import CompletionResult
     s = repro._knotted_span(2)
     span_path = tmp_path / "knotted-span-2.json"
     span_path.write_text(json.dumps({
         "format": "rlw-span/1", "A": "catalog:A2", "B": "catalog:B2", "C": "catalog:C2",
         "phi1": list(s.phi1.mapping), "phi2": list(s.phi2.mapping)}))
     calls = []
-    monkeypatch.setattr(amalgam, "enumerate_chains",
-                        lambda *args: calls.append(args) or iter(()))
+    monkeypatch.setattr(amalgam, "complete_partial",
+                        lambda *args: calls.append(args) or CompletionResult((), 0))
+    monkeypatch.setattr(amalgam, "chains_at", lambda *args: calls.append(args) or iter(()))
     code, out = run(capsys, "amalgamate", "--span", str(span_path),
                     "--class", "bounded", "6", *sig, "--json")
     doc = json.loads(out)

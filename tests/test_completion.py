@@ -37,23 +37,26 @@ def test_enumerate_matches_from_scratch_validation():
 
 def test_no_leaf_fails_associativity(monkeypatch):
     # each placed cell is checked against every associativity triple it
-    # completes, those that read it twice included, so no completed table
-    # reaches finite_algebra only to fail NotAMonoid
+    # completes, those that read it twice included, so every completed table
+    # is a monoid, and deriving its residuals alone builds what a from-scratch
+    # validation of the table builds
     import rlw.completion
-    from rlw.algebra import NotAMonoid
-    failures = []
+    leaves = []
 
-    def counting(*args, original=rlw.completion.finite_algebra):
-        try:
-            return original(*args)
-        except NotAMonoid as exc:
-            failures.append(exc)
-            raise
+    def recording(*args, original=rlw.completion.from_monoid):
+        leaves.append(original(*args))
+        return leaves[-1]
 
-    monkeypatch.setattr("rlw.completion.finite_algebra", counting)
+    def fields(A):
+        return (A.name, A.size, A.unit, A.chain, A.leq, A.constants, A.labels,
+                A.mult, A.meet, A.join, A.lres, A.rres)
+
+    monkeypatch.setattr("rlw.completion.from_monoid", recording)
     for n in range(1, 7):
+        leaves.clear()
         members = list(enumerate_chains(n))
-        assert (len(members), failures) == ((1, 1, 3, 15, 84, 575)[n - 1], []), n
+        assert len(members) == len(leaves) == (1, 1, 3, 15, 84, 575)[n - 1], n
+        assert [fields(A) for A in leaves] == [fields(oracles.rebuilt(A)) for A in leaves], n
 
 
 def test_every_yield_validates():
@@ -204,7 +207,7 @@ def test_finish_lets_programming_errors_through(monkeypatch):
 
     def broken(*args, **kwargs):
         raise RuntimeError("broken")
-    monkeypatch.setattr(rlw.completion, "finite_algebra", broken)
+    monkeypatch.setattr(rlw.completion, "from_monoid", broken)
     with pytest.raises(RuntimeError):
         list(enumerate_chains(3))
 
@@ -221,11 +224,11 @@ def test_search_nodes_and_leaves_pinned(monkeypatch):
     import rlw.completion
     leaves = []
 
-    def counting(*args, original=rlw.completion.finite_algebra):
+    def counting(*args, original=rlw.completion.from_monoid):
         leaves.append(args[0])
         return original(*args)
 
-    monkeypatch.setattr("rlw.completion.finite_algebra", counting)
+    monkeypatch.setattr("rlw.completion.from_monoid", counting)
     for n, nodes, n_leaves, limited in ((4, 44, 8, 6), (5, 540, 44, 11),
                                         (6, 6876, 308, 18)):
         leaves.clear()

@@ -141,6 +141,6 @@ def test_restrict_lets_programming_errors_through(monkeypatch):
 
     def broken(*args, **kwargs):
         raise RuntimeError("broken")
-    monkeypatch.setattr(rlw.nsum, "finite_algebra", broken)
+    monkeypatch.setattr(rlw.nsum, "from_monoid", broken)
     with pytest.raises(RuntimeError):
         factor_nested_sum(make_sugihara(3))

@@ -40,6 +40,12 @@ reports the seconds of the call and the process's peak RSS (ru_maxrss); the
 trees alternate which runs first.  The rungs below G_13 run nine times, since
 single runs of under a second spread by up to 50% on a 2-vCPU machine, and
 the others three times.  Verdicts must agree.
+
+Repro at bound 8.  `rlw repro fig5 --json` and `rlw repro fig3 --json` run
+with RLW_BOUND=8 in fresh processes on both trees, in 3 rounds that alternate
+which tree runs first.  It records each run's seconds and its peak RSS
+(ru_maxrss of that process, read by os.wait4), with their medians per tree.
+Exit codes and manifests (without wall_time_s) must agree between the trees.
 """
 from __future__ import annotations
 
@@ -65,6 +71,8 @@ STARTUP = {"interpreter": ["-c", "pass"],
            "import rlw.cli": ["-c", "import rlw.cli"],
            "con catalog:goedel:3": ["-m", "rlw.cli", "con", "catalog:goedel:3", "--json"]}
 STARTUP_ROUNDS = 25
+REPRO_TARGETS = ("fig5", "fig3")
+REPRO_ROUNDS = 3
 COLD = """
 import json, resource, sys, time
 from rlw import decide_ap, variety
@@ -207,6 +215,42 @@ def cold_ladder(trees):
     return out
 
 
+def repro_bound8(trees):
+    rows = {(side, target): [] for side in trees for target in REPRO_TARGETS}
+    for k in range(REPRO_ROUNDS):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        for target in REPRO_TARGETS:
+            for side in order:
+                env = dict(os.environ, PYTHONPATH=os.path.join(trees[side], "src"),
+                           RLW_BOUND="8")
+                start = time.perf_counter()
+                proc = subprocess.Popen([sys.executable, "-m", "rlw.cli", "repro", target, "--json"],
+                                        env=env, cwd=trees[side], stdout=subprocess.PIPE)
+                out = proc.stdout.read()
+                proc.stdout.close()
+                _, status, usage = os.wait4(proc.pid, 0)
+                seconds = time.perf_counter() - start
+                proc.returncode = os.waitstatus_to_exitcode(status)   # reaped by wait4
+                manifest = json.loads(out)
+                manifest.pop("wall_time_s")
+                rows[side, target].append({"seconds": seconds, "peak_rss_mb": usage.ru_maxrss / 1024,
+                                           "exit": proc.returncode, "manifest": manifest})
+                print(f"repro {target} RLW_BOUND=8 {side}: {seconds:.2f} s", file=sys.stderr)
+    out = []
+    for (side, target), got in rows.items():
+        outcomes = {json.dumps([g["exit"], g["manifest"]], sort_keys=True)
+                    for g in got + rows["base", target]}
+        if len(outcomes) != 1:
+            raise SystemExit(f"repro {target}: the trees' exit codes or manifests differ")
+        out.append({"tree": side, "target": target, "exit": got[0]["exit"],
+                    "verdict": got[0]["manifest"]["verdict"],
+                    "seconds": [g["seconds"] for g in got],
+                    "seconds_median": statistics.median(g["seconds"] for g in got),
+                    "peak_rss_mb": [g["peak_rss_mb"] for g in got],
+                    "peak_rss_mb_median": statistics.median(g["peak_rss_mb"] for g in got)})
+    return out
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--base", required=True, help="the base revision")
@@ -238,6 +282,7 @@ def main(argv=None):
                                                  spec["run_seconds"], better)
         doc["startup"] = startup(trees)
         doc["cold_decide_ap"] = cold_ladder(trees)
+        doc["repro_bound8"] = repro_bound8(trees)
     finally:
         shutil.rmtree(workdir)
     with open(args.out, "w", encoding="utf-8") as fh:
