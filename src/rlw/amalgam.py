@@ -9,10 +9,12 @@ order.
 
 The class checks read the maps between members off `morphisms.hom_maps`,
 listed once per pair of tables, take spans as index tuples and maps as
-mappings, and build a `Span` for a reported witness only (`_span`);
-`find_amalgam` searches with `homs`, and of a bounded class of chains builds
-only the chains that extend B: each placement of B in a chain is a partial
-table, completed by `completion.complete_partial`.
+mappings, and build a `Span` for a reported witness only (`_span`).
+`find_amalgam` is one loop over the members of a class, searched with
+`homs`; a bounded class of chains lists the chains of one size and unit only
+where one of them extends B to an amalgam, which is decided on the chains
+that extend B alone: each placement of B in the chain is a partial table,
+completed by `completion.complete_partial`.
 """
 from __future__ import annotations
 
@@ -83,11 +85,21 @@ class ClassSpec:
         return cls(bound=bound, signature=signature,
                    require=tuple(sorted((require or {}).items())))
 
-    def members(self, floor, signature):
-        """The members of an explicit class of size >= floor that designate
-        exactly the constants `signature` names.  A bounded class is not
-        listed: `find_amalgam` completes only the chains that extend B."""
-        yield from (D for D in self.algebras if D.size >= floor and D.signature == signature)
+    def members(self, floor, signature, hosts):
+        """The members of size >= floor that designate exactly the constants
+        `signature` names; every member of a bounded class designates its
+        own.  A bounded class lists, in `enumerate_chains` order, the chains
+        of each size n and unit e for which `hosts(n, e)` holds."""
+        if self.algebras is not None:
+            yield from (D for D in self.algebras
+                        if D.size >= floor and D.signature == signature)
+        elif set(self.signature) == set(signature):
+            require = dict(self.require)
+            pre = chain_flags(require)[0]
+            for n in range(floor, self.bound + 1):
+                for e in chain_units(n, pre):
+                    if hosts(n, e):
+                        yield from chains_at(n, e, require, self.signature)
 
     def describe(self):
         if self.algebras is not None:
@@ -140,56 +152,20 @@ def find_amalgam(s, K, one_sided=False):
     """Search the class for D, psi1 (injective), psi2 (injective unless
     one_sided) with psi1 o phi1 = psi2 o phi2: the first D in class order,
     then the first psi1 in `homs` order and the first psi2 with it.  Members
-    too small for psi1 (or for an injective psi2) are not built.  Of a
-    bounded class only the chains that extend B are completed
-    (`_pinned_amalgams`), and only the first (size, unit) where one is an
-    amalgam is listed, to name it."""
+    too small for psi1 (or for an injective psi2) are not built, and of a
+    bounded class only the (size, unit) where `_extends` finds an amalgam
+    are listed; the loop alone decides the report."""
     floor = s.B.size if one_sided else max(s.B.size, s.C.size)
-    if K.algebras is not None:
-        found = _first_amalgam(s, K.members(floor, s.B.signature), one_sided)
-    else:
-        found = _bounded_amalgam(s, K, floor, one_sided)
-    if found is None:
-        return AmalgamReport("NotFoundExhaustive", class_info=K.describe())
-    return AmalgamReport("Found", found, class_info=K.describe())
-
-
-def _first_amalgam(s, members, one_sided):
-    """(D, psi1, psi2) for the first of the members D that amalgamates s,
-    with the first psi1 in `homs` order that has a psi2, or None."""
-    for D in members:
+    hosts = lambda n, e: _extends(s, K, n, e, one_sided)
+    for D in K.members(floor, s.B.signature, hosts):
         for psi1 in homs(s.B, D, injective=True):
             pinned = compose(psi1, s.phi1)
             for psi2 in homs(s.C, D, injective=not one_sided,
                              commute_with=(s.phi2, pinned), limit=1):
                 _verify_amalgam(s.B, s.C, s.phi1.mapping, s.phi2.mapping,
                                 D, psi1.mapping, psi2.mapping, one_sided)
-                return D, psi1, psi2
-    return None
-
-
-def _bounded_amalgam(s, K, floor, one_sided):
-    """`_first_amalgam` over the chains of size >= floor of the bounded class
-    K, in `enumerate_chains` order.  The first (size, unit) where
-    `_pinned_amalgams` finds amalgams is listed, and only its members among
-    them are searched: those are exactly its members that amalgamate s, so
-    the report is the one of the whole class.  None when B designates other
-    constants than K's members."""
-    if set(K.signature) != set(s.B.signature):
-        return None
-    require = dict(K.require)
-    pre, post = chain_flags(require)
-    for n in range(floor, K.bound + 1):
-        for e in chain_units(n, pre):
-            hits = _pinned_amalgams(s, n, e, pre, post, one_sided)
-            if hits:
-                members = (D for D in chains_at(n, e, require, K.signature)
-                           if (D.mult, D.constants) in hits)
-                found = _first_amalgam(s, members, one_sided)
-                if found is None:
-                    raise AssertionError(f"the amalgam at size {n}, unit {e} is not a member")
-                return found
-    return None
+                return AmalgamReport("Found", (D, psi1, psi2), class_info=K.describe())
+    return AmalgamReport("NotFoundExhaustive", class_info=K.describe())
 
 
 def _placements(B, n, e):
@@ -209,16 +185,18 @@ def _placements(B, n, e):
             yield tuple(p)
 
 
-def _pinned_amalgams(s, n, e, pre, post, one_sided):
-    """(mult, constants) of each chain of size n and unit e in the class (a
+def _extends(s, K, n, e, one_sided):
+    """Whether a chain of size n and unit e of the bounded class K (a
     completion of `chain_partial(n, e, pre)` that passes the member filter
-    `post`) that amalgamates s.  psi1 is an embedding of chains, so strictly
+    `post`) amalgamates s.  psi1 is an embedding of chains, so strictly
     increasing: one of the `_placements` of B, each of which pins D's table
     on its image and D's constants, and only the completions of those
-    partials are built.  A completion is kept when its placement is a
-    homomorphism (the residuals are not pinned) and some psi2 commutes with
-    it; `complete_partial` is exhaustive, so every amalgam is kept."""
-    B, hits = s.B, set()
+    partials are built.  The answer is yes at the first completion for which
+    its placement is a homomorphism (the residuals are not pinned) and some
+    psi2 commutes with it; `complete_partial` is exhaustive, so it is never
+    no where an amalgam exists."""
+    B = s.B
+    pre, post = chain_flags(dict(K.require))
     for p1 in _placements(B, n, e):
         P = chain_partial(n, e, pre)
         for x in B.elements:
@@ -230,8 +208,8 @@ def _pinned_amalgams(s, n, e, pre, post, one_sided):
             if (satisfies_flags(D, post) and is_hom(B, D, p1)
                     and homs(s.C, D, injective=not one_sided,
                              commute_with=(s.phi2, Morphism(s.A, D, chi)), limit=1)):
-                hits.add((D.mult, D.constants))
-    return hits
+                return True
+    return False
 
 
 # -- the chain refuter --------------------------------------------------------

@@ -38,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import (OPS, Check, FiniteAlgebra, NotAHomomorphism, NotAnEmbedding,
-                      SignatureMismatch, by_table_id, ops_to_check)
+from .algebra import (OPS, BadParameter, Check, FiniteAlgebra, NotAHomomorphism,
+                      NotAnEmbedding, SignatureMismatch, _is_index, by_table_id, ops_to_check)
 from .structure import (Congruence, atom_indices, congruence_leq, congruences,
                         natural_projection, quotient_maps, subalgebra_index)
 
@@ -90,7 +90,11 @@ def is_hom(B, D, mapping):
 
 
 def morphism(B, D, mapping):
+    """The checked Morphism B -> D of `mapping`; raises NotAHomomorphism
+    unless it lists |B| element indices of D and is a homomorphism."""
     m = Morphism(B, D, tuple(mapping))
+    if not (len(m.mapping) == B.size and all(_is_index(v, D.size) for v in m.mapping)):
+        raise NotAHomomorphism(f"{list(mapping)} does not list {B.size} elements of {D.name}")
     if not is_hom(B, D, m.mapping):
         raise NotAHomomorphism(f"{list(mapping)} is not a homomorphism {B.name} -> {D.name}")
     return m
@@ -105,8 +109,10 @@ def homs(B, D, injective=False, commute_with=None, limit=None):
 
     commute_with = (phi, chi) with phi: A -> B and chi: A -> D restricts to
     maps psi with psi o phi = chi.  Same signature required.  A limit (>= 1)
-    keeps the first `limit` maps only.
+    keeps the first `limit` maps only; a limit below 1 raises BadParameter.
     """
+    if limit is not None and limit < 1:
+        raise BadParameter(f"limit must be >= 1, got {limit}")
     if B.signature != D.signature:
         raise SignatureMismatch(
             f"{B.name} and {D.name} designate different constants")

@@ -3,17 +3,15 @@
 The sum glues a chain-indexed family of chains at the shared unit: later
 components nest into the gap around e left by earlier ones, an element of an
 earlier component absorbs every element of a later one, and residuals are
-re-derived from the glued product (the glued table is validated from scratch
-by `finite_algebra`; admissibility governs whether components are
-recoverable, so the factorizer's split policy depends on it).  A candidate
-component of the factorizer is a submonoid of a valid chain, so it is
-associative with the unit of the chain; only its residuals are derived and
-checked (`algebra.from_monoid`).
+re-derived from the glued product (admissibility governs whether components
+are recoverable, so the factorizer's split policy depends on it).  Both the
+glued chain and a candidate component of the factorizer (a submonoid of a
+valid chain) are known to be monoids, so only their residuals are derived
+and checked (`algebra.from_monoid`).
 """
 from __future__ import annotations
 
-from .algebra import (AlgebraError, NotAChain, NotAdmissible, finite_algebra, from_monoid,
-                      lattice_order)
+from .algebra import AlgebraError, NotAChain, NotAdmissible, from_monoid, lattice_order
 from .properties import admissibility_witness, is_admissible, is_integral
 from .morphisms import are_isomorphic
 
@@ -31,7 +29,13 @@ def nested_sum_with_map(components):
     """Glued chain plus provenance: glued index -> (component index, element).
 
     All but the last component must be admissible or integral; components are
-    constant-free chains sharing only the unit.
+    constant-free chains sharing only the unit.  The glued product is a
+    monoid, so only its residuals are derived (`from_monoid`, which still
+    decides residuation): in a finite residuated chain no two non-unit
+    elements multiply to the unit (if x < e < y and x*y = e, then z -> x*z is
+    a monotone bijection, hence the identity, so x = e), so each component's
+    products stay inside it, and the product is associative with the shared
+    unit.
     """
     comps = [C.as_chain() for C in components]
     if not comps:
@@ -71,7 +75,8 @@ def nested_sum_with_map(components):
     for (i, x) in sequence:
         labels.append("e" if i < 0 else f"{i}.{comps[i].label(x)}")
     name = "(" + " + ".join(C.name for C in comps) + ")"
-    glued = finite_algebra(name, n, "chain", unit, mult, {}, labels)
+    glued = from_monoid(name, n, "chain", lattice_order(n, "chain"), unit,
+                        tuple(map(tuple, mult)), {}, labels)
     provenance = tuple(sequence)
     return glued, provenance
 

@@ -280,6 +280,12 @@ def rebuilt(A):
                           dict(A.constants), A.labels)
 
 
+def fields(A):
+    """Every field of A, those that FiniteAlgebra's equality skips included."""
+    return (A.name, A.size, A.unit, A.chain, A.leq, A.constants, A.labels,
+            A.mult, A.meet, A.join, A.lres, A.rres)
+
+
 def fsi_chains_all_subalgebras(V):
     """`fsi_chains` without its skip of isomorphic subalgebras: the totally
     ordered quotients of every subalgebra of every generator, deduplicated."""

@@ -228,6 +228,23 @@ def test_find_amalgam_matches_every_member_oracle(monkeypatch):
     assert [verdict for _, (verdict, _, _) in reports[-2:]] == ["NotFoundExhaustive"] * 2
 
 
+def test_bounded_search_lists_chains_only_where_it_reports(monkeypatch):
+    # the chains of one (size, unit) are listed only where one of them is an
+    # amalgam: fig3's one-sided search lists those of its witness alone, and
+    # fig5's exhaustive search lists none
+    from rlw import amalgam, repro
+    listed = []
+    chains_at = amalgam.chains_at
+    monkeypatch.setattr(amalgam, "chains_at",
+                        lambda n, e, *args: listed.append((n, e)) or chains_at(n, e, *args))
+    idem_chains = ClassSpec.bounded(6, require={"idempotent": True})
+    rep = find_amalgam(repro.fig3_span(), idem_chains, one_sided=True)
+    assert rep.found and rep.amalgam[0].name == "chain4u2n1" and listed == [(4, 2)]
+    listed.clear()
+    rep = find_amalgam(repro._knotted_span(1), ClassSpec.bounded(6, signature=("f",)))
+    assert rep.verdict == "NotFoundExhaustive" and listed == []
+
+
 def test_bounded_class_checks_its_filter():
     # the filter is checked when the class is made, with satisfies_flags'
     # messages, so an error is not lost when no member is built

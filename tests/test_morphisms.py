@@ -5,7 +5,7 @@ import pytest
 from rlw import (NotAnEmbedding, SignatureMismatch, are_isomorphic, embeddings,
                  essentialize, homs, identity, is_essential, morphism,
                  subalgebra)
-from rlw.algebra import induced_order
+from rlw.algebra import BadParameter, NotAHomomorphism, induced_order
 from rlw.catalog import (catalog_all, make_figure, make_goedel, make_rsa,
                          make_sugihara)
 from rlw.morphisms import compose
@@ -156,3 +156,24 @@ def test_not_an_embedding():
     R3, R2 = make_rsa(3), make_rsa(2)
     with pytest.raises(NotAnEmbedding):
         is_essential(morphism(R3, R2, (0, 1, 1)))
+
+
+def test_morphism_refuses_a_mapping_that_is_not_elements_of_the_target():
+    # morphism() is the one check of maps from outside: a mapping of the
+    # wrong length or with an index outside D is refused like a map that is
+    # not a homomorphism, and never reaches is_hom's table lookups
+    G3 = make_goedel(3)
+    for mapping in ([0, 1, 2, 0], [0, 5, 2], [0, 1], [0, -1, 2], [0, True, 2]):
+        with pytest.raises(NotAHomomorphism):
+            morphism(G3, G3, mapping)
+    assert morphism(G3, G3, [0, 1, 2]).mapping == (0, 1, 2)
+
+
+def test_homs_refuses_a_limit_below_one():
+    G3, G4 = make_goedel(3), make_goedel(4)
+    for limit in (0, -1):
+        with pytest.raises(BadParameter):
+            homs(G3, G3, limit=limit)
+        with pytest.raises(BadParameter):
+            homs(G3, G4, injective=True, limit=limit)
+    assert len(homs(G3, G4, injective=True, limit=1)) == 1

@@ -7,6 +7,8 @@ from rlw.morphisms import are_isomorphic
 from rlw.nsum import components_isomorphic, nested_sum_with_map
 from rlw.properties import is_lower_involutive
 
+import oracles
+
 
 def S3():
     return make_sugihara(3).reduct()
@@ -144,3 +146,28 @@ def test_restrict_lets_programming_errors_through(monkeypatch):
     monkeypatch.setattr(rlw.nsum, "from_monoid", broken)
     with pytest.raises(RuntimeError):
         factor_nested_sum(make_sugihara(3))
+
+
+def test_nested_sum_is_derived_as_validated():
+    # the glued table is a monoid, so only its residuals are derived: every
+    # sum of two chains of size <= 4, and every sum of the comdecomp pools,
+    # equals a from-scratch validation of it field by field, or is refused
+    # before its table is built (a first component neither admissible nor
+    # integral), by either build; any other refusal fails the test
+    import itertools
+    from rlw import repro
+    from rlw.completion import enumerate_chains
+    chains = [A for n in range(1, 5) for A in enumerate_chains(n)]
+    admissible, finals = repro.admissible_components(), repro.final_components()
+    sums = [[X, Y] for X in chains for Y in chains]
+    sums += [[*prefix, last] for k in range(3)
+             for prefix in itertools.product(admissible, repeat=k) for last in finals]
+    refused = 0
+    for comps in sums:
+        try:
+            glued = nested_sum(comps)
+        except NotAdmissible:
+            refused += 1
+            continue
+        assert oracles.fields(glued) == oracles.fields(oracles.rebuilt(glued))
+    assert (len(sums), refused) == (400 + 387, 60)
