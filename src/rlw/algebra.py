@@ -4,16 +4,17 @@ Elements of an algebra of size n are the indices 0..n-1.  The order is either
 the tag "chain" (index order is the algebra order) or a boolean matrix.  Index
 order is read as the algebra order only under the "chain" tag: everything else
 compares through `leq`, so a totally ordered algebra given as a matrix may
-number its elements in any order.  Outside input (files, catalog tables,
-nested sums) is validated by `finite_algebra`, which derives the lattice and
-residual tables (never stored in files).  A table whose monoid laws are
-already checked (a completed partial table, a submonoid of a valid chain)
-goes through `from_monoid`, the derivation `finite_algebra` ends with, which
-still decides residuation and checks the constants.  Algebras derived
-from a valid one (subalgebras, quotients, `as_chain`) go through `derived`,
-which reads their key first and all five tables only for a new table, and
-number their elements by `induced_order`: in the algebra order when that is
-total (tagged "chain"), else in ascending index order.
+number its elements in any order.  Outside input (files, catalog tables) is
+validated by `finite_algebra`, which derives the lattice and residual tables
+(never stored in files).  A table whose monoid laws are already checked (a
+completed partial table, a nested sum, a submonoid of a valid chain) goes
+through `from_monoid`, the derivation `finite_algebra` ends with, which
+decides residuation and nothing else: `finite_algebra` checks the constants
+and labels it is given, and `completion.complete_partial` those of a partial.
+Algebras derived from a valid one (subalgebras, quotients, `as_chain`) go
+through `derived`, which reads their key first and all five tables only for
+a new table, and number their elements by `induced_order`: in the algebra
+order when that is total (tagged "chain"), else in ascending index order.
 
 `lattice_order` and `from_monoid` read each table they derive off principal
 sets: x meet y is the top of the common lower bounds of x and y, x join y the
@@ -510,11 +511,10 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
     """Validate raw tables and return a FiniteAlgebra with derived tables.
 
     The constructor for outside input: the shapes of size, leq, unit and mult
-    (by `ALGEBRA_KEYS`, as in a file), the order, the monoid laws, the residuals
-    and the constants are all checked; the checks of the order and the monoid
-    laws are made here, and the rest by `from_monoid`, which derives the
-    remaining tables.  Algebras derived from one already valid go through
-    `derived` instead.
+    (by `ALGEBRA_KEYS`, as in a file), the order, the monoid laws, the
+    constants and the labels are checked here, and residuation by
+    `from_monoid`, which derives the remaining tables.  Algebras derived from
+    one already valid go through `derived` instead.
     Raises ParseError / NotALattice / NotAMonoid / NotResiduated / BadConstant.
     """
     for key, value in (("size", size), ("leq", leq), ("unit", unit), ("mult", mult)):
@@ -533,34 +533,31 @@ def finite_algebra(name, size, leq, unit, mult, constants=None, labels=None):
             for z in range(n):
                 if mt[mt[x][y]][z] != mt[x][mt[y][z]]:
                     raise NotAMonoid(f"associativity fails at ({x},{y},{z})")
-    return from_monoid(name, n, leq, lattice, unit, mt, constants, labels)
+    if labels is not None and len(labels) != n:
+        raise ParseError("labels have wrong length")
+    return from_monoid(name, n, leq, lattice, unit, mt, _constant_tuple(n, lattice[0], constants),
+                       labels and tuple(map(str, labels)))
 
 
-def from_monoid(name, n, leq, lattice, unit, mult, constants=None, labels=None):
+def from_monoid(name, n, leq, lattice, unit, mult, constants=(), labels=None):
     """The FiniteAlgebra of a table `mult` (a tuple of tuples) already known
     to be a monoid with unit `unit` on the order `leq`, whose
-    `lattice_order(n, leq)` is `lattice`: only residuation, the constants and
-    the labels are checked, as they are derived.  Meet and join are the
-    lattice's; x\\z and z/x are the tops of {y : x*y <= z} and
+    `lattice_order(n, leq)` is `lattice`, with the checked `constants`
+    (((name, index), ...), as `_constant_tuple` returns them) and `labels`
+    (a tuple of n strings, or None): only residuation is decided.  Meet and
+    join are the lattice's; x\\z and z/x are the tops of {y : x*y <= z} and
     {w : w*x <= z}, and a table where any of these sets is not a principal
     down-set is not residuated.  On the "chain" tag a table whose rows and
     columns are monotone with 0 absorbing is residuated, and its residuals
     are read off those rows and columns in one pass; any other table takes
     the general path, which names the failing residual.  For tables built by
     a search or restriction that has checked the monoid laws itself.
-    Raises NotResiduated / ParseError / BadConstant.
+    Raises NotResiduated.
     """
     le, meet, join = lattice
     tables = _chain_residual_tables(n, mult) if leq == "chain" else None
     lres, rres = tables or _residual_tables(n, le, mult)
-
-    const_tuple = _constant_tuple(n, le, constants)
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != n:
-            raise ParseError("labels have wrong length")
-
-    return FiniteAlgebra(str(name), n, unit, mult, leq == "chain", le, const_tuple,
+    return FiniteAlgebra(str(name), n, unit, mult, leq == "chain", le, constants,
                          meet, join, lres, rres, labels)
 
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 
-from .algebra import (OPS, BadParameter, Check, FiniteAlgebra, NotAChain, NotSemilinear,
-                      NotSimple, NotSubalgebraClosed, SignatureMismatch, _signature,
-                      by_table_id, induced_order)
+from .algebra import (OPS, BadParameter, Check, FiniteAlgebra, NotAChain, NotAnEmbedding,
+                      NotSemilinear, NotSimple, NotSubalgebraClosed, SignatureMismatch,
+                      _signature, by_table_id, induced_order)
 from .completion import chain_flags, chain_partial, chain_units, chains_at, complete_partial
 from .morphisms import (Morphism, are_isomorphic, compose, hom_maps, homs, is_hom, morphism,
                         separating_atom)
@@ -49,7 +49,7 @@ class Span:
     def __post_init__(self):
         for phi in (self.phi1, self.phi2):
             if not phi.injective:
-                raise SignatureMismatch(f"{phi} is not an embedding of {self.A.name}")
+                raise NotAnEmbedding(f"{phi} is not an embedding of {self.A.name}")
 
     def __repr__(self):
         return (f"<Span {self.A.name} -> {self.B.name} {list(self.phi1.mapping)}, "
@@ -437,10 +437,10 @@ class _ExplicitClass:
 
     def _amalgam(self, bi, leg, ci, phi2, one_sided):
         """(D, psi1, psi2) amalgamating the span (bi, leg, ci, phi2) of
-        `_spans_of` in the class, checked by `_verify_amalgam`, or None.  The
-        amalgam reported is the first D in class order, then the least common
-        restriction, then the first psi1 and psi2 in `homs` order with it.
-        R1 and R2 are intersected as key sets, which walks the smaller."""
+        `_spans_of` in the class, checked by `_verify_amalgam`, or None: the
+        first D in class order, then the first psi1 in `homs` order whose
+        restriction R2 holds (R1's first key R2 holds, as R1 keeps the first
+        psi1 per restriction in `homs` order) and the first psi2 with it."""
         B, C = self.K[bi], self.K[ci]
         phi1 = interned_subalgebras(B)[leg][2]
         for D in self.K:
@@ -448,9 +448,8 @@ class _ExplicitClass:
             if not r1:
                 continue
             r2 = self._restrictions(C, phi2, D, not one_sided)
-            common = r1.keys() & r2.keys()
-            if common:
-                r = min(common)
+            r = next((r for r in r1 if r in r2), None)
+            if r is not None:
                 _verify_amalgam(B, C, phi1, phi2, D, r1[r], r2[r], one_sided, self._checked)
                 return D, r1[r], r2[r]
         return None

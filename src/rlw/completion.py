@@ -17,22 +17,22 @@ left and upper neighbours of a cell are always decided first:
     index maps each value to the pairs producing it);
   * centrality/commutativity ties force the mirror cell.
 
-Every demand is checked once before the search (`complete_partial`).  Those
-that cannot be propagated cheaply (non-central witnesses, equations, the
-property filter `require`) are then checked on completed tables.  A completed
-table has had its unit row and column, its monotonicity and every
-associativity triple checked cell by cell, so it is a monoid on the given
-order; `algebra.from_monoid` derives its residuals, dropping a table that is
-not residuated (none on a chain, where monotone with 0 absorbing suffices),
-and checks its constants.
+Every demand is checked once before the search (`complete_partial`), and so
+are the partial's values, as a partial file's are.  Demands that cannot be
+propagated cheaply (non-central witnesses, equations, the property filter
+`require`) are then checked on completed tables.  A completed table has had
+its unit row and column, its monotonicity and every associativity triple
+checked cell by cell, so it is a monoid on the given order;
+`algebra.from_monoid` derives its residuals, dropping a table that is not
+residuated (none on a chain, where monotone with 0 absorbing suffices).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import (PARTIAL_FORMAT, AlgebraError, BadParameter, ParseError, _constant_tuple,
-                      _signature, from_monoid, is_total, lattice_order, least_element,
-                      read_document)
+from .algebra import (PARTIAL_FORMAT, PARTIAL_KEYS, BadParameter, NotResiduated, ParseError,
+                      _check_keys, _constant_tuple, _is_indices, _signature, from_monoid,
+                      is_total, lattice_order, least_element, read_document)
 from . import properties, terms
 
 
@@ -67,12 +67,11 @@ class CompletionResult:
 
 
 def load_partial(text):
-    """Parse a partial algebra file, checking its order and constants as
-    `finite_algebra` does.  The constraints `commutative` and `involutive_f`
-    go into `require`; `complete_partial` checks every demand before its search."""
+    """Read a partial algebra file.  The constraints `commutative` and
+    `involutive_f` go into `require`; `complete_partial` checks the partial,
+    as one built in Python, and every demand before its search."""
     doc = read_document(text, PARTIAL_FORMAT)
     n, labels = doc["size"], doc.get("labels")
-    _constant_tuple(n, lattice_order(n, doc["leq"])[0], doc.get("constants"))
     cs = doc.get("constraints") or {}
     return PartialAlgebra(
         doc.get("name", "partial"), n, doc["leq"], doc["unit"], doc["mult"],
@@ -92,6 +91,7 @@ class _Search:
         self.n = P.size
         self.lattice = lattice_order(P.size, P.leq)
         self.leq = self.lattice[0]
+        self.constants = _constant_tuple(P.size, self.leq, P.constants)   # checked here alone
         self.chain = P.leq == "chain"
         self.limit = limit
         self.nodes = 0
@@ -186,8 +186,8 @@ class _Search:
         P = self.P
         try:
             A = from_monoid(P.name, self.n, P.leq, self.lattice, P.unit,
-                            tuple(map(tuple, self.m)), P.constants, P.labels)
-        except AlgebraError:
+                            tuple(map(tuple, self.m)), self.constants, P.labels)
+        except NotResiduated:
             return
         if any(properties.is_central(A, c) != (c in P.central) for c in P.central | P.non_central):
             return
@@ -239,9 +239,15 @@ def complete_partial(P, limit=None):
     sorted by multiplication table.  Raises BadParameter for a limit below 1,
     and before the search the errors of `properties.check_flags` for P.require
     over P's constants and order and of `terms.check_equations` for
-    P.equations over P's labels."""
+    P.equations over P's labels.  P itself is checked first, as a partial
+    file is: by `PARTIAL_KEYS`, its index sets by `_is_indices`, and its
+    constants against its order."""
     if limit is not None and limit < 1:
         raise BadParameter(f"limit must be >= 1, got {limit}")
+    _check_keys({"size": P.size, "leq": P.leq, "unit": P.unit, "mult": P.mult,
+                 "constants": P.constants, "labels": P.labels and list(P.labels)}, PARTIAL_KEYS)
+    if not _is_indices(list(P.idempotent | P.non_idempotent | P.central | P.non_central), P.size):
+        raise ParseError(f"constraint index sets must hold indices below {P.size}")
     total = P.leq == "chain" or is_total(lattice_order(P.size, P.leq)[0], range(P.size))
     properties.check_flags(P.require, P.constants, total)
     equations = terms.check_equations(P.equations, P.constants,

@@ -11,7 +11,7 @@ and checked (`algebra.from_monoid`).
 """
 from __future__ import annotations
 
-from .algebra import AlgebraError, NotAChain, NotAdmissible, from_monoid, lattice_order
+from .algebra import NotAChain, NotAdmissible, NotResiduated, from_monoid, lattice_order
 from .properties import admissibility_witness, is_admissible, is_integral
 from .morphisms import are_isomorphic
 
@@ -30,10 +30,10 @@ def nested_sum_with_map(components):
 
     All but the last component must be admissible or integral; components are
     constant-free chains sharing only the unit.  The glued product is a
-    monoid, so only its residuals are derived (`from_monoid`, which still
-    decides residuation): in a finite residuated chain no two non-unit
-    elements multiply to the unit (if x < e < y and x*y = e, then z -> x*z is
-    a monotone bijection, hence the identity, so x = e), so each component's
+    monoid, so only its residuals are derived (`from_monoid`, which decides
+    residuation): in a finite residuated chain no two non-unit elements
+    multiply to the unit (if x < e < y and x*y = e, then z -> x*z is a
+    monotone bijection, hence the identity, so x = e), so each component's
     products stay inside it, and the product is associative with the shared
     unit.
     """
@@ -76,7 +76,7 @@ def nested_sum_with_map(components):
         labels.append("e" if i < 0 else f"{i}.{comps[i].label(x)}")
     name = "(" + " + ".join(C.name for C in comps) + ")"
     glued = from_monoid(name, n, "chain", lattice_order(n, "chain"), unit,
-                        tuple(map(tuple, mult)), {}, labels)
+                        tuple(map(tuple, mult)), labels=tuple(labels))
     provenance = tuple(sequence)
     return glued, provenance
 
@@ -101,8 +101,8 @@ def _restrict(A, subset, name):
     k = len(sub)
     try:
         return from_monoid(name, k, "chain", lattice_order(k, "chain"), posn[A.unit], mult,
-                           {}, [A.label(x) for x in sub])
-    except AlgebraError:
+                           labels=tuple(A.label(x) for x in sub))
+    except NotResiduated:
         return None
 
 

@@ -364,10 +364,11 @@ def congruences_bruteforce(A):
     return ConLattice(A, tuple(sorted(out, key=_con_key)))
 
 
-def span_verdicts_by_find_amalgam(K, one_sided):
-    """(span, amalgamates) for each entry of `_spans_of` over the deduplicated
+def span_amalgams_by_find_amalgam(K, one_sided):
+    """(span, amalgam) for each entry of `_spans_of` over the deduplicated
     class, built by `_span` (essential spans only when not one_sided), by one
-    `find_amalgam` search through the whole class per span."""
+    `find_amalgam` search through the whole class per span: the amalgam as
+    (D's name, psi1, psi2) mappings, or None when there is none."""
     from rlw.amalgam import ClassSpec, _dedup_by_iso, _span, _spans_of, find_amalgam
     from rlw.morphisms import is_essential
     K = _dedup_by_iso(K)
@@ -376,7 +377,9 @@ def span_verdicts_by_find_amalgam(K, one_sided):
         s = _span(K, *entry)
         if not one_sided and not is_essential(s.phi2):
             continue
-        yield s, find_amalgam(s, spec, one_sided=one_sided).found
+        rep = find_amalgam(s, spec, one_sided=one_sided)
+        D, psi1, psi2 = rep.amalgam or (None, None, None)
+        yield s, rep.amalgam and (D.name, psi1.mapping, psi2.mapping)
 
 
 def simple_chain_iso_span(A):
@@ -516,8 +519,8 @@ def span_amalgams(members, one_sided):
     deduplicated class, built by `_span`, each span answered on its own by
     restriction sets over lists from the backtracking `homs`: for the first
     D in class order where R1 = {psi1 o phi1} and R2 = {psi2 o phi2} meet,
-    the least common restriction r, the first psi1 with psi1 o phi1 = r and
-    the first psi2 with psi2 o phi2 = r, in `homs` order."""
+    the first psi1 in `homs` order whose restriction r is in R2, and the
+    first psi2 in `homs` order with psi2 o phi2 = r."""
     from rlw.amalgam import _dedup_by_iso, _span, _spans_of
     from rlw.morphisms import homs
     K = _dedup_by_iso(members)
@@ -541,10 +544,9 @@ def span_amalgams(members, one_sided):
         for D in K:
             r1 = restrictions(s.B, D, True, s.phi1)
             r2 = restrictions(s.C, D, not one_sided, s.phi2)
-            common = set(r1) & set(r2)
+            common = [r for r in r1 if r in r2]   # r1 in the order of its first psi1
             if common:
-                r = min(common)
-                amalgam = D, r1[r], r2[r]
+                amalgam = D, r1[common[0]], r2[common[0]]
                 break
         yield s, amalgam
 

@@ -9,7 +9,7 @@ from rlw import (ClassSpec, NotAChain, NotSemilinear, NotSimple, SignatureMismat
                  fsi_chains, is_essential, refute_chain_amalgam,
                  replay_refutation, simple_chain_ap, span, strictly_simple_ap,
                  variety)
-from rlw.algebra import NotAHomomorphism
+from rlw.algebra import NotAHomomorphism, NotAnEmbedding
 from rlw.amalgam import _ExplicitClass, _Merge, _dedup_by_iso, _span, _spans_of
 from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
                          make_luk, make_rsa, make_sugihara)
@@ -134,12 +134,13 @@ def test_refuter_requires_chains():
 
 
 def test_span_checks_its_legs():
-    # span() checks each leg with morphism(); Span rejects a non-injective leg
+    # span() checks each leg with morphism(); Span rejects a non-injective
+    # leg with NotAnEmbedding, as is_essential and essentialize do
     G2, G3 = make_goedel(2), make_goedel(3)
     with pytest.raises(NotAHomomorphism):   # [0, 1] does not keep the unit
         span(G2, G3, G3, [0, 1], [0, 2])
     R2, R3 = make_rsa(2), make_rsa(3)
-    with pytest.raises(SignatureMismatch):
+    with pytest.raises(NotAnEmbedding):
         span(R3, R2, R3, [0, 1, 1], [0, 1, 2])
     # is_essential on that leg: test_morphisms.test_not_an_embedding
 
@@ -305,11 +306,13 @@ def test_class_checks_goedel():
     assert not class_has_eap(chains4).holds
 
 
-def _through_first_failure(verdicts):
+def _through_first_failure(answers):
+    """(span, amalgam) pairs, an amalgam as (D's name, psi1, psi2) mappings
+    or None, as (repr, amalgamates, amalgam) up to the first None."""
     out = []
-    for s, ok in verdicts:
-        out.append((repr(s), ok))
-        if not ok:
+    for s, amalgam in answers:
+        out.append((repr(s), amalgam is not None, amalgam))
+        if amalgam is None:
             break
     return out
 
@@ -318,7 +321,8 @@ def _through_first_failure(verdicts):
 def test_span_verdicts_match_find_amalgam_oracle(family):
     # restriction sets and the onto skip answer each span as one find_amalgam
     # search through the class does, one-sided and essential/two-sided, on
-    # every span a class check examines (all spans up to the first failure)
+    # every span a class check examines (all spans up to the first failure);
+    # the amalgam found is find_amalgam's too: the same D, psi1 and psi2
     if family == "ladders":
         gens = [make_goedel(m) for m in range(2, 10)]
         gens += [make_sugihara(n) for n in range(2, 13)]
@@ -331,11 +335,16 @@ def test_span_verdicts_match_find_amalgam_oracle(family):
     for chains in classes.values():
         K = _ExplicitClass(chains)
         for one_sided in (True, False):
-            got = _through_first_failure(
-                (_span(K.K, *entry), ok) for entry, ok in K.span_verdicts(one_sided))
-            want = _through_first_failure(
-                oracles.span_verdicts_by_find_amalgam(chains, one_sided))
-            assert got == want, (chains[-1].name, one_sided)
+            got = []
+            for entry, ok in K.span_verdicts(one_sided):
+                found = K._amalgam(*entry, one_sided)
+                assert ok == (found is not None), (entry, one_sided)
+                got.append((_span(K.K, *entry), found and (found[0].name, *found[1:])))
+                if not ok:
+                    break
+            want = oracles.span_amalgams_by_find_amalgam(chains, one_sided)
+            assert (_through_first_failure(got) == _through_first_failure(want)
+                    ), (chains[-1].name, one_sided)
 
 
 def _relabel_members(chains):
@@ -383,12 +392,12 @@ def test_class_hom_lists_match_homs():
 def test_span_amalgams_match_per_span_oracle():
     # the shared R1 and R2 answer every span of the ladder classes, chain-coded
     # and relabelled as matrices, as restriction sets built per span from the
-    # backtracking search do, and report the amalgam the fixed rule names:
-    # first D, least common restriction, first psi1 and psi2 in homs order
-    # (G_9 is left out: its 25,740 spans per coding and side would triple the
-    # test's time).  On the ladder classes R1 and R2 never share more than one
-    # restriction; the boolean square's automorphism gives two, listed out of
-    # order.
+    # backtracking search do, and report find_amalgam's amalgam: first D,
+    # then the first psi1 in homs order whose restriction R2 holds, then the
+    # first psi2 with it (G_9 is left out: its 25,740 spans per coding and side
+    # would triple the test's time).  On the ladder classes R1 and R2 never
+    # share more than one restriction; the boolean square's automorphism gives
+    # two, and its first psi1 does not have the least of them.
     classes = {}
     for gens in ladder(goedel_to=8):
         chains = fsi_chains(variety(*gens))

@@ -165,6 +165,29 @@ def test_given_cells_checked_against_their_windows():
         assert (res.multiplicity, res.nodes) == (0, 0), cell
 
 
+def test_python_partial_values_refused_before_the_search():
+    # a partial built in Python is checked as a partial file is, once, before
+    # the search: a value that is not well formed raises an AlgebraError,
+    # never reads as "0 completions"
+    from rlw.algebra import BadConstant
+
+    def partial(**values):
+        return PartialAlgebra(**{"name": "p", "size": 3, "leq": "chain", "unit": 2,
+                                 "mult": [[None] * 3 for _ in range(3)], **values})
+    assert complete_partial(partial()).multiplicity == 2
+    cell = [[None] * 3 for _ in range(3)]
+    cell[0][1] = 9
+    for values, error in (({"constants": {"bot": 2}}, BadConstant),
+                          ({"constants": {"f": 7}}, ParseError),
+                          ({"constants": {"zz": 0}}, ParseError),
+                          ({"labels": ("a", "e")}, ParseError),
+                          ({"unit": 5}, ParseError),
+                          ({"mult": cell}, ParseError),
+                          ({"idempotent": frozenset({7})}, ParseError)):
+        with pytest.raises(error):
+            complete_partial(partial(**values))
+
+
 def test_partial_file_roundtrip():
     text = ('{"format":"rlw-partial/1","name":"p","size":3,"leq":"chain",'
             '"unit":2,"mult":[[null,null,null],[null,null,null],'
@@ -198,7 +221,7 @@ def test_limit_stops_early():
 
 
 def test_finish_lets_programming_errors_through(monkeypatch):
-    # only AlgebraError drops a candidate completion; anything else is a
+    # only NotResiduated drops a candidate completion; anything else is a
     # fault and must not be read as "not a completion"
     import rlw.completion
 

@@ -137,8 +137,8 @@ def test_round_trip_property(prefix, last):
 
 
 def test_restrict_lets_programming_errors_through(monkeypatch):
-    # only AlgebraError marks a candidate split as invalid; anything else is
-    # a fault and must not be read as "no split here"
+    # only NotResiduated marks a candidate split as invalid; anything else
+    # is a fault and must not be read as "no split here"
     import rlw.nsum
 
     def broken(*args, **kwargs):
