@@ -190,9 +190,9 @@ class FiniteAlgebra:
     def is_trivial(self):
         return self.size == 1
 
-    @property
+    @functools.cached_property
     def is_totally_ordered(self):
-        return self.chain or is_total(self.leq, self.elements)
+        return self.chain or induced_order(self.leq, self.elements)[1]
 
     def label(self, x):
         if self.labels is not None:
@@ -285,11 +285,6 @@ def least_element(leq, n):
     return next((x for x in range(n) if all(leq[x][y] for y in range(n))), None)
 
 
-def is_total(leq, items):
-    """Whether the 0/1 matrix `leq` orders the items totally."""
-    return all(leq[x][y] or leq[y][x] for x in items for y in items)
-
-
 def is_commutative(A):
     n = A.size
     return all(A.mult[x][y] == A.mult[y][x] for x in range(n) for y in range(n))
@@ -297,12 +292,14 @@ def is_commutative(A):
 
 def induced_order(leq, items):
     """The items in the order `leq` induces on them when that order is total,
-    else in ascending index order; returns (order, total)."""
+    else in ascending index order; returns (order, total).  Whatever a sort
+    by `leq` makes of items that are not a chain, its result is a chain
+    exactly when each item is below the next (by transitivity)."""
     items = sorted(items)
-    total = is_total(leq, items)
-    if total:
-        items = sorted(items, key=lambda x: sum(leq[y][x] for y in items))
-    return items, total
+    order = sorted(items, key=functools.cmp_to_key(lambda x, y: -1 if leq[x][y] else 1))
+    if all(leq[x][y] for x, y in zip(order, order[1:])):
+        return order, True
+    return items, False
 
 
 @functools.lru_cache(maxsize=32)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .algebra import (PARTIAL_FORMAT, PARTIAL_KEYS, BadParameter, NotResiduated, ParseError,
                       _check_keys, _constant_tuple, _is_indices, _signature, from_monoid,
-                      is_total, lattice_order, least_element, read_document)
+                      induced_order, lattice_order, least_element, read_document)
 from . import properties, terms
 
 
@@ -85,11 +85,11 @@ def load_partial(text):
 class _Search:
     """The completions of P, up to `limit`, found on construction in `out`."""
 
-    def __init__(self, P: PartialAlgebra, limit=None, equations=()):
+    def __init__(self, P: PartialAlgebra, limit=None, equations=(), lattice=None):
         self.P = P
         self.equations = equations   # P.equations parsed, by `terms.check_equations`
         self.n = P.size
-        self.lattice = lattice_order(P.size, P.leq)
+        self.lattice = lattice or lattice_order(P.size, P.leq)   # P's, when given
         self.leq = self.lattice[0]
         self.constants = _constant_tuple(P.size, self.leq, P.constants)   # checked here alone
         self.chain = P.leq == "chain"
@@ -248,11 +248,12 @@ def complete_partial(P, limit=None):
                  "constants": P.constants, "labels": P.labels and list(P.labels)}, PARTIAL_KEYS)
     if not _is_indices(list(P.idempotent | P.non_idempotent | P.central | P.non_central), P.size):
         raise ParseError(f"constraint index sets must hold indices below {P.size}")
-    total = P.leq == "chain" or is_total(lattice_order(P.size, P.leq)[0], range(P.size))
+    lattice = lattice_order(P.size, P.leq)
+    total = P.leq == "chain" or induced_order(lattice[0], range(P.size))[1]
     properties.check_flags(P.require, P.constants, total)
     equations = terms.check_equations(P.equations, P.constants,
                                       P.require.get("commutative") is True, P.labels or ())
-    s = _Search(P, limit, equations)
+    s = _Search(P, limit, equations, lattice)
     algebras = tuple(sorted(s.out, key=lambda A: (A.mult, A.constants)))
     return CompletionResult(algebras, s.nodes)
 

@@ -124,17 +124,18 @@ def _split_once(A, allow_integral):
     for (_, lo, hi) in candidates:
         outer_set = list(range(lo + 1)) + [e] + list(range(hi, n))
         inner_set = list(range(lo + 1, hi))
+        # cross rule: outer elements absorb every inner non-unit; tested
+        # first, as the cheapest of these pure tests
+        if not all(A.mult[x][s] == x == A.mult[s][x]
+                   for x in outer_set if x != e for s in inner_set if s != e):
+            continue
         X = _restrict(A, outer_set, f"{A.name}.outer")
         if X is None:
             continue
         S = _restrict(A, inner_set, f"{A.name}.inner")
         if S is None:
             continue
-        if not (is_admissible(X) or (allow_integral and is_integral(X))):
-            continue
-        # cross rule: outer elements absorb every inner non-unit
-        if all(A.mult[x][s] == x == A.mult[s][x]
-               for x in outer_set if x != e for s in inner_set if s != e):
+        if is_admissible(X) or (allow_integral and is_integral(X)):
             return X, S
     return None
 

@@ -5,9 +5,10 @@ A congruence of a residuated lattice is determined by its e-class, a convex
 normal subalgebra (CNS) (Blount-Tsinakis 2003; Galatos-Jipsen-Kowalski-Ono
 2007, ch. 3).  In a finite algebra that e-class meets the negative cone in an
 interval [m, e], so every congruence is the principal congruence Theta(m, e)
-of some m <= e, and `congruences` computes exactly these.  The partition
-brute-force oracle they are cross-checked against lives in the tests
-(oracles.congruences_bruteforce).
+of some m <= e, and `congruences` computes exactly these, each closure
+seeded with the Theta(m', e) of an m' just above m (`_congruence_blocks`).
+The partition brute-force oracle they are cross-checked against lives in
+the tests (oracles.congruences_bruteforce).
 
 The CEP is tested through the same correspondence: theta in Con(S) extends
 to A exactly when its e-class is M & S for some CNS M of A, so `has_cep`
@@ -79,15 +80,14 @@ def _translations(A, ops=OPS):
     return tables
 
 
-def _close_pairs(A, pairs):
-    """Least congruence containing the given pairs (translation closure).
+def _merge(tables, rep, pairs):
+    """The closure under the translation tables of the relation `rep` with
+    the given pairs added, where `rep` is a congruence or the identity.
 
     `rep[x]` is the least element of x's class.  Each merge of two classes
     translates the pair of their representatives once by every translation
-    table; those pairs generate the same equivalence as the merged ones."""
-    n = A.size
-    rep = list(range(n))
-    tables = _translations(A)
+    table; those pairs generate the same equivalence as the merged ones, and
+    the pairs of a congruence already translate into it."""
     work = list(pairs)
     while work:
         x, y = work.pop()
@@ -99,7 +99,13 @@ def _close_pairs(A, pairs):
         rep = [x if r == y else r for r in rep]
         for t in tables:
             work.extend(zip(t[x], t[y]))
-    return Congruence(_canon_blocks(rep.__getitem__, n), A)
+    return rep
+
+
+def _close_pairs(A, pairs):
+    """Least congruence containing the given pairs (translation closure)."""
+    rep = _merge(_translations(A), A.elements, pairs)
+    return Congruence(_canon_blocks(rep.__getitem__, A.size), A)
 
 
 def principal_congruence(A, a, b):
@@ -172,12 +178,25 @@ def _per_table(fn):
 
 @_per_table
 def _congruence_blocks(A):
-    """The blocks of each Theta(m, e), m <= e, in `congruences` order."""
+    """The blocks of each Theta(m, e), m <= e, in `congruences` order.
+
+    The m are walked from e down, and each closure starts from the closed
+    Theta(m', e) of the m' in (m, e] walked last, an upper cover of m: a
+    lattice congruence has convex classes, so m ~ e forces m' ~ e, and
+    Theta(m', e) is below Theta(m, e).  On a chain Con(A) is a chain, and
+    all the closures together merge at most n - 1 times."""
+    e, leq = A.unit, A.leq
+    tables = _translations(A)
+    closed = []   # (m, the representatives of Theta(m, e)), as walked
     found = {}
-    for m in A.elements:
-        if A.leq[m][A.unit]:
-            c = principal_congruence(A, m, A.unit)
-            found.setdefault(c.blocks, c)
+    for m in sorted((m for m in A.elements if leq[m][e]),
+                    key=lambda m: -sum(leq[y][m] for y in A.elements)):
+        seed = next((rep for m2, rep in reversed(closed) if leq[m][m2]), A.elements)
+        rep = _merge(tables, seed, [(m, e)])
+        closed.append((m, rep))
+        blocks = _canon_blocks(rep.__getitem__, A.size)
+        if blocks not in found:
+            found[blocks] = Congruence(blocks, A)
     return tuple(c.blocks for c in sorted(found.values(), key=_con_key))
 
 

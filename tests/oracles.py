@@ -110,6 +110,17 @@ def chain_residuals(n, mult):
     return lres, rres
 
 
+def induced_order_by_pairs(leq, items):
+    """`algebra.induced_order` from the definition: the items ranked by how
+    many of them lie below each when every pair is comparable, else in
+    ascending index order."""
+    items = sorted(items)
+    total = all(leq[x][y] or leq[y][x] for x in items for y in items)
+    if total:
+        return sorted(items, key=lambda x: len([y for y in items if leq[y][x]])), True
+    return items, False
+
+
 def lattice_tables(n, leq):
     """Meet and join of a partial order by searching every candidate bound."""
     from rlw.algebra import NotALattice
@@ -167,6 +178,21 @@ def residual_tables(n, leq, mult, join):
                 if prod_le != leq[x][rres[z][y]]:
                     raise NotResiduated(f"residuation law fails at x={x}, y={y}, z={z} (right)")
     return tuple(map(tuple, lres)), tuple(map(tuple, rres))
+
+
+def semilinear_by_equation(A):
+    """The 4-variable semilinearity equation over every assignment, with no
+    shortcut for chains:
+    (z\\((x/(x\\/y))*z) /\\ e) \\/ ((w*(y/(x\\/y)))/w /\\ e) = e."""
+    e, mult, meet, join = A.unit, A.mult, A.meet, A.join
+    lres, rres = A.lres, A.rres   # lres[x][z] = x\\z, rres[z][y] = z/y
+    for x, y, z, w in itertools.product(A.elements, repeat=4):
+        xy = join[x][y]
+        left = meet[lres[z][mult[rres[x][xy]][z]]][e]
+        right = meet[rres[mult[w][rres[y][xy]]][w]][e]
+        if join[left][right] != e:
+            return False
+    return True
 
 
 def square_nonsemilinear():

@@ -8,7 +8,7 @@ import pytest
 from rlw import (BadConstant, MissingConstant, NotAMonoid, NotALattice,
                  NotResiduated, ParseError, enumerate_chains, finite_algebra, load_algebra)
 from rlw.algebra import (_chain_lattice_tables, _residual_tables, chain_leq,
-                         lattice_order)
+                         induced_order, lattice_order)
 from rlw.catalog import catalog_all, make_goedel, make_sugihara
 
 import oracles
@@ -157,6 +157,23 @@ def test_as_chain_recode():
     A = finite_algebra("scrambled", 3, leq, 2, mult)
     B = A.as_chain()
     assert B.chain and B.mult == ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+
+
+def test_induced_order_matches_pairs_oracle():
+    # every subset of relabelled catalog chains and of the non-chain lattices:
+    # a sort by leq that only checks neighbours, against every pair
+    rng = random.Random(5)
+    pool = [oracles.boolean_square(), oracles.boolean_square_with_top(),
+            oracles.square_nonsemilinear()]
+    for A in catalog_all(max_size=6):
+        perm = list(A.elements)
+        rng.shuffle(perm)
+        pool.append(oracles.relabelled(A, perm))
+    for A in pool:
+        for k in range(A.size + 1):
+            for items in itertools.combinations(reversed(A.elements), k):
+                assert induced_order(A.leq, items) == \
+                    oracles.induced_order_by_pairs(A.leq, items), (A.name, items)
 
 
 def test_reduct_drops_constants():
