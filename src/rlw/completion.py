@@ -85,11 +85,11 @@ def load_partial(text):
 class _Search:
     """The completions of P, up to `limit`, found on construction in `out`."""
 
-    def __init__(self, P: PartialAlgebra, limit=None, equations=(), lattice=None):
+    def __init__(self, P: PartialAlgebra, lattice, limit=None, equations=()):
         self.P = P
         self.equations = equations   # P.equations parsed, by `terms.check_equations`
         self.n = P.size
-        self.lattice = lattice or lattice_order(P.size, P.leq)   # P's, when given
+        self.lattice = lattice   # lattice_order(P.size, P.leq)
         self.leq = self.lattice[0]
         self.constants = _constant_tuple(P.size, self.leq, P.constants)   # checked here alone
         self.chain = P.leq == "chain"
@@ -253,7 +253,7 @@ def complete_partial(P, limit=None):
     properties.check_flags(P.require, P.constants, total)
     equations = terms.check_equations(P.equations, P.constants,
                                       P.require.get("commutative") is True, P.labels or ())
-    s = _Search(P, limit, equations, lattice)
+    s = _Search(P, lattice, limit, equations)
     algebras = tuple(sorted(s.out, key=lambda A: (A.mult, A.constants)))
     return CompletionResult(algebras, s.nodes)
 

@@ -297,24 +297,23 @@ def subuniverse_closure(A, seed):
 
 @_per_table
 def subuniverses(A):
-    """All subuniverses, sorted by (size, tuple): the closure of the unit and
-    constants, then each s + {x} closed from the subuniverse s; computed once
-    per table per process."""
+    """All subuniverses, sorted by (size, tuple), each closed once by
+    Close-by-One (Kuznetsov 1993): from (s, start), close s + {x} for each
+    x >= start outside s, keep the closure s2 only if it adds no element below
+    x (NextClosure's canonicity test, Ganter 1984), and go on from (s2, x + 1);
+    computed once per table per process."""
     tables = _closure_tables(A)
-    base = subuniverse_closure(A, ())
-    found = {base}
-    frontier = [base]
-    while frontier:
-        fresh = []
-        for s in frontier:
-            for x in A.elements:
-                if x not in s:
-                    s2 = _close(tables, s, (x,))
-                    if s2 not in found:
-                        found.add(s2)
-                        fresh.append(s2)
-        frontier = fresh
-    return tuple(tuple(sorted(s)) for s in sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
+    found = []
+    stack = [(subuniverse_closure(A, ()), 0)]
+    while stack:
+        s, start = stack.pop()
+        found.append(tuple(sorted(s)))
+        for x in range(start, A.size):
+            if x not in s:
+                s2 = _close(tables, s, (x,))
+                if min(s2 - s) == x:
+                    stack.append((s2, x + 1))
+    return tuple(sorted(found, key=lambda s: (len(s), s)))
 
 
 def is_subuniverse(A, subset):

@@ -225,6 +225,23 @@ def boolean_square_with_top():
     return finite_algebra("2x2+1", 5, leq, 4, meet)
 
 
+def direct_product(A, B):
+    """A x B on the pairs (a, b), numbered a * |B| + b, with the product order
+    and componentwise operations and constants, validated from scratch.  A and
+    B must designate the same constants."""
+    from rlw.algebra import finite_algebra
+    n = B.size
+    pairs = [(a, b) for a in A.elements for b in B.elements]
+    leq = [[int(A.leq[a][c] and B.leq[b][d]) for c, d in pairs] for a, b in pairs]
+    mult = [[A.mult[a][c] * n + B.mult[b][d] for c, d in pairs] for a, b in pairs]
+    b_constants = dict(B.constants)
+    assert set(b_constants) == {k for k, _ in A.constants}, (A.constants, B.constants)
+    constants = {k: v * n + b_constants[k] for k, v in A.constants}
+    labels = [f"({A.label(a)},{B.label(b)})" for a, b in pairs]
+    return finite_algebra(f"{A.name}x{B.name}", A.size * n, leq, A.unit * n + B.unit, mult,
+                          constants, labels)
+
+
 def brute_homs(B, D, injective=False):
     """All homomorphisms by filtering every map (independent checker)."""
     out = []
@@ -523,7 +540,8 @@ def subuniverse_closure(A, seed):
 
 def subuniverses_by_closure(A):
     """All subuniverses, each s + {x} closed from scratch, sorted by
-    (size, tuple)."""
+    (size, tuple): the oracle for the Close-by-One listing of
+    `structure.subuniverses`, which closes each subuniverse once."""
     base = subuniverse_closure(A, ())
     found = {base}
     frontier = [base]

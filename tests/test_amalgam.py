@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -11,10 +12,10 @@ from rlw import (ClassSpec, NotAChain, NotSemilinear, NotSimple, SignatureMismat
                  variety)
 from rlw.algebra import NotAHomomorphism, NotAnEmbedding
 from rlw.amalgam import _ExplicitClass, _Merge, _dedup_by_iso, _span, _spans_of
-from rlw.catalog import (catalog_all, make_dmm, make_figure, make_goedel,
+from rlw.catalog import (catalog_all, make_dmm, make_entry, make_figure, make_goedel,
                          make_luk, make_rsa, make_sugihara)
 from rlw.properties import is_semilinear
-from rlw.structure import subalgebra, subalgebras
+from rlw.structure import subalgebra, subalgebras, subuniverses
 
 import oracles
 
@@ -553,6 +554,44 @@ def test_fsi_chains_on_semilinear_product():
     B22 = oracles.boolean_square()
     chains = fsi_chains(variety(B22))
     assert [c.size for c in chains] == [1, 2]   # chains of HS(2x2)
+
+
+# Factor pairs for V(A x B) = V(A, B), as catalog addresses, fixed in
+# advance: at least one pair for each pair of catalog families that designate
+# the same constants (goedel: bot; sugihara: f; luk mv: bot, f; dmm: f, bot,
+# top; rsa, com and luk hoop: none), cepfail x R_2 for the CEP-failure
+# verdict, and A1 x S_2 for a figure with f.
+JONSSON_PAIRS = [
+    (("goedel", 3), ("goedel", 4)), (("goedel", 4), ("goedel", 5)),
+    (("sugihara", 3), ("sugihara", 4)), (("luk", 2), ("luk", 3)), (("luk", 4), ("luk", 6)),
+    (("dmm", 2), ("dmm", 3)), (("rsa", 2), ("rsa", 3)), (("com", 0, 0), ("com", 1, 0)),
+    (("luk", 2, "hoop"), ("luk", 3, "hoop")), (("rsa", 3), ("com", 0, 1)),
+    (("rsa", 2), ("luk", 2, "hoop")), (("com", 1, 0), ("luk", 2, "hoop")),
+    (("cepfail",), ("rsa", 2)), (("A1",), ("sugihara", 2)),
+]
+
+
+@pytest.mark.parametrize("a, b, relabel", [(a, b, False) for a, b in JONSSON_PAIRS]
+                         + [(("sugihara", 3), ("sugihara", 4), True)],
+                         ids=lambda v: ":".join(map(str, v)) if isinstance(v, tuple) else
+                         ("relabelled" if v else "coded"))
+def test_direct_product_generates_the_same_variety(a, b, relabel):
+    # Jonsson's lemma: the FSI members of V(A x B) and of V(A, B) both lie in
+    # HS(A, B), so they list the same chains and decide_ap gives the same
+    # verdict; the product is no chain, so its subuniverses come from the
+    # five-operation closure
+    A, B = make_entry(*a), make_entry(*b)
+    P = oracles.direct_product(A, B)
+    if relabel:
+        perm = list(P.elements)
+        random.Random(3).shuffle(perm)
+        P = oracles.relabelled(P, perm)
+    assert not P.is_totally_ordered
+    assert subuniverses(P) == oracles.subuniverses_by_closure(P)
+    assert [c.key() for c in fsi_chains(variety(P))] == \
+        [c.key() for c in fsi_chains(variety(A, B))]
+    got, want = decide_ap(variety(P)), decide_ap(variety(A, B))
+    assert (got.verdict, got.reason) == (want.verdict, want.reason)
 
 
 def test_fsi_chains_match_all_subalgebras_oracle():

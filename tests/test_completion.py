@@ -4,6 +4,7 @@ import json
 import pytest
 
 from rlw import ClassSpec, ParseError, complete_partial, enumerate_chains, load_partial
+from rlw.algebra import lattice_order
 from rlw.catalog import figure_completions, make_goedel, make_rsa
 from rlw.completion import PartialAlgebra, _Search
 from rlw.morphisms import are_isomorphic
@@ -274,7 +275,7 @@ class _WindowCheck(_Search):
 
     def __init__(self, P):
         self.visits = []
-        super().__init__(P)
+        super().__init__(P, lattice_order(P.size, P.leq))
 
     def _window(self, i, j):
         window = super()._window(i, j)

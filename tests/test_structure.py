@@ -259,19 +259,22 @@ def test_subalgebra_refuses_what_is_not_an_element(subset):
 
 
 def test_subuniverses_match_closure_from_scratch():
-    # the semi-naive closure (min and max skipped on chains) lists the same
-    # subuniverses as closing each s + {x} from scratch under all five
-    # operations, and is_subuniverse agrees with that closure on every subset;
-    # on the non-chain 2x2+1 a subset closed under mult and the residuals need
-    # not be closed under join
+    # Close-by-One with the semi-naive closure (min and max skipped on chains)
+    # lists the same subuniverses as closing each s + {x} from scratch under
+    # all five operations, on every catalog algebra of size <= 9 in its own
+    # coding and relabelled; is_subuniverse agrees with that closure on every
+    # subset of size <= 7; on the non-chain 2x2+1 a subset closed under mult
+    # and the residuals need not be closed under join
     rng = random.Random(2)
     pool = [_b22(), oracles.square_nonsemilinear(), oracles.boolean_square_with_top()]
-    for A in catalog_all(max_size=7):
+    for A in catalog_all(max_size=9):
         perm = list(A.elements)
         rng.shuffle(perm)
         pool += [A, oracles.relabelled(A, perm)]
     for A in pool:
         assert subuniverses(A) == oracles.subuniverses_by_closure(A), A.name
+        if A.size > 7:
+            continue
         for k in range(A.size + 1):
             for s in itertools.combinations(A.elements, k):
                 want = oracles.subuniverse_closure(A, s) == frozenset(s)

@@ -41,6 +41,15 @@ trees alternate which runs first.  The rungs below G_13 run nine times, since
 single runs of under a second spread by up to 50% on a 2-vCPU machine, and
 the others three times.  Verdicts must agree.
 
+Sub layer.  In fresh interpreters, SUB_ROUNDS rounds that alternate which
+tree runs first, each tree times `structure.subuniverses` cold (its per-table
+cache cleared) on make_goedel(16), on every `catalog_all(9)` algebra in its
+own coding, and on each of those relabelled by a seeded permutation as a
+matrix order (`oracles.relabelled` of that tree's tests).  It records the
+seconds of each part with their median and quartiles per tree, the number of
+subuniverses each part lists, which must agree between the trees, and the
+process's peak RSS.
+
 Repro at bound 8.  `rlw repro fig5 --json` and `rlw repro fig3 --json` run
 with RLW_BOUND=8 in fresh processes on both trees, in 3 rounds that alternate
 which tree runs first.  It records each run's seconds and its peak RSS
@@ -71,6 +80,30 @@ STARTUP = {"interpreter": ["-c", "pass"],
            "import rlw.cli": ["-c", "import rlw.cli"],
            "con catalog:goedel:3": ["-m", "rlw.cli", "con", "catalog:goedel:3", "--json"]}
 STARTUP_ROUNDS = 25
+SUB_ROUNDS = 9
+SUB = """
+import json, random, resource, sys, time
+sys.path.insert(0, "tests")
+import oracles
+from rlw.catalog import catalog_all, make_goedel
+from rlw.structure import subuniverses
+rng = random.Random(1)
+catalog = catalog_all(9)
+relabelled = []
+for A in catalog:
+    perm = list(A.elements)
+    rng.shuffle(perm)
+    relabelled.append(oracles.relabelled(A, perm))
+out = {}
+for part, algebras in (("G_16", [make_goedel(16)]), ("catalog_all(9)", catalog),
+                       ("catalog_all(9) relabelled", relabelled)):
+    subuniverses.cache_clear()
+    start = time.perf_counter()
+    count = sum(len(subuniverses(A)) for A in algebras)
+    out[part] = {"seconds": time.perf_counter() - start, "subuniverses": count}
+out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps(out))
+"""
 REPRO_TARGETS = ("fig5", "fig3")
 REPRO_ROUNDS = 3
 COLD = """
@@ -215,6 +248,32 @@ def cold_ladder(trees):
     return out
 
 
+def sub_layer(trees):
+    runs = {side: [] for side in trees}
+    for k in range(SUB_ROUNDS):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        for side in order:
+            env = dict(os.environ, PYTHONPATH=os.path.join(trees[side], "src"))
+            proc = subprocess.run([sys.executable, "-c", SUB], capture_output=True, text=True,
+                                  env=env, cwd=trees[side], check=True)
+            runs[side].append(json.loads(proc.stdout))
+            print(f"Sub layer {side}: {runs[side][-1]}", file=sys.stderr)
+    out = []
+    for part in (p for p in runs["base"][0] if p != "peak_rss_mb"):
+        counts = {r[part]["subuniverses"] for got in runs.values() for r in got}
+        if len(counts) != 1:
+            raise SystemExit(f"Sub layer {part}: subuniverse counts differ: {sorted(counts)}")
+        count = counts.pop()
+        for side, got in runs.items():
+            seconds = [r[part]["seconds"] for r in got]
+            out.append({"tree": side, "part": part, "subuniverses": count,
+                        "seconds": seconds, **quartiles(seconds)})
+    for side, got in runs.items():
+        rss = [r["peak_rss_mb"] for r in got]
+        out.append({"tree": side, "part": "peak_rss_mb", "values": rss, **quartiles(rss)})
+    return out
+
+
 def repro_bound8(trees):
     rows = {(side, target): [] for side in trees for target in REPRO_TARGETS}
     for k in range(REPRO_ROUNDS):
@@ -282,6 +341,7 @@ def main(argv=None):
                                                  spec["run_seconds"], better)
         doc["startup"] = startup(trees)
         doc["cold_decide_ap"] = cold_ladder(trees)
+        doc["sub_layer"] = sub_layer(trees)
         doc["repro_bound8"] = repro_bound8(trees)
     finally:
         shutil.rmtree(workdir)
